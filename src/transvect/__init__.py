@@ -20,7 +20,6 @@ from .transvections import (
     Transvection,
     standard_full_field_set,
     tv_from_matrix,
-    tv_new,
 )
 from .tgraph import (
     TransvectionGraph,
@@ -69,7 +68,6 @@ from .cayley import (
     CayleyExploration,
     bfs_explore,
     bidirectional_distance,
-    evaluate_word,
     transvection_ball,
     transvection_length_profile,
     word_recover,
@@ -85,7 +83,6 @@ __all__ = [
     "Transvection",
     "standard_full_field_set",
     "tv_from_matrix",
-    "tv_new",
     "TransvectionGraph",
     "build_graph",
     "connect_up",
@@ -126,7 +123,6 @@ __all__ = [
     "CayleyExploration",
     "bfs_explore",
     "bidirectional_distance",
-    "evaluate_word",
     "transvection_ball",
     "transvection_length_profile",
     "word_recover",

@@ -5,11 +5,18 @@ of every element with respect to a generating set (symmetrized with the
 inverses), yielding the diameter, per-distance histograms, shortest-word
 witnesses, transvection balls, and the maximal transvection-length of a
 group containing transvections.
+
+Every group search in the package, including the exact enumeration in
+`classify`, runs on one packed-row engine: a row packs as sum(x_j q^j) and
+a matrix as sum(r_i D^i) over its row codes r_i, with D = q^n.  Right
+multiplication by a step S maps rows independently, so a product is one
+lookup per row in a memo table of S, filled on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -28,22 +35,115 @@ from .transvections import Transvection, tv_from_matrix
 
 Word = tuple
 
-# Default exploration budget.  Each stored element costs one bytes key of
-# n^2 field entries (16 bytes at n = 4 over a one-byte field) plus the
-# distance and parent entries, so 10^7 elements stay within desk memory.
+# Default exploration budget.  Each stored element costs one packed integer
+# key (at most n^2 log2(q) bits) plus the distance and parent entries, so
+# 10^7 elements stay within desk memory.
 DEFAULT_CAP = 10**7
 
 
-def _encode(M: Mat) -> bytes:
-    """Canonical element key: row-major entries, each packed little-endian
-    in the minimal fixed byte width of the field."""
-    q = M.F.q
-    width = max(1, ((q - 1).bit_length() + 7) // 8)
-    out = bytearray()
-    for row in M.rows:
-        for x in row:
-            out += x.to_bytes(width, "little")
-    return bytes(out)
+def _code(base: int, digits: Sequence[int]) -> int:
+    """sum(digits[j] * base^j)."""
+    code = 0
+    for x in reversed(digits):
+        code = code * base + x
+    return code
+
+
+def _digits(base: int, n: int, code: int) -> tuple[int, ...]:
+    out = []
+    for _ in range(n):
+        code, x = divmod(code, base)
+        out.append(x)
+    return tuple(out)
+
+
+def _rows(M: Mat) -> tuple[int, ...]:
+    return tuple(_code(M.F.q, r) for r in M.rows)
+
+
+def _pack(M: Mat) -> int:
+    """The key of a square matrix: its row codes in base D = q^n."""
+    return _code(M.F.q**M.nrows, _rows(M))
+
+
+def _unpack(F: Field, n: int, key: int) -> Mat:
+    return Mat(F, [_digits(F.q, n, c) for c in _digits(F.q**n, n, key)])
+
+
+class _RowTable(dict):
+    """Row code -> code of row . S, computed on first use, so no table is
+    filled ahead of time and any q^n works."""
+
+    __slots__ = ("S",)
+
+    def __init__(self, S: Mat):
+        super().__init__()
+        self.S = S
+
+    def __missing__(self, code: int) -> int:
+        q, n = self.S.F.q, self.S.nrows
+        out = self[code] = _code(q, self.S.vecmat(_digits(q, n, code)))
+        return out
+
+
+class _Search:
+    """Breadth-first search of the elements reached from the identity by
+    right multiplication with the given steps, over packed keys."""
+
+    def __init__(self, F: Field, n: int, steps: Sequence[Mat]):
+        self.F = F
+        self.n = n
+        self.weights = tuple(F.q ** (n * i) for i in range(n))
+        self.tables = [_RowTable(S) for S in steps]
+
+    def key(self, rows: Sequence[int]) -> int:
+        return sum(map(mul, rows, self.weights))
+
+    def layer(self, frontier: list, seen: dict, d: int, cap: int,
+              parents: dict | None = None) -> list:
+        """Multiply each row tuple of `frontier` by each step, in frontier
+        order then step order, and record every new key in `seen` at
+        distance d (and its (step index, parent key) in `parents`).
+        Returns the new row tuples; stops early once `seen` holds more
+        than `cap` keys."""
+        gets = [t.__getitem__ for t in self.tables]
+        W = self.weights
+        nxt = []
+        for rows in frontier:
+            if parents is not None:
+                pkey = sum(map(mul, rows, W))
+            for si, get in enumerate(gets):
+                new = tuple(map(get, rows))
+                key = sum(map(mul, new, W))
+                if key not in seen:
+                    seen[key] = d
+                    if parents is not None:
+                        parents[key] = (si, pkey)
+                    nxt.append(new)
+            if len(seen) > cap:
+                break
+        return nxt
+
+    def explore(self, cap: int, parents: dict | None = None,
+                radius: int | None = None) -> tuple[dict, list[int]]:
+        """Layers from the identity until none is new, or through distance
+        `radius`, or until more than `cap` elements are seen.  Returns the
+        distance map and the per-distance counts of the complete layers;
+        the caller detects the cap as len(seen) > cap."""
+        ident = _rows(Mat.identity(self.F, self.n))
+        ikey = self.key(ident)
+        seen = {ikey: 0}
+        if parents is not None:
+            parents[ikey] = None
+        frontier = [ident]
+        histogram = [1]
+        while frontier and (radius is None or len(histogram) <= radius):
+            frontier = self.layer(frontier, seen, len(histogram), cap, parents)
+            if len(seen) > cap:
+                break
+            if frontier:
+                histogram.append(len(frontier))
+        return seen, histogram
 
 
 def _check_generators(X: Sequence[Mat]) -> tuple[Field, int]:
@@ -65,10 +165,10 @@ def _symmetrize(X: Sequence[Mat]) -> list[tuple[Mat, int, int]]:
     """The step list X followed by the inverses that are new matrices,
     each tagged (matrix, generator index, exponent)."""
     steps = [(M, i, 1) for i, M in enumerate(X)]
-    keys = {_encode(M) for M in X}
+    keys = {_pack(M) for M in X}
     for i, M in enumerate(X):
         Minv = M.inv()
-        k = _encode(Minv)
+        k = _pack(Minv)
         if k not in keys:
             keys.add(k)
             steps.append((Minv, i, -1))
@@ -80,18 +180,18 @@ class CayleyExploration:
     """Exact distances from the identity in the Cayley graph of <X> with
     respect to X and the inverses.
 
-    `dist` maps the canonical byte key of each element to its distance,
-    `parents` to (step index, parent key) along one shortest path (None at
-    the identity), and `steps` lists the symmetrized generators as
-    (matrix, index into X, exponent).  The histogram counts elements per
-    distance, so the diameter is len(histogram) - 1."""
+    `dist` maps the packed integer key of each element (see `encode`) to
+    its distance, `parents` to (step index, parent key) along one shortest
+    path (None at the identity), and `steps` lists the symmetrized
+    generators as (matrix, index into X, exponent).  The histogram counts
+    elements per distance, so the diameter is len(histogram) - 1."""
 
     F: Field
     n: int
     X: tuple[Mat, ...]
     steps: tuple[tuple[Mat, int, int], ...]
-    dist: Mapping[bytes, int]
-    parents: Mapping[bytes, tuple[int, bytes] | None]
+    dist: Mapping[int, int]
+    parents: Mapping[int, tuple[int, int] | None]
     diameter: int
     histogram: tuple[int, ...]
 
@@ -99,17 +199,20 @@ class CayleyExploration:
     def order(self) -> int:
         return len(self.dist)
 
-    def encode(self, M: Mat) -> bytes:
-        return _encode(M)
+    def encode(self, M: Mat) -> int | None:
+        """The key of M, or None when M is not an n x n matrix over F."""
+        if M.F != self.F or M.nrows != self.n or M.ncols != self.n:
+            return None
+        return _pack(M)
 
     def distance(self, g: Mat) -> int:
-        key = _encode(g)
+        key = self.encode(g)
         if key not in self.dist:
             raise NotExplored("element not reached by the exploration")
         return self.dist[key]
 
     def __contains__(self, g: Mat) -> bool:
-        return _encode(g) in self.dist
+        return self.encode(g) in self.dist
 
     def to_json(self) -> dict:
         return {
@@ -131,33 +234,26 @@ def bfs_explore(X: Sequence[Mat], cap: int = DEFAULT_CAP) -> CayleyExploration:
     X = list(X)
     F, n = _check_generators(X)
     steps = _symmetrize(X)
-    ident = Mat.identity(F, n)
-    ikey = _encode(ident)
-    dist: dict[bytes, int] = {ikey: 0}
-    parents: dict[bytes, tuple[int, bytes] | None] = {ikey: None}
-    frontier: list[tuple[bytes, Mat]] = [(ikey, ident)]
-    histogram = [1]
-    d = 0
-    while frontier:
-        d += 1
-        nxt: list[tuple[bytes, Mat]] = []
-        for key, M in frontier:
-            for si, (S, _, _) in enumerate(steps):
-                P = M.mul(S)
-                pk = _encode(P)
-                if pk not in dist:
-                    if len(dist) >= cap:
-                        raise CapExceeded(
-                            f"exploration exceeded {cap} elements",
-                            radius=d - 1, count=cap)
-                    dist[pk] = d
-                    parents[pk] = (si, key)
-                    nxt.append((pk, P))
-        if nxt:
-            histogram.append(len(nxt))
-        frontier = nxt
+    parents: dict[int, tuple[int, int] | None] = {}
+    dist, histogram = _Search(F, n, [S for S, _, _ in steps]).explore(cap, parents)
+    if len(dist) > cap:
+        raise CapExceeded(f"exploration exceeded {cap} elements",
+                          radius=len(histogram) - 1, count=cap)
     return CayleyExploration(F, n, tuple(X), tuple(steps), dist, parents,
                              len(histogram) - 1, tuple(histogram))
+
+
+def _word(parents: Mapping, steps: Sequence[tuple[Mat, int, int]], key: int) -> Word:
+    out = []
+    while True:
+        p = parents[key]
+        if p is None:
+            break
+        si, key = p
+        _, i, e = steps[si]
+        out.append((i, e))
+    out.reverse()
+    return tuple(out)
 
 
 def word_recover(exploration: CayleyExploration, g: Mat) -> Word:
@@ -166,26 +262,7 @@ def word_recover(exploration: CayleyExploration, g: Mat) -> Word:
     key = exploration.encode(g)
     if key not in exploration.dist:
         raise NotExplored("element not reached by the exploration")
-    out = []
-    while True:
-        p = exploration.parents[key]
-        if p is None:
-            break
-        si, key = p
-        _, i, e = exploration.steps[si]
-        out.append((i, e))
-    out.reverse()
-    return tuple(out)
-
-
-def evaluate_word(X: Sequence[Mat], word: Word) -> Mat:
-    """Left-to-right product of X[i]^e over the (i, e) pairs."""
-    if not X:
-        raise BadParameters("need at least one generator")
-    M = Mat.identity(X[0].F, X[0].nrows)
-    for i, e in word:
-        M = M.mul(X[i] if e == 1 else X[i].inv())
-    return M
+    return _word(exploration.parents, exploration.steps, key)
 
 
 def bidirectional_distance(X: Sequence[Mat], g: Mat,
@@ -201,13 +278,12 @@ def bidirectional_distance(X: Sequence[Mat], g: Mat,
     F, n = _check_generators(X)
     if g.F != F or g.nrows != n or g.ncols != n:
         raise DimensionMismatch("element does not match the generators")
-    steps = [S for S, _, _ in _symmetrize(X)]
-    ident = Mat.identity(F, n)
-    a: dict[bytes, int] = {_encode(ident): 0}
-    b: dict[bytes, int] = {_encode(g): 0}
-    fa: list[Mat] = [ident]
-    fb: list[Mat] = [g]
-    if _encode(g) in a:
+    search = _Search(F, n, [S for S, _, _ in _symmetrize(X)])
+    fa = [_rows(Mat.identity(F, n))]
+    fb = [_rows(g)]
+    a = {search.key(fa[0]): 0}
+    b = {search.key(fb[0]): 0}
+    if fb == fa:
         return 0
     da = db = 0
     while fa and fb:
@@ -217,25 +293,13 @@ def bidirectional_distance(X: Sequence[Mat], g: Mat,
         else:
             side, other, frontier, d = b, a, fb, db + 1
             db = d
-        nxt = []
-        best = None
-        for M in frontier:
-            for S in steps:
-                P = M.mul(S)
-                pk = _encode(P)
-                if pk in other:
-                    cand = d + other[pk]
-                    if best is None or cand < best:
-                        best = cand
-                if pk not in side:
-                    if len(a) + len(b) >= cap:
-                        raise CapExceeded(
-                            f"bidirectional search exceeded {cap} elements",
-                            radius=min(da, db), count=cap)
-                    side[pk] = d
-                    nxt.append(P)
-        if best is not None:
-            return best
+        nxt = search.layer(frontier, side, d, cap - len(other))
+        if len(a) + len(b) > cap:
+            raise CapExceeded(f"bidirectional search exceeded {cap} elements",
+                              radius=min(da, db), count=cap)
+        meets = [d + other[k] for k in map(search.key, nxt) if k in other]
+        if meets:
+            return min(meets)
         if side is a:
             fa = nxt
         else:
@@ -258,32 +322,18 @@ def transvection_ball(T: Sequence[Transvection], r: int,
     X = [t.matrix() for t in T]
     F, n = _check_generators(X)
     steps = _symmetrize(X)
-    ident = Mat.identity(F, n)
-    ikey = _encode(ident)
-    dist: dict[bytes, int] = {ikey: 0}
+    parents: dict[int, tuple[int, int] | None] = {}
+    dist, histogram = _Search(F, n, [S for S, _, _ in steps]).explore(cap, parents, r)
+    if len(dist) > cap:
+        raise CapExceeded(f"ball exploration exceeded {cap} elements",
+                          radius=len(histogram) - 1, count=cap)
     out: dict[Transvection, Word] = {}
-    frontier: list[tuple[Mat, Word]] = [(ident, ())]
-    d = 0
-    while frontier and d < r:
-        d += 1
-        nxt = []
-        for M, w in frontier:
-            for S, i, e in steps:
-                P = M.mul(S)
-                pk = _encode(P)
-                if pk not in dist:
-                    if len(dist) >= cap:
-                        raise CapExceeded(
-                            f"ball exploration exceeded {cap} elements",
-                            radius=d - 1, count=cap)
-                    dist[pk] = d
-                    w1 = w + ((i, e),)
-                    try:
-                        out[tv_from_matrix(P)] = w1
-                    except NotTransvection:
-                        pass
-                    nxt.append((P, w1))
-        frontier = nxt
+    for key in dist:
+        if parents[key] is not None:
+            try:
+                out[tv_from_matrix(_unpack(F, n, key))] = _word(parents, steps, key)
+            except NotTransvection:
+                pass
     return out
 
 
@@ -303,7 +353,7 @@ def transvection_length_profile(G_elements, T_all,
         G_elements = G_elements.matrices()
     best = 0
     for M in G_elements:
-        key = _encode(M)
+        key = ex.encode(M)
         if key not in ex.dist:
             raise BadParameters("the transvections do not generate the group")
         best = max(best, ex.dist[key])
@@ -311,7 +361,7 @@ def transvection_length_profile(G_elements, T_all,
 
 
 def layering_audit(exploration: CayleyExploration,
-                   sample: Iterable[bytes] | None = None) -> bool:
+                   sample: Iterable[int] | None = None) -> bool:
     """Check the BFS layering invariant: every element at distance d > 0
     has a neighbor at distance d - 1 (its recorded parent)."""
     keys = sample if sample is not None else exploration.dist.keys()

@@ -18,9 +18,9 @@ strongly connected superset drawn from the same group, together with a
 word map expressing each element of T0 over the input set.
 
 Everything here is deterministic: detectors use first-found order over
-canonical enumerations, and the enumeration encodes matrices as packed
-integers whose BFS closure is reproducible (and shardable by code, though
-the implementation is sequential).
+canonical enumerations, and the enumeration is the breadth-first closure
+under right multiplication of the packed-row search engine in `cayley`,
+reproducible from the generator order.
 """
 
 from __future__ import annotations
@@ -30,13 +30,11 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
+from .cayley import _check_generators, _pack, _Search, _unpack
 from .errors import (
     BadParameters,
     CapExceeded,
-    DimensionMismatch,
-    FieldMismatch,
     NotIrreducible,
-    Singular,
     UnsupportedTag,
     WrongField,
 )
@@ -104,8 +102,8 @@ __all__ = [
 ]
 
 ELEMENT_BUDGET = 10**7
-# Column tables index all q^n vectors; past this the packed-integer BFS is
-# skipped rather than attempted.
+# Exact enumeration is attempted only while q^n, the number of row codes,
+# is at most this; past it `classify` notes the enumeration as skipped.
 VECTOR_TABLE_BUDGET = 2**16
 # Certificate budgets: obstruction cycles stay short because dense graphs
 # have diameter <= 2, exclusion subsets and the whole certificate stay small.
@@ -285,11 +283,10 @@ class Certificate:
 class GroupEnumeration:
     """The element set of a desk-scale matrix group, stored packed.
 
-    A column vector packs as sum(x_i q^i) (row 0 least significant) and a
-    matrix packs its column codes base D = q^n (column 0 least
-    significant).  Left multiplication transforms columns independently,
-    so one lookup table per generator over the D column codes drives the
-    closure.
+    `codes` holds the integer keys of the elements in the row packing of
+    the `cayley` search engine: a row packs as sum(x_j q^j) (entry 0 least
+    significant) and a matrix packs its row codes base D = q^n (row 0
+    least significant).
     """
 
     __slots__ = ("F", "n", "codes")
@@ -307,29 +304,10 @@ class GroupEnumeration:
         return len(self.codes)
 
     def encode(self, M: Mat) -> int:
-        q, n = self.F.q, self.n
-        key = 0
-        D = q**n
-        for j in reversed(range(n)):
-            col = 0
-            for i in reversed(range(n)):
-                col = col * q + M.rows[i][j]
-            key = key * D + col
-        return key
+        return _pack(M)
 
     def decode(self, key: int) -> Mat:
-        q, n = self.F.q, self.n
-        D = q**n
-        cols = []
-        for _ in range(n):
-            col = key % D
-            key //= D
-            digs = []
-            for _ in range(n):
-                digs.append(col % q)
-                col //= q
-            cols.append(digs)
-        return Mat(self.F, tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+        return _unpack(self.F, self.n, key)
 
     def __contains__(self, M: Mat) -> bool:
         return self.encode(M) in self.codes
@@ -340,82 +318,21 @@ class GroupEnumeration:
 
 
 def enumerate_group(gens: Sequence[Mat], cap: int = ELEMENT_BUDGET) -> GroupEnumeration:
-    """BFS closure of invertible generators under left multiplication.
+    """BFS closure of invertible generators under right multiplication.
 
     A finite group is the multiplicative closure of any generating set, so
     no inverses are needed.  Raises CapExceeded beyond `cap` elements, or
-    immediately when the q^n column table would not fit the vector budget.
+    immediately when q^n, the number of row codes, exceeds the vector
+    budget.
     """
     gens = list(gens)
-    if not gens:
-        raise BadParameters("need at least one generator")
-    F = gens[0].F
-    n = gens[0].nrows
-    for M in gens:
-        if M.F != F:
-            raise FieldMismatch("generators over different fields")
-        if M.nrows != n or M.ncols != n:
-            raise DimensionMismatch("generators of different sizes")
-        if M.det() == 0:
-            raise Singular("generators must be invertible")
-    q = F.q
-    D = q**n
+    F, n = _check_generators(gens)
+    D = F.q**n
     if D > VECTOR_TABLE_BUDGET:
         raise CapExceeded("column table q^n exceeds the vector budget", count=D)
-    def code_of(w: Sequence[int]) -> int:
-        code = 0
-        for x in reversed(w):
-            code = code * q + x
-        return code
-
-    tables = []
-    for M in gens:
-        tbl = [0] * D
-        if F.p == 2:
-            # GF(2^k) addition is digit-wise XOR, and base-q packing aligns
-            # digits on bit boundaries, so M(x + y) packs as tbl[x] ^ tbl[y]
-            # and the table fills from the n*k one-bit basis codes.
-            for b in range(n * F.f):
-                i, r = divmod(b, F.f)
-                v = [0] * n
-                v[i] = 1 << r
-                tbl[1 << b] = code_of(M.matvec(tuple(v)))
-            for c in range(1, D):
-                low = c & (-c)
-                if c != low:
-                    tbl[c] = tbl[c & (c - 1)] ^ tbl[low]
-        else:
-            for c in range(D):
-                digs = []
-                r = c
-                for _ in range(n):
-                    digs.append(r % q)
-                    r //= q
-                tbl[c] = code_of(M.matvec(tuple(digs)))
-        tables.append(tbl)
-    def pack(cols: Sequence[int]) -> int:
-        key = 0
-        for c in reversed(cols):
-            key = key * D + c
-        return key
-
-    ident_cols = tuple(q**i for i in range(n))
-    ident = pack(ident_cols)
-    seen = {ident}
-    frontier = [ident_cols]
-    while frontier:
-        nxt = []
-        for cols in frontier:
-            for tbl in tables:
-                new_cols = tuple(tbl[c] for c in cols)
-                key = pack(new_cols)
-                if key not in seen:
-                    seen.add(key)
-                    if len(seen) > cap:
-                        raise CapExceeded("group enumeration element budget exhausted",
-                                          count=cap)
-                    nxt.append(new_cols)
-        frontier = nxt
+    seen, _ = _Search(F, n, gens).explore(cap)
+    if len(seen) > cap:
+        raise CapExceeded("group enumeration element budget exhausted", count=cap)
     return GroupEnumeration(F, n, frozenset(seen))
 
 

@@ -21,7 +21,6 @@ from typing import Callable, Sequence
 
 from .errors import (
     BadParameters,
-    CapExceeded,
     DimensionMismatch,
     IndexMismatch,
     MissingForm,
@@ -39,7 +38,7 @@ from .linalg import Mat, Subspace, Vec, dot, is_zero_vec, vec_add, vec_scale, ve
 from .tgraph import (
     WALK_BUDGET,
     TransvectionGraph,
-    _canonical_rotation,
+    _closed_walks,
     cycle_weight,
     directed_diameter,
     is_irreducible,
@@ -208,49 +207,16 @@ def _cycle_defect(G: TransvectionGraph, verts: tuple[int, ...],
     return wf, wr, d
 
 
-def _closed_walks_sorted(G: TransvectionGraph, L: int, budget: int):
-    """Rotation classes of closed walks of length 2..L with nonzero weight,
-    sorted by (length, vertex tuple).  Unlike cycles_up_to this helper has no
-    hard length cap; detection needs lengths up to 2D+1."""
-    F = G.F
-    found: dict[tuple[int, ...], int] = {}
-    steps = 0
-    path: list[int] = []
-
-    def dfs(start: int, u: int, w: int) -> None:
-        nonlocal steps
-        steps += 1
-        if steps > budget:
-            raise CapExceeded("closed-walk enumeration budget exhausted", count=budget)
-        if len(path) >= 2 and G.pair[u][start]:
-            key = _canonical_rotation(tuple(path))
-            if key not in found:
-                found[key] = F.mul(w, G.pair[u][start])
-        if len(path) == L:
-            return
-        for t in G.succ[u]:
-            if t < start:
-                continue
-            path.append(t)
-            dfs(start, t, F.mul(w, G.pair[u][t]))
-            path.pop()
-
-    for s in range(len(G.verts)):
-        path = [s]
-        dfs(s, s, 1)
-    return sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-
 def _first_obstruction(G: TransvectionGraph, th: Callable[[int], int],
                        twist: str, limit: int,
                        budget_walks: int) -> ObstructionCycle:
     """First non-conforming cycle in enumeration order (length, then vertex
     tuple); one of length <= limit is guaranteed to exist when detection has
     failed, since a failed check pins an explicit short witness."""
-    for verts, _w in _closed_walks_sorted(G, limit, budget_walks):
-        wf, wr, d = _cycle_defect(G, verts, th)
+    for rec in _closed_walks(G, limit, budget_walks):
+        wf, wr, d = _cycle_defect(G, rec.verts, th)
         if d != 0:
-            return ObstructionCycle(verts, wf, wr, d, twist)
+            return ObstructionCycle(rec.verts, wf, wr, d, twist)
     raise AssertionError(
         "detection failed but no obstruction cycle found within its bound")
 

@@ -396,17 +396,3 @@ def field_create(p: int, f: int = 1) -> Field:
     if not isinstance(p, int) or not isinstance(f, int):
         raise NotPrime("field parameters must be ints")
     return _cached_field(p, f)
-
-
-def field_from_name(name: str) -> Field:
-    """Parse 'p^f' or 'p' into a field."""
-    from .errors import ParseError
-
-    s = name.strip()
-    try:
-        if "^" in s:
-            ps, fs = s.split("^")
-            return field_create(int(ps), int(fs))
-        return field_create(int(s), 1)
-    except (ValueError, NotPrime, DegreeTooLarge) as e:
-        raise ParseError(f"bad field name {name!r}: {e}") from e

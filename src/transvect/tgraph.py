@@ -258,6 +258,13 @@ def cycles_up_to(G: TransvectionGraph, L: int,
     (length, vertex tuple)."""
     if L > MAX_CYCLE_LEN:
         raise BadParameters(f"cycle length cap is {MAX_CYCLE_LEN}, got {L}")
+    return _closed_walks(G, L, budget_walks)
+
+
+def _closed_walks(G: TransvectionGraph, L: int,
+                  budget_walks: int) -> list[CycleRecord]:
+    """cycles_up_to without the length cap; form detection needs lengths
+    up to 2D+1 for the directed diameter D."""
     F = G.F
     N = len(G.verts)
     found: dict[tuple[int, ...], int] = {}

@@ -21,7 +21,7 @@ from .errors import (
 from .gf import Field
 from .linalg import Mat, Vec, dot, is_zero_vec, outer, vec_scale
 
-__all__ = ["Transvection", "tv_new", "tv_from_matrix", "standard_full_field_set"]
+__all__ = ["Transvection", "tv_from_matrix", "standard_full_field_set"]
 
 
 class Transvection:
@@ -30,8 +30,8 @@ class Transvection:
     __slots__ = ("F", "n", "v", "phi")
 
     def __init__(self, F: Field, v: Sequence[int], phi: Sequence[int]):
-        v = tuple(v)
-        phi = tuple(phi)
+        v = tuple(map(F.check, v))
+        phi = tuple(map(F.check, phi))
         if len(v) != len(phi):
             raise DimensionMismatch("v and phi of different lengths")
         if is_zero_vec(v) or is_zero_vec(phi):
@@ -105,15 +105,11 @@ class Transvection:
         if "matrix" in data:
             return tv_from_matrix(Mat.from_json(F, data["matrix"]))
         try:
-            v = [F.check(int(a)) for a in data["v"]]
-            phi = [F.check(int(a)) for a in data["phi"]]
+            v = [int(a) for a in data["v"]]
+            phi = [int(a) for a in data["phi"]]
         except KeyError as e:
             raise BadParameters(f"transvection record missing {e}") from e
         return Transvection(F, v, phi)
-
-
-def tv_new(F: Field, v: Sequence[int], phi: Sequence[int]) -> Transvection:
-    return Transvection(F, v, phi)
 
 
 def tv_from_matrix(M: Mat) -> Transvection:

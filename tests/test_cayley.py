@@ -9,13 +9,12 @@ import pytest
 from transvect.cayley import (
     bfs_explore,
     bidirectional_distance,
-    evaluate_word,
     layering_audit,
     transvection_ball,
     transvection_length_profile,
     word_recover,
 )
-from transvect.classify import build_symmetric_rep, enumerate_group
+from transvect.classify import VECTOR_TABLE_BUDGET, build_symmetric_rep, enumerate_group
 from transvect.errors import (
     BadParameters,
     CapExceeded,
@@ -28,7 +27,7 @@ from transvect.errors import (
 )
 from transvect.gf import field_create
 from transvect.linalg import Mat
-from transvect.tgraph import densify
+from transvect.tgraph import densify, word_matrix
 from transvect.transvections import Transvection, tv_from_matrix
 
 F2 = field_create(2, 1)
@@ -108,6 +107,36 @@ def inversions(perm):
                if perm[i] > perm[j])
 
 
+def reference_bfs(X):
+    """Distances from the identity over X and the inverses, by plain BFS
+    over hashable matrices: the oracle for the packed search."""
+    steps = list(X) + [M.inv() for M in X]
+    dist = {Mat.identity(X[0].F, X[0].nrows): 0}
+    frontier = list(dist)
+    while frontier:
+        nxt = []
+        for M in frontier:
+            for S in steps:
+                P = M.mul(S)
+                if P not in dist:
+                    dist[P] = dist[M] + 1
+                    nxt.append(P)
+        frontier = nxt
+    return dist
+
+
+def assert_matches_reference(X):
+    ex = bfs_explore(X)
+    ref = reference_bfs(X)
+    assert ex.order == len(ref)
+    assert all(ex.distance(M) == d for M, d in ref.items())
+    hist = [0] * (max(ref.values()) + 1)
+    for d in ref.values():
+        hist[d] += 1
+    assert ex.histogram == tuple(hist)
+    assert ex.diameter == len(hist) - 1
+
+
 # -- bfs_explore --------------------------------------------------------------
 
 
@@ -171,6 +200,26 @@ def test_bfs_triangle_inequality():
         assert ex.distance(g.mul(h)) <= ex.distance(g) + ex.distance(h)
 
 
+@pytest.mark.parametrize("gens", [
+    SL22_PAIR, SL23_PAIR, SL32_TRIANGLE, build_symmetric_rep(6),
+    group_transvections(build_symmetric_rep(6)),
+], ids=["sl2-2", "sl2-3", "sl3-2", "rep6", "sp4-2-all"])
+def test_bfs_matches_reference(gens):
+    assert_matches_reference(mats(gens))
+
+
+def test_bfs_large_field():
+    # q^n = 2^20 row codes, past the enumeration's vector budget
+    F = field_create(2, 10)
+    a = 0b1011001110
+    X = mats([Transvection(F, (1, 0), (0, 1)), Transvection(F, (0, 1), (1, 0)),
+              Transvection(F, (1, 0), (0, a)), Transvection(F, (0, 1), (F.inv(a), 0))])
+    assert F.q ** 2 > VECTOR_TABLE_BUDGET
+    assert_matches_reference(X[:2])
+    assert_matches_reference(X[2:])
+    assert bfs_explore(X[2:]).order == 6
+
+
 def test_bfs_cap_reports_radius():
     with pytest.raises(CapExceeded) as ei:
         bfs_explore(mats(build_symmetric_rep(6)), cap=10)
@@ -217,7 +266,37 @@ def test_word_recover_replay():
         g = rng.choice(all_mats)
         w = word_recover(ex, g)
         assert len(w) == ex.distance(g)
-        assert evaluate_word(X, w).rows == g.rows
+        assert word_matrix(SL32_TRIANGLE, w).rows == g.rows
+
+
+def test_word_recover_golden_words():
+    # pinned shortest words: the search order (frontier, then step) fixes them
+    ex = bfs_explore(mats(build_symmetric_rep(7)))
+    reversal = perm_rep_matrix(7, tuple(reversed(range(7))))
+    assert word_recover(ex, reversal) == tuple(
+        (i, 1) for k in range(6) for i in range(k, -1, -1))
+    assert word_recover(ex, perm_rep_matrix(7, (1, 0, 3, 2, 6, 5, 4))) == (
+        (0, 1), (2, 1), (4, 1), (5, 1), (4, 1))
+    ex = bfs_explore(mats(SL32_TRIANGLE))
+    golden = {
+        ((0, 1, 0), (0, 0, 1), (1, 0, 0)):
+            ((0, 1), (1, 1), (2, 1), (0, 1), (1, 1), (2, 1), (0, 1)),
+        ((1, 1, 1), (0, 1, 1), (0, 0, 1)): ((0, 1), (1, 1)),
+        ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
+            ((2, 1), (0, 1), (1, 1), (0, 1), (1, 1), (2, 1)),
+        ((1, 0, 1), (1, 1, 0), (1, 1, 1)):
+            ((1, 1), (0, 1), (2, 1), (1, 1), (0, 1), (2, 1), (0, 1), (2, 1)),
+    }
+    for rows, w in golden.items():
+        assert word_recover(ex, Mat(F2, rows)) == w
+    ex = bfs_explore(mats(SL23_PAIR))
+    golden = {
+        ((0, 1), (2, 0)): ((0, 1), (1, -1), (0, 1)),
+        ((2, 0), (0, 2)): ((0, 1), (1, 1), (0, 1), (1, 1)),
+        ((1, 2), (1, 0)): ((1, 1), (0, -1)),
+    }
+    for rows, w in golden.items():
+        assert word_recover(ex, Mat(F3, rows)) == w
 
 
 def test_word_recover_unexplored():
@@ -288,8 +367,22 @@ def test_ball_words_replay_and_minimal():
     ex = bfs_explore(X)
     ball = transvection_ball(SL23_PAIR, 10)
     for t, w in ball.items():
-        assert evaluate_word(X, w).rows == t.matrix().rows
+        assert word_matrix(SL23_PAIR, w).rows == t.matrix().rows
         assert len(w) == ex.distance(t.matrix())
+
+
+def test_ball_golden_words():
+    got = [(t.v, t.phi, w) for t, w in transvection_ball(SL23_PAIR, 10).items()]
+    assert got == [
+        ((1, 0), (0, 1), ((0, 1),)),
+        ((0, 1), (1, 0), ((1, 1),)),
+        ((1, 0), (0, 2), ((0, -1),)),
+        ((0, 1), (2, 0), ((1, -1),)),
+        ((1, 1), (1, 2), ((0, 1), (1, 1), (0, -1))),
+        ((1, 1), (2, 1), ((0, 1), (1, -1), (0, -1))),
+        ((1, 2), (2, 2), ((0, -1), (1, 1), (0, 1))),
+        ((1, 2), (1, 1), ((0, -1), (1, -1), (0, 1))),
+    ]
 
 
 def test_ball_contains_densify_output():

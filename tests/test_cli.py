@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from transvect.cayley import evaluate_word
 from transvect.cli import (
     JobConfig,
     field_spec,
@@ -24,6 +23,7 @@ from transvect.errors import (
 )
 from transvect.gf import field_create
 from transvect.linalg import Mat
+from transvect.tgraph import word_matrix
 from transvect.transvections import Transvection
 
 F2 = field_create(2, 1)
@@ -250,8 +250,7 @@ def test_diameter_witness_word_evaluates(tmp_path):
                               "--witness", json.dumps(target)])
     wit = rep["result"]["witness"]
     F, T = parse_input(path)
-    M = evaluate_word([t.matrix() for t in T],
-                      tuple((i, e) for i, e in wit["word"]))
+    M = word_matrix(T, tuple((i, e) for i, e in wit["word"]))
     assert M.to_json() == target
     assert wit["length"] == len(wit["word"]) == 2
 
@@ -288,8 +287,7 @@ def test_decompose_word(tmp_path):
     assert res["mode"] == "word"
     assert res["length"] == 2
     F, T = parse_input(path)
-    M = evaluate_word([t.matrix() for t in T],
-                      tuple((i, e) for i, e in res["word"]))
+    M = word_matrix(T, tuple((i, e) for i, e in res["word"]))
     assert M.to_json() == [[0, 1], [1, 1]]
 
 

@@ -154,8 +154,6 @@ def test_errors():
 
 def test_field_cache_identity():
     assert gf.field_create(3, 2) is gf.field_create(3, 2)
-    assert gf.field_from_name("3^2") is gf.field_create(3, 2)
-    assert gf.field_from_name("7") is gf.field_create(7, 1)
 
 
 def test_solve_norm():

@@ -8,6 +8,7 @@ import pytest
 
 from transvect.errors import (
     BadParameters,
+    FieldMismatch,
     NotIsotropic,
     NotTransvection,
     UnsupportedKind,
@@ -15,7 +16,7 @@ from transvect.errors import (
 )
 from transvect.gf import field_create
 from transvect.linalg import Mat, dot, outer
-from transvect.transvections import Transvection, standard_full_field_set, tv_from_matrix, tv_new
+from transvect.transvections import Transvection, standard_full_field_set, tv_from_matrix
 
 
 def cycle_weight(ts):
@@ -57,8 +58,8 @@ def random_transvection(rng, F, n):
 
 def test_canonical_scaling():
     F = field_create(3)
-    t1 = tv_new(F, (2, 1, 0), (1, 1, 0))
-    t2 = tv_new(F, (1, 2, 0), (2, 2, 0))  # same map, scaled by 2
+    t1 = Transvection(F, (2, 1, 0), (1, 1, 0))
+    t2 = Transvection(F, (1, 2, 0), (2, 2, 0))  # same map, scaled by 2
     assert t1 == t2
     assert t1.v[next(i for i, a in enumerate(t1.v) if a)] == 1
     assert t1.matrix() == t2.matrix()
@@ -135,6 +136,16 @@ def test_constructor_rejections():
         Transvection(F, (1, 0), (0, 0))
     with pytest.raises(NotIsotropic):
         Transvection(F, (1, 0), (1, 0))
+
+
+def test_constructor_rejects_entries_outside_field():
+    F = field_create(2, 2)
+    with pytest.raises(FieldMismatch):
+        Transvection(F, (1, 0), (0, 9))  # would build ((1, 3), (0, 1))
+    with pytest.raises(FieldMismatch):
+        Transvection(F, (4, 0), (0, 1))
+    with pytest.raises(FieldMismatch):
+        Transvection(F, (1, 0), (0, -1))
 
 
 def test_standard_set_sl_weight_is_primitive():
@@ -220,6 +231,6 @@ def test_standard_set_o_char2():
 
 def test_json_roundtrip():
     F = field_create(2, 2)
-    t = tv_new(F, (1, 2, 0), (0, 0, 3))
+    t = Transvection(F, (1, 2, 0), (0, 0, 3))
     assert Transvection.from_json(F, t.to_json()) == t
     assert Transvection.from_json(F, {"matrix": t.matrix().to_json()}) == t
