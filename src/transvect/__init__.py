@@ -60,6 +60,7 @@ from .classify import (
     detect_monomial_structure,
     detect_symmetric_type,
     enumerate_group,
+    group_order,
     order_formula,
     quadratic_type,
     stability_check,
@@ -117,6 +118,7 @@ __all__ = [
     "detect_monomial_structure",
     "detect_symmetric_type",
     "enumerate_group",
+    "group_order",
     "order_formula",
     "quadratic_type",
     "stability_check",

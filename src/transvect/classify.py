@@ -10,7 +10,8 @@ three small exceptional groups.  `classify` realizes that case analysis
 by detecting invariant structures (bilinear and hermitian forms,
 quadratic refinements, invariant line sets, invariant spanning sets),
 descending to the subfield generated by cycle weights, and cross-checking
-orders against exact enumeration when it fits the element budget.
+the tag against the exact group order, computed by deterministic
+Schreier-Sims, when the order fits the element budget.
 
 `certify` assembles a small witness subset T0 whose cycle weights, form
 obstructions and exclusion subsets pin the classification of any
@@ -18,9 +19,10 @@ strongly connected superset drawn from the same group, together with a
 word map expressing each element of T0 over the input set.
 
 Everything here is deterministic: detectors use first-found order over
-canonical enumerations, and the enumeration is the breadth-first closure
-under right multiplication of the packed-row search engine in `cayley`,
-reproducible from the generator order.
+canonical enumerations, the stabilizer chain behind `group_order` is
+built in generator order, and `enumerate_group` is the breadth-first
+closure under right multiplication of the packed-row search engine in
+`cayley`, reproducible from the generator order.
 """
 
 from __future__ import annotations
@@ -30,10 +32,19 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .cayley import _check_generators, _pack, _Search, _unpack
+from .cayley import (
+    _check_generators,
+    _digits,
+    _pack,
+    _rows,
+    _RowTable,
+    _Search,
+    _unpack,
+)
 from .errors import (
     BadParameters,
     CapExceeded,
+    InternalError,
     NotIrreducible,
     UnsupportedTag,
     WrongField,
@@ -89,6 +100,7 @@ __all__ = [
     "Certificate",
     "GroupEnumeration",
     "enumerate_group",
+    "group_order",
     "order_formula",
     "build_monomial_group",
     "build_symmetric_rep",
@@ -102,8 +114,9 @@ __all__ = [
 ]
 
 ELEMENT_BUDGET = 10**7
-# Exact enumeration is attempted only while q^n, the number of row codes,
-# is at most this; past it `classify` notes the enumeration as skipped.
+# `enumerate_group` runs, and `classify` computes the exact order, only while
+# q^n, the number of row codes, is at most this; past it `classify` notes
+# the order cross-check as skipped.
 VECTOR_TABLE_BUDGET = 2**16
 # Certificate budgets: obstruction cycles stay short because dense graphs
 # have diameter <= 2, exclusion subsets and the whole certificate stay small.
@@ -222,8 +235,13 @@ def _witness_json(x):
 class ClassificationReport:
     """Outcome of `classify`: the type tag, the degree over the prime field
     of the subfield generated by cycle weights, the structural witnesses
-    backing the tag, and the two order estimates (formula vs enumeration),
-    which must agree whenever both are present."""
+    backing the tag, and the two orders, which must agree whenever both
+    are present: `order_predicted` from the formula of the tag, and
+    `order_enumerated`, the exact order of the generated group from a
+    stabilizer chain (`group_order`; the key keeps its historical name).
+    `order_enumerated` is None when it was not computed (the order
+    exceeds the element budget, q^n exceeds the vector budget, or no
+    subfield base change was found), with a note saying which."""
 
     tag: GroupTypeTag
     field_degree: int
@@ -275,6 +293,13 @@ class Certificate:
             "words": [[[i, e] for i, e in w] for w in self.words],
             "properties": [dict(p) for p in self.properties],
         }
+
+
+def _require(ok: bool, what: str) -> None:
+    """Check an invariant the algorithms rely on; unlike `assert` the check
+    survives `python -O`."""
+    if not ok:
+        raise InternalError(what)
 
 
 # -- exact enumeration -------------------------------------------------------
@@ -334,6 +359,162 @@ def enumerate_group(gens: Sequence[Mat], cap: int = ELEMENT_BUDGET) -> GroupEnum
     if len(seen) > cap:
         raise CapExceeded("group enumeration element budget exhausted", count=cap)
     return GroupEnumeration(F, n, frozenset(seen))
+
+
+# -- exact order -------------------------------------------------------------
+
+
+class _Chain:
+    """A stabilizer chain for the base e_0..e_(n-1), over packed rows.
+
+    An element is its tuple of row codes, in the packing of the `cayley`
+    search engine.  The group acts on row vectors by right multiplication,
+    so the image of the base point e_i under g is row i of g, and the
+    product g h maps the rows of g through the row table of h.  Level i
+    holds the strong generators fixing e_0..e_(i-1), each as (rows, row
+    table, inverse rows), and the basic orbit of e_i: the orbit points in
+    discovery order, and for each point p the transversal entry
+    [u, u^-1, row table of u^-1 or None] with e_i u = p (None at e_i).
+    """
+
+    def __init__(self, F: Field, n: int, cap: int):
+        self.F, self.n, self.cap = F, n, cap
+        self.base = tuple(F.q**i for i in range(n))  # also the identity's rows
+        self.gens: list[list[tuple]] = [[] for _ in range(n)]
+        self.points = [[b] for b in self.base]
+        self.orbits: list[dict] = [{b: None} for b in self.base]
+        # per level and orbit point: how many strong generators have had
+        # their Schreier generator at that point sifted
+        self.checked = [[0] for _ in range(n)]
+
+    def _mat(self, rows: tuple) -> Mat:
+        q, n = self.F.q, self.n
+        return Mat(self.F, [_digits(q, n, c) for c in rows])
+
+    def strong(self, rows: tuple, M: Mat | None = None) -> tuple:
+        """A strong generator record (rows, row table, inverse rows)."""
+        M = self._mat(rows) if M is None else M
+        return rows, _RowTable(M), _rows(M.inv())
+
+    def _inverse_table(self, entry: list) -> _RowTable:
+        if entry[2] is None:
+            entry[2] = _RowTable(self._mat(entry[1]))
+        return entry[2]
+
+    def order(self) -> int:
+        return math.prod(map(len, self.points))
+
+    def add(self, s: tuple, lo: int, hi: int) -> None:
+        """Make s a strong generator of levels lo..hi and close their
+        orbits under it."""
+        for level in range(lo, hi + 1):
+            self.gens[level].append(s)
+            self._close(level, len(self.gens[level]) - 1)
+
+    def _close(self, level: int, first: int) -> None:
+        """Extend the basic orbit of `level` by generators `first` onwards
+        (on old points) and by all generators (on new points).  Raises
+        CapExceeded once the product of the orbit lengths, a lower bound on
+        the order, exceeds the cap."""
+        pts, orbit, gens = self.points[level], self.orbits[level], self.gens[level]
+        others = self.order() // len(pts)
+        old = len(pts)
+        k = 0
+        while k < len(pts):
+            p = pts[k]
+            u = orbit[p]
+            for rows, tbl, inv in gens[first if k < old else 0:]:
+                r = tbl[p]
+                if r in orbit:
+                    continue
+                if u is None:
+                    orbit[r] = [rows, inv, None]
+                else:
+                    orbit[r] = [tuple(map(tbl.__getitem__, u[0])),
+                                tuple(map(self._inverse_table(u).__getitem__, inv)),
+                                None]
+                pts.append(r)
+                self.checked[level].append(0)
+                if len(pts) * others > self.cap:
+                    raise CapExceeded("group order element budget exhausted",
+                                      count=self.cap)
+            k += 1
+
+    def sift(self, h: tuple, start: int) -> tuple[tuple | None, int]:
+        """Strip h through levels start..n-1.  Returns (residue, level) at
+        the first level whose orbit misses the base image, else (None, n)."""
+        base = self.base
+        for level in range(start, self.n):
+            p = h[level]
+            if p == base[level]:
+                continue
+            entry = self.orbits[level].get(p)
+            if entry is None:
+                return h, level
+            h = tuple(map(self._inverse_table(entry).__getitem__, h))
+            if h[level] != base[level]:
+                raise InternalError(f"a transversal inverse at level {level} "
+                                    f"does not return its point to the base")
+        if h != base:
+            raise InternalError("a sift residue fixes every base image but is "
+                                "not the identity")
+        return None, self.n
+
+    def complete_level(self, level: int) -> int | None:
+        """Sift the unchecked Schreier generators u_p s u_(p s)^-1 of
+        `level` through the levels below.  On the first that does not sift
+        to the identity, adds its residue as a strong generator and returns
+        the level where it dropped out; returns None when all sift."""
+        pts, orbit, gens = self.points[level], self.orbits[level], self.gens[level]
+        checked = self.checked[level]
+        for k, p in enumerate(pts):
+            u = orbit[p]
+            while checked[k] < len(gens):
+                rows, tbl, _ = gens[checked[k]]
+                checked[k] += 1
+                r = tbl[p]
+                a = rows if u is None else tuple(map(tbl.__getitem__, u[0]))
+                w = orbit[r]
+                if w is None:
+                    h = a
+                elif a == w[0]:
+                    continue  # the edge that defined u_r
+                else:
+                    h = tuple(map(self._inverse_table(w).__getitem__, a))
+                res, drop = self.sift(h, level + 1)
+                if res is not None:
+                    self.add(self.strong(res), level + 1, drop)
+                    return drop
+        return None
+
+
+def group_order(gens: Sequence[Mat], cap: int = ELEMENT_BUDGET) -> int:
+    """Exact order of the group generated by invertible matrices.
+
+    Deterministic Schreier-Sims (Seress, *Permutation Group Algorithms*,
+    ch. 4): a linear group acts faithfully on row vectors, and an element
+    is determined by the images of e_1..e_n, so the standard basis is a
+    base.  Every Schreier generator is sifted, so the order, the product of
+    the basic orbit lengths, is exact.  Orbits only grow while the chain is
+    built, so their product is a lower bound on the order throughout:
+    raises CapExceeded as soon as it exceeds `cap`.
+    """
+    gens = list(gens)
+    F, n = _check_generators(gens)
+    if cap < 1:
+        raise CapExceeded("group order element budget exhausted", count=cap)
+    chain = _Chain(F, n, cap)
+    seen = {chain.base}
+    for M in gens:
+        rows = _rows(M)
+        if rows not in seen:
+            seen.add(rows)
+            chain.add(chain.strong(rows, M), 0, 0)
+    level = 0
+    while level >= 0:
+        drop = chain.complete_level(level)
+        level = level - 1 if drop is None else drop
+    return chain.order()
 
 
 def order_formula(tag: GroupTypeTag, n: int, q: int) -> int:
@@ -550,7 +731,8 @@ def detect_monomial_structure(gens: Sequence[Transvection],
         return None
     lineset = set(found)
     for t in gens:  # invariance holds because unions of orbits are invariant
-        assert {_normalize_point(F, t.apply(v)) for v in found} == lineset
+        _require({_normalize_point(F, t.apply(v)) for v in found} == lineset,
+                 "a union of point orbits is not invariant")
     index = {p: i for i, p in enumerate(pts)}
     return MonomialStructure(lines=tuple(sorted(found, key=index.__getitem__)))
 
@@ -567,7 +749,8 @@ def _monomial_parameter(gens: Sequence[Transvection],
         M = Pi.mul(t.matrix()).mul(P)
         for row in M.rows:
             nz = [x for x in row if x]
-            assert len(nz) == 1
+            _require(len(nz) == 1, "a generator is not monomial on the "
+                                   "invariant lines")
             a = math.lcm(a, F.element_order(nz[0]))
     return a
 
@@ -727,7 +910,8 @@ def _subfield_iso(F: Field, e: int) -> tuple[Field, Callable[[int], int]]:
         return x
 
     fix = [x for x in F.elements() if sig(x) == x]
-    assert len(fix) == p**e
+    _require(len(fix) == p**e, f"the Frobenius power fixes {len(fix)} "
+                               f"elements, not {p**e}")
     g0 = next(x for x in fix if x and F.element_order(x) == p**e - 1)
     poly = [1]
     root = g0
@@ -739,7 +923,8 @@ def _subfield_iso(F: Field, e: int) -> tuple[Field, Callable[[int], int]]:
             new[k + 1] = F.add(new[k + 1], c)
         poly = new
         root = F.frobenius(root)
-    assert all(c < p for c in poly)
+    _require(all(c < p for c in poly), "the minimal polynomial has a "
+                                       "coefficient outside the prime field")
     r = next(x for x in sub.elements() if _eval_poly(sub, poly, x) == 0)
     table = {0: 0}
     x, y = 1, 1
@@ -747,8 +932,9 @@ def _subfield_iso(F: Field, e: int) -> tuple[Field, Callable[[int], int]]:
         table[x] = y
         x = F.mul(x, g0)
         y = sub.mul(y, r)
-    assert all(table[F.add(u, v)] == sub.add(table[u], table[v])
-               for u in fix for v in fix)
+    _require(all(table[F.add(u, v)] == sub.add(table[u], table[v])
+                 for u in fix for v in fix),
+             "the subfield isomorphism is not additive")
     return sub, table.__getitem__
 
 
@@ -824,7 +1010,8 @@ def _descend_to_subfield(T: Sequence[Transvection], e: int, seed: int = 0):
     if mu is None:
         return None  # pragma: no cover - the norm map is surjective
     S = S.scale(mu)
-    assert cocycle(S).rows == Mat.identity(F, n).rows
+    _require(cocycle(S).rows == Mat.identity(F, n).rows,
+             "the rescaled Galois cocycle is not trivial")
 
     sig_s = [S]
     for _ in range(1, d):
@@ -848,7 +1035,8 @@ def _descend_to_subfield(T: Sequence[Transvection], e: int, seed: int = 0):
             break
     if P is None:
         return None  # pragma: no cover - invertible averages are plentiful
-    assert S.mul(sig_mat(P)).rows == P.rows
+    _require(S.mul(sig_mat(P)).rows == P.rows,
+             "the descent basis P does not satisfy S sigma(P) = P")
     Pi = P.inv()
     sub, iso = _subfield_iso(F, e)
     out = []
@@ -888,7 +1076,8 @@ def classify(T: Sequence[Transvection],
     in characteristic 2; hermitian detection when no symplectic form
     exists and the field carries an involution; invariant spanning set
     over GF(2) under a symplectic form; invariant line structure when no
-    symplectic form exists; exact enumeration within budget.  The tag is
+    symplectic form exists; the exact group order from a stabilizer chain
+    (`group_order`) within the element budget.  The tag is
     the most special verified structure: full linear order first, then
     monomial lines, then a spanning set acted on by transpositions, then
     the detected classical form cross-checked against its order formula,
@@ -996,13 +1185,15 @@ def classify(T: Sequence[Transvection],
         if mono is not None:
             mono_a = _monomial_parameter(T, mono)
             witnesses["monomial_lines"] = mono
-            assert mono_a > 1 and mono_a % 2 == 1 and (q - 1) % mono_a == 0
+            _require(mono_a > 1 and mono_a % 2 == 1 and (q - 1) % mono_a == 0,
+                     f"monomial parameter {mono_a} is not an odd divisor "
+                     f"> 1 of q - 1")
 
     # exact order
     N: int | None = None
     if q**n <= VECTOR_TABLE_BUDGET:
         try:
-            N = enumerate_group([t.matrix() for t in T], budget_elements).order
+            N = group_order([t.matrix() for t in T], budget_elements)
         except CapExceeded:
             notes.append(f"enumeration exceeded the {budget_elements}-element budget")
     else:
@@ -1244,7 +1435,8 @@ def certify(T: Sequence[Transvection],
         properties.append({"kind": "symplectic-form", "gram": symp.gram.to_json()})
     else:
         form = None
-        assert len(symp.verts) <= CERT_MAX_CYCLE
+        _require(len(symp.verts) <= CERT_MAX_CYCLE,
+                 f"non-symplectic cycle longer than {CERT_MAX_CYCLE}")
         idxs = [add(T_dense[i]) for i in symp.verts]
         properties.append({"kind": "non-symplectic-cycle", "cycle": idxs,
                            "defect": symp.defect})
@@ -1256,7 +1448,8 @@ def certify(T: Sequence[Transvection],
             properties.append({"kind": "hermitian-form",
                                "gram": res.gram.to_json()})
         else:
-            assert len(res.verts) <= CERT_MAX_CYCLE
+            _require(len(res.verts) <= CERT_MAX_CYCLE,
+                     f"non-hermitian cycle longer than {CERT_MAX_CYCLE}")
             idxs = [add(T_dense[i]) for i in res.verts]
             properties.append({"kind": "non-hermitian-cycle", "cycle": idxs,
                                "defect": res.defect})

@@ -3,7 +3,8 @@
 One binary, subcommand style: analyze | classify | certify | diameter |
 gen | decompose.  Reports are JSON (CSV is available for histograms) with
 a meta block recording the tool version, field, budgets, seed, and wall
-time.  Exit codes: 0 success, 1 input error, 2 budget exhaustion.
+time.  Exit codes: 0 success, 1 input error, 2 budget exhaustion, 3 a
+failed internal invariant check (a bug, reported with its message).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .classify import build_monomial_group, build_symmetric_rep
 from .errors import (
     BadParameters,
     CapExceeded,
+    InternalError,
     NotTransvection,
     ParseError,
     TransvectError,
@@ -501,6 +503,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapExceeded as e:
         print(f"transvect: budget exhausted: {e}", file=sys.stderr)
         return 2
+    except InternalError as e:
+        print(f"transvect: internal error: {e}", file=sys.stderr)
+        return 3
     except (TransvectError, OSError) as e:
         print(f"transvect: error: {e}", file=sys.stderr)
         return 1

@@ -154,3 +154,8 @@ class ParseError(TransvectError):
         super().__init__(msg)
         self.line = line
         self.index = index
+
+
+class InternalError(TransvectError):
+    """An invariant the algorithms rely on failed: a bug, not bad input.
+    The CLI maps it to exit code 3."""

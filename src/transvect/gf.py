@@ -2,9 +2,10 @@
 
 An element is the plain int  sum(digits[i] * p**i)  where ``digits`` are the
 coefficients of its polynomial-basis representation (little-endian, constant
-term first).  All operations go through a :class:`Field` instance; for small
-fields full multiplication/inverse tables are precomputed so hot loops reduce
-to list indexing.
+term first).  All operations go through a :class:`Field` instance.  Addition
+is XOR when p = 2; for small fields full multiplication/inverse tables (built
+from log/antilog tables) and, for odd p and f > 1, addition/negation tables
+are precomputed so hot loops reduce to list indexing.
 
 The reduction modulus is pinned per (p, f): the monic irreducible polynomial
 of degree f whose integer encoding is smallest.  That makes every value in
@@ -28,7 +29,7 @@ from .errors import (
 __all__ = ["Field", "field_create", "is_prime"]
 
 MAX_DEGREE = 16
-# full arithmetic tables only below this size (q^2 ints for mul)
+# full arithmetic tables only below this size (q^2 ints for mul and add)
 _TABLE_LIMIT = 512
 
 
@@ -173,6 +174,8 @@ class Field:
         self.modulus = _find_modulus(p, f)
         self._mul_table: list[int] | None = None
         self._inv_table: list[int] | None = None
+        self._add_table: list[int] | None = None
+        self._neg_table: list[int] | None = None
         self._frob_table: list[int] | None = None
         if self.q <= _TABLE_LIMIT:
             self._build_tables()
@@ -217,33 +220,50 @@ class Field:
 
     # -- core arithmetic --------------------------------------------------
 
+    # Addition is digit-wise mod p: XOR when p = 2, plain mod p when f = 1,
+    # and otherwise a table lookup below _TABLE_LIMIT or the digit loop.
+
     def add(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
         if self.f == 1:
             return (a + b) % self.p
+        t = self._add_table
+        if t is not None:
+            return t[a * self.q + b]
+        return self._add_digits(a, b)
+
+    def neg(self, a: int) -> int:
+        if self.p == 2:
+            return a
+        if self.f == 1:
+            return (-a) % self.p
+        t = self._neg_table
+        if t is not None:
+            return t[a]
+        return self._add_digits(0, a, -1)
+
+    def sub(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
+        if self.f == 1:
+            return (a - b) % self.p
+        t = self._add_table
+        if t is not None:
+            return t[a * self.q + self._neg_table[b]]
+        return self._add_digits(a, b, -1)
+
+    def _add_digits(self, a: int, b: int, sign: int = 1) -> int:
+        """a + sign * b, one base-p digit at a time."""
         p = self.p
         acc = 0
         mult = 1
         for _ in range(self.f):
             a, ra = divmod(a, p)
             b, rb = divmod(b, p)
-            acc += ((ra + rb) % p) * mult
+            acc += ((ra + sign * rb) % p) * mult
             mult *= p
         return acc
-
-    def neg(self, a: int) -> int:
-        if self.f == 1:
-            return (-a) % self.p
-        p = self.p
-        acc = 0
-        mult = 1
-        for _ in range(self.f):
-            a, ra = divmod(a, p)
-            acc += ((-ra) % p) * mult
-            mult *= p
-        return acc
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def _mul_slow(self, a: int, b: int) -> int:
         if self.f == 1:
@@ -283,26 +303,40 @@ class Field:
         return r
 
     def _build_tables(self) -> None:
+        """The mul and inv tables from log/antilog tables of a primitive
+        element g, in O(q) calls of `_mul_slow`: a b = g^(log a + log b).
+        For odd p and f > 1 also the add and neg tables."""
         q = self.q
+        g = self.primitive_element()  # `mul` is `_mul_slow` until the table is set
+        exp = [1] * (q - 1)
+        log = [0] * q
+        for k in range(1, q - 1):
+            exp[k] = self._mul_slow(exp[k - 1], g)
+            log[exp[k]] = k
         mul = [0] * (q * q)
-        for a in range(q):
-            base = a * q
-            for b in range(a, q):
-                v = self._mul_slow(a, b)
-                mul[base + b] = v
-                mul[b * q + a] = v
-        self._mul_table = mul
-        inv = [0] * q
         for a in range(1, q):
-            if inv[a]:
-                continue
-            # find inverse by scan once; record both directions
-            for b in range(1, q):
-                if mul[a * q + b] == 1:
-                    inv[a] = b
-                    inv[b] = a
-                    break
-        self._inv_table = inv
+            la = log[a]
+            mul[a * q + 1:(a + 1) * q] = [exp[(la + log[b]) % (q - 1)]
+                                          for b in range(1, q)]
+        self._mul_table = mul
+        self._inv_table = [0] + [exp[-log[a] % (q - 1)] for a in range(1, q)]
+        if self.p != 2 and self.f > 1:
+            self._neg_table = [self._add_digits(0, a, -1) for a in range(q)]
+            self._add_table = self._build_add_table()
+
+    def _build_add_table(self) -> list[int]:
+        """Row a of the add table is row a - p^i permuted by adding p^i, for
+        any base-p digit i of a that is nonzero: q^2 lookups in all."""
+        p, q = self.p, self.q
+        pw = [p**i for i in range(self.f)]
+        shift = [[b + w if (b // w) % p < p - 1 else b - (p - 1) * w
+                  for b in range(q)] for w in pw]
+        add = list(range(q))
+        for a in range(1, q):
+            i = next(i for i, w in enumerate(pw) if (a // w) % p)
+            prev = add[(a - pw[i]) * q:(a - pw[i] + 1) * q]
+            add.extend(map(prev.__getitem__, shift[i]))
+        return add
 
     # -- automorphisms and subfields --------------------------------------
 
@@ -362,11 +396,13 @@ class Field:
         return o
 
     def primitive_element(self) -> int:
-        """Smallest generator of the multiplicative group, by integer encoding."""
-        if self.q == 2:
-            return 1
-        for x in range(2, self.q):
-            if self.element_order(x) == self.q - 1:
+        """Smallest generator of the multiplicative group, by integer
+        encoding: x generates when x^((q-1)/r) != 1 for every prime r
+        dividing q - 1."""
+        q = self.q
+        rs = _prime_factors(q - 1)
+        for x in range(1, q):
+            if all(self.pow(x, (q - 1) // r) != 1 for r in rs):
                 return x
         raise ArithmeticError("multiplicative group not cyclic?")  # pragma: no cover
 

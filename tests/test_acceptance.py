@@ -27,6 +27,7 @@ from transvect.classify import (
     certify,
     classify,
     enumerate_group,
+    group_order,
     monomial_tag,
     order_formula,
     stability_check,
@@ -481,6 +482,14 @@ def test_criterion_4_classification_grid(capsys):
          "classical tag instead of the constructing one: "
          + "; ".join(coincidences) + f"; {elapsed:.1f}s")
     assert elapsed < RUNTIME_LIMITS[4]
+
+
+def test_group_order_matches_enumeration_on_grid():
+    # the stabilizer chain behind classify's exact order against the
+    # element-listing oracle on every grid instance
+    for label, T, _, order, _, _ in classification_grid():
+        mats = [t.matrix() for t in T]
+        assert group_order(mats) == enumerate_group(mats).order == order, label
 
 
 # -- criterion 5: density at desk scale ---------------------------------------

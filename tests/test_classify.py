@@ -3,6 +3,7 @@ constructors and detectors, classification, and certificates."""
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import json
 import math
@@ -10,6 +11,7 @@ import random
 
 import pytest
 
+from transvect.cayley import _RowTable
 from transvect.classify import (
     CERT_MAX_SIZE,
     Certificate,
@@ -31,6 +33,7 @@ from transvect.classify import (
     detect_symmetric_type,
     enumerate_group,
     exceptional_tag,
+    group_order,
     monomial_tag,
     order_formula,
     quadratic_type,
@@ -42,6 +45,7 @@ from transvect.errors import (
     CapExceeded,
     DimensionMismatch,
     FieldMismatch,
+    InternalError,
     NotIrreducible,
     Singular,
     UnsupportedTag,
@@ -50,8 +54,16 @@ from transvect.errors import (
 from transvect.forms import QuadraticForm, SesquiForm, detect_invariant_form
 from transvect.gf import field_create
 from transvect.linalg import Mat
-from transvect.tgraph import build_graph, is_strongly_connected, restrict_to_section
+from transvect.tgraph import (
+    build_graph,
+    is_irreducible,
+    is_strongly_connected,
+    restrict_to_section,
+)
 from transvect.transvections import Transvection, standard_full_field_set
+
+# the module, which the package's `classify` function shadows as an attribute
+classify_mod = importlib.import_module("transvect.classify")
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -268,6 +280,158 @@ def test_enumerate_errors():
         enumerate_group([t.matrix() for t in build_symmetric_rep(6)], cap=10)
     with pytest.raises(CapExceeded):
         enumerate_group([Mat.identity(F2, 17)])  # 2^17 column codes
+
+
+# -- group_order --------------------------------------------------------------
+
+
+def sl3_generators(F):
+    """x_12 over an additive basis of F plus x_23(1) and x_31(1): SL3(F)."""
+    g = F.primitive_element()
+    out, lam = [], 1
+    for _ in range(F.f):
+        out.append(Transvection(F, e(3, 0), e(3, 1, lam)))
+        lam = F.mul(lam, g)
+    return out + [Transvection(F, e(3, 1), e(3, 2)), Transvection(F, e(3, 2), e(3, 0))]
+
+
+def random_conjugate(T, rng):
+    F, n = T[0].F, T[0].n
+    while True:
+        g = Mat(F, [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)])
+        if g.det():
+            return [t.conjugate(g) for t in T]
+
+
+def orders_agree(mats, cap=10**7):
+    n_chain = group_order(mats, cap)
+    assert n_chain == enumerate_group(mats, cap).order
+    return n_chain
+
+
+def test_group_order_small_cases():
+    assert group_order([Mat.identity(F2, 2)]) == 1
+    assert group_order([Mat.identity(F2, 17)]) == 1  # no vector budget here
+    assert orders_agree([t.matrix() for t in sl_generators(F2)]) == 6
+    assert orders_agree([t.matrix() for t in build_symmetric_rep(6)]) == 720
+    # repeated and identity generators change nothing
+    T = [t.matrix() for t in sl_generators(F3)]
+    assert orders_agree(T + T + [Mat.identity(F3, 2)]) == 24
+
+
+def test_group_order_matches_enumeration_on_fuzz_sets():
+    checked = 0
+    for F, n, T in fuzz_sets():
+        if is_irreducible(build_graph(T)).irreducible:
+            orders_agree([t.matrix() for t in T])
+            checked += 1
+    assert checked >= 10
+
+
+def test_group_order_matches_enumeration_on_random_sl3_conjugates():
+    rng = random.Random(5)
+    for F in (F2, F3, F4, F5):
+        for _ in range(2 if F.q < 5 else 1):
+            T = random_conjugate(sl3_generators(F), rng)
+            mats = [t.matrix() for t in T]
+            rng.shuffle(mats)
+            assert orders_agree(mats) == order_formula(LINEAR, 3, F.q)
+
+
+def test_group_order_past_the_element_budget():
+    # orders enumeration cannot reach, against their formulas: SL4(4) from
+    # root elements, and O8+(2) from its 120 transvections t_v, Q(v) = 1 for
+    # Q = x0x1 + x2x3 + x4x5 + x6x7 (polar form pairs x0 with x1, and so on)
+    T = [Transvection(F4, e(4, 0), e(4, 1, 1)), Transvection(F4, e(4, 0), e(4, 1, 2)),
+         Transvection(F4, e(4, 1), e(4, 2)), Transvection(F4, e(4, 2), e(4, 3)),
+         Transvection(F4, e(4, 3), e(4, 0))]
+    assert group_order([t.matrix() for t in T], 10**12) == \
+        order_formula(LINEAR, 4, 4) == 987033600
+    mats = []
+    for code in range(1, 2**8):
+        v = tuple((code >> i) & 1 for i in range(8))
+        if sum(v[i] & v[i + 1] for i in range(0, 8, 2)) % 2:
+            polar = sum(((v[i + 1], v[i]) for i in range(0, 8, 2)), ())
+            mats.append(Transvection(F2, v, polar).matrix())
+    assert len(mats) == 120
+    assert group_order(mats, 10**12) == order_formula(ORTHOGONAL_PLUS, 8, 2)
+
+
+def test_group_order_errors_and_cap():
+    with pytest.raises(BadParameters):
+        group_order([])
+    with pytest.raises(Singular):
+        group_order([Mat.zero(F2, 2, 2)])
+    with pytest.raises(FieldMismatch):
+        group_order([Mat.identity(F2, 2), Mat.identity(F3, 2)])
+    mats = [t.matrix() for t in build_symmetric_rep(6)]
+    assert group_order(mats, cap=720) == 720
+    for cap in (0, 10, 719):
+        with pytest.raises(CapExceeded) as info:
+            group_order(mats, cap=cap)
+        assert info.value.count == cap
+
+
+def enumeration_route(monkeypatch):
+    """Make classify take its exact order from enumerate_group, as before
+    the stabilizer chain."""
+    monkeypatch.setattr(classify_mod, "group_order",
+                        lambda gens, cap: enumerate_group(gens, cap).order)
+
+
+def test_classify_budget_boundary_matches_enumeration_route(monkeypatch):
+    cases = [(sp4_full(), 720), (sl3_generators(F3), 5616),
+             (build_monomial_group(3, 3, F4), 54), (sl_generators(F9), 720)]
+    for T, N in cases:
+        assert group_order([t.matrix() for t in T]) == N
+        for cap in (N - 1, N, N + 1):
+            got = classify(T, budget_elements=cap).to_json()
+            with monkeypatch.context() as m:
+                enumeration_route(m)
+                want = classify(T, budget_elements=cap).to_json()
+            assert got == want
+            assert got["order_enumerated"] == (None if cap < N else N)
+
+
+def test_classify_sl38_budget_stops_early(monkeypatch):
+    T = random_conjugate(sl3_generators(F8), random.Random(3))
+    chains = []
+
+    class Recording(classify_mod._Chain):
+        def __init__(self, *args):
+            super().__init__(*args)
+            chains.append(self)
+
+    monkeypatch.setattr(classify_mod, "_Chain", Recording)
+    rep = classify(T, budget_elements=200000)
+    assert rep.tag == LINEAR and rep.field_degree == 3
+    assert rep.order_enumerated is None
+    assert rep.order_predicted == order_formula(LINEAR, 3, 8) == 16482816
+    assert "enumeration exceeded the 200000-element budget" in rep.notes
+    # the chain stopped as soon as its lower bound, the product of the orbit
+    # lengths, passed the budget: the last point added to an orbit of length
+    # k >= 2 raised the product by a factor k / (k - 1) <= 2
+    (chain,) = chains
+    assert 200000 < chain.order() <= 2 * 200000
+
+
+def test_group_order_invariant_failure_raises_internal_error(monkeypatch):
+    # a transversal inverse that is really the identity cannot return its
+    # point to the base: the sift check catches it, also under python -O
+    identity_tables = {}
+
+    def broken(self, entry):
+        return identity_tables.setdefault(self.n, _RowTable(Mat.identity(self.F, self.n)))
+
+    monkeypatch.setattr(classify_mod._Chain, "_inverse_table", broken)
+    with pytest.raises(InternalError, match="does not return its point"):
+        group_order([t.matrix() for t in build_symmetric_rep(6)])
+
+
+def test_classify_invariant_failure_raises_internal_error(monkeypatch):
+    monkeypatch.setattr(classify_mod, "_monomial_parameter", lambda T, mono: 2)
+    with pytest.raises(InternalError, match="monomial parameter 2"):
+        classify(build_monomial_group(3, 3, F4))
 
 
 # -- order_formula ------------------------------------------------------------
@@ -724,9 +888,8 @@ def test_classification_report_validation_and_json():
         ClassificationReport(LINEAR, 1, {}, 6, 7)
 
 
-def test_classify_random_inputs_fuzz():
-    # random small transvection sets either fail irreducibility or yield a
-    # report whose enumerated order divides the full linear group order
+def fuzz_sets():
+    """The 60 seeded random small transvection sets of the classify fuzz."""
     rng = random.Random(1)
     for _ in range(60):
         F = rng.choice([F2, F3, F4])
@@ -743,6 +906,13 @@ def test_classify_random_inputs_fuzz():
                     if s == 0:
                         break
             T.append(Transvection(F, v, phi))
+        yield F, n, T
+
+
+def test_classify_random_inputs_fuzz():
+    # random small transvection sets either fail irreducibility or yield a
+    # report whose enumerated order divides the full linear group order
+    for F, n, T in fuzz_sets():
         try:
             rep = classify(T)
         except NotIrreducible:

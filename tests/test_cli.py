@@ -18,6 +18,7 @@ from transvect.cli import (
 )
 from transvect.errors import (
     BadParameters,
+    InternalError,
     NotTransvection,
     ParseError,
 )
@@ -323,6 +324,17 @@ def test_exit_codes(tmp_path):
     sp42 = sp42_file(tmp_path)
     assert main(["diameter", "--gens", sp42, "--cap", "10",
                  "--out", str(tmp_path / "x.json")]) == 2
+
+
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    import transvect.cli as cli_mod
+
+    def broken(*args):
+        raise InternalError("an invariant failed")
+
+    monkeypatch.setattr(cli_mod, "classify", broken)
+    assert main(["classify", "--gens", sl22_file(tmp_path)]) == 3
+    assert "internal error: an invariant failed" in capsys.readouterr().err
 
 
 def test_env_budget_override(tmp_path, monkeypatch):

@@ -161,3 +161,71 @@ def test_solve_norm():
     for c in F.fixed_subfield():
         z = F.solve_norm(c)
         assert F.norm_to_index2_subfield(z) == c
+
+
+# -- fast addition and the log/antilog table build ------------------------------
+
+
+def digit_loop_add(F, a, b, sign=1):
+    """Reference: a + sign * b one base-p digit at a time."""
+    acc, mult = 0, 1
+    for _ in range(F.f):
+        a, ra = divmod(a, F.p)
+        b, rb = divmod(b, F.p)
+        acc += ((ra + sign * rb) % F.p) * mult
+        mult *= F.p
+    return acc
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+def test_add_neg_sub_match_digit_loop_exhaustive(p, f):
+    F = gf.field_create(p, f)
+    for a in F.elements():
+        assert F.neg(a) == digit_loop_add(F, 0, a, -1)
+        for b in F.elements():
+            assert F.add(a, b) == digit_loop_add(F, a, b)
+            assert F.sub(a, b) == digit_loop_add(F, a, b, -1)
+
+
+def test_add_neg_sub_match_digit_loop_above_table_limit():
+    F = gf.field_create(2, 10)
+    assert F.q > gf._TABLE_LIMIT
+    rng = random.Random(11)
+    for _ in range(2000):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        assert F.add(a, b) == digit_loop_add(F, a, b)
+        assert F.sub(a, b) == digit_loop_add(F, a, b, -1)
+        assert F.neg(a) == digit_loop_add(F, 0, a, -1)
+    # an odd characteristic above the limit keeps the digit loop
+    F = gf.field_create(5, 4)
+    assert F._add_table is None
+    for _ in range(500):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        assert F.add(a, b) == digit_loop_add(F, a, b)
+        assert F.sub(a, b) == digit_loop_add(F, a, b, -1)
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (7, 1), (2, 2), (2, 3), (3, 2),
+                                 (2, 4), (5, 2), (3, 3), (2, 5)])
+def test_mul_and_inv_tables_match_mul_slow(p, f):
+    F = gf.field_create(p, f)
+    q = F.q
+    assert F._mul_table == [F._mul_slow(a, b) for a in range(q) for b in range(q)]
+    for a in range(1, q):
+        assert F._mul_slow(a, F._inv_table[a]) == 1
+
+
+def test_table_build_makes_linear_many_mul_slow_calls(monkeypatch):
+    calls = [0]
+    slow = gf.Field._mul_slow
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return slow(self, a, b)
+
+    monkeypatch.setattr(gf.Field, "_mul_slow", counted)
+    F = gf.Field(2, 9)  # uncached, so the tables are built here
+    assert F.q == 512 and F._mul_table is not None
+    # q - 2 antilog steps plus a few powerings to find a generator; the
+    # pairwise build made q(q+1)/2 = 131,328 calls
+    assert calls[0] <= 2 * F.q
