@@ -10,7 +10,9 @@ Every group search in the package, including the exact enumeration in
 `classify`, runs on one packed-row engine: a row packs as sum(x_j q^j) and
 a matrix as sum(r_i D^i) over its row codes r_i, with D = q^n.  Right
 multiplication by a step S maps rows independently, so a product is one
-lookup per row in a memo table of S, filled on first use.
+lookup per row in a memo table of S, filled on first use: in characteristic
+2, where adding packed rows is XOR of their codes, as the XOR of the images
+of the code's set bits; otherwise through `Mat.vecmat`.
 """
 
 from __future__ import annotations
@@ -72,17 +74,36 @@ def _unpack(F: Field, n: int, key: int) -> Mat:
 
 class _RowTable(dict):
     """Row code -> code of row . S, computed on first use, so no table is
-    filled ahead of time and any q^n works."""
+    filled ahead of time and any q^n works.
 
-    __slots__ = ("S",)
+    A miss with p = 2 is the XOR of the images of the code's set bits: bit
+    f k + b of a row code stands for 2^b in coordinate k, whose image is the
+    code of 2^b S_k.  Those f n bit images are built on the first miss.
+    For odd p a miss unpacks the code and calls `Mat.vecmat`."""
+
+    __slots__ = ("S", "bits")
 
     def __init__(self, S: Mat):
         super().__init__()
         self.S = S
+        self.bits: list[int] | None = None
 
     def __missing__(self, code: int) -> int:
-        q, n = self.S.F.q, self.S.nrows
-        out = self[code] = _code(q, self.S.vecmat(_digits(q, n, code)))
+        F, n = self.S.F, self.S.nrows
+        if F.p != 2:
+            out = self[code] = _code(F.q, self.S.vecmat(_digits(F.q, n, code)))
+            return out
+        bits = self.bits
+        if bits is None:
+            bits = self.bits = [_code(F.q, [F.mul(1 << b, x) for x in row])
+                                for row in self.S.rows for b in range(F.f)]
+        out = 0
+        c = code
+        while c:
+            low = c & -c
+            out ^= bits[low.bit_length() - 1]
+            c ^= low
+        self[code] = out
         return out
 
 

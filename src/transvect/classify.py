@@ -30,10 +30,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cayley import (
     _check_generators,
+    _code,
     _digits,
     _pack,
     _rows,
@@ -48,6 +49,7 @@ from .errors import (
     NotIrreducible,
     UnsupportedTag,
     WrongField,
+    _require,
 )
 from .forms import (
     ObstructionCycle,
@@ -293,13 +295,6 @@ class Certificate:
             "words": [[[i, e] for i, e in w] for w in self.words],
             "properties": [dict(p) for p in self.properties],
         }
-
-
-def _require(ok: bool, what: str) -> None:
-    """Check an invariant the algorithms rely on; unlike `assert` the check
-    survives `python -O`."""
-    if not ok:
-        raise InternalError(what)
 
 
 # -- exact enumeration -------------------------------------------------------
@@ -663,11 +658,69 @@ def _normalize_point(F: Field, v: Sequence[int]) -> Vec:
 def _point_orbits(gens: Sequence[Transvection], pts: tuple[Vec, ...],
                   F: Field) -> list[list[int]]:
     """Orbits of the generated group on projective points, each sorted,
-    ordered by smallest point index."""
+    ordered by smallest point index.
+
+    In characteristic 2 the scan runs over packed codes sum(x_j q^j), where
+    adding vectors is XOR: t maps c to c ^ code(phi(c) v), phi(c) is the XOR
+    of one small table per nonzero digit of phi, and an image is made
+    canonical by dividing by its lowest nonzero digit, found with c & -c,
+    through one table per divisor.  No table grows with q^n.  Odd p maps
+    the point tuples with `Transvection.apply` (`_tuple_point_orbits`),
+    which is also the oracle the packed scan is tested against."""
+    if F.p != 2:
+        return _tuple_point_orbits(gens, pts, F)
+    q, f = F.q, F.f
+    mask = q - 1
+    times = [[F.mul(a, x) for x in range(q)] for a in range(q)]
+    divide = [None] + [times[F.inv(d)] for d in range(1, q)]
+    maps = [([(f * j, times[a]) for j, a in enumerate(t.phi) if a],
+             [_code(q, [F.mul(a, x) for x in t.v]) for a in range(q)])
+            for t in gens]
+    codes = [_code(q, v) for v in pts]
+    index = {c: i for i, c in enumerate(codes)}
+
+    def images(i: int) -> list[int | None]:
+        c = codes[i]
+        out = []
+        for phi, vcode in maps:
+            a = 0
+            for sh, row in phi:
+                a ^= row[(c >> sh) & mask]
+            if a == 0:
+                continue
+            u = c ^ vcode[a]
+            sh = (u & -u).bit_length() - 1
+            sh -= sh % f
+            d = (u >> sh) & mask
+            if d != 1:
+                row = divide[d]
+                w = u >> sh
+                u = 0
+                while w:
+                    u |= row[w & mask] << sh
+                    w >>= f
+                    sh += f
+            out.append(index.get(u))
+        return out
+
+    return _orbit_scan(len(pts), images)
+
+
+def _tuple_point_orbits(gens: Sequence[Transvection], pts: tuple[Vec, ...],
+                        F: Field) -> list[list[int]]:
     index = {p: i for i, p in enumerate(pts)}
-    orbit_of = [-1] * len(pts)
+    return _orbit_scan(len(pts), lambda i: (
+        index.get(_normalize_point(F, t.apply(pts[i]))) for t in gens))
+
+
+def _orbit_scan(count: int,
+                neighbours: Callable[[int], Iterable[int | None]]) -> list[list[int]]:
+    """Connected components of 0..count-1 under `neighbours`, each sorted,
+    ordered by least element; a neighbour None is an image outside the
+    point index."""
+    orbit_of = [-1] * count
     orbits: list[list[int]] = []
-    for s in range(len(pts)):
+    for s in range(count):
         if orbit_of[s] >= 0:
             continue
         oid = len(orbits)
@@ -675,9 +728,10 @@ def _point_orbits(gens: Sequence[Transvection], pts: tuple[Vec, ...],
         orbit_of[s] = oid
         queue = [s]
         while queue:
-            i = queue.pop()
-            for t in gens:
-                j = index[_normalize_point(F, t.apply(pts[i]))]
+            for j in neighbours(queue.pop()):
+                if j is None:
+                    raise InternalError("a generator maps a point outside the "
+                                        "projective point index")
                 if orbit_of[j] < 0:
                     orbit_of[j] = oid
                     comp.append(j)

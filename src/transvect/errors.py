@@ -159,3 +159,10 @@ class ParseError(TransvectError):
 class InternalError(TransvectError):
     """An invariant the algorithms rely on failed: a bug, not bad input.
     The CLI maps it to exit code 3."""
+
+
+def _require(ok: bool, what: str) -> None:
+    """Check an invariant the algorithms rely on; unlike `assert` the check
+    survives `python -O`."""
+    if not ok:
+        raise InternalError(what)

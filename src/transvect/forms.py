@@ -23,6 +23,7 @@ from .errors import (
     BadParameters,
     DimensionMismatch,
     IndexMismatch,
+    InternalError,
     MissingForm,
     NoInvolution,
     NotFound,
@@ -32,6 +33,7 @@ from .errors import (
     Singular,
     UnsupportedKind,
     WrongCharacteristic,
+    _require,
 )
 from .gf import Field
 from .linalg import Mat, Subspace, Vec, dot, is_zero_vec, vec_add, vec_scale, vec_sub
@@ -217,7 +219,7 @@ def _first_obstruction(G: TransvectionGraph, th: Callable[[int], int],
         wf, wr, d = _cycle_defect(G, rec.verts, th)
         if d != 0:
             return ObstructionCycle(rec.verts, wf, wr, d, twist)
-    raise AssertionError(
+    raise InternalError(
         "detection failed but no obstruction cycle found within its bound")
 
 
@@ -302,7 +304,8 @@ def detect_invariant_form(G: TransvectionGraph, twist: str = "identity",
                     depth[s] = depth[t] + 1
                     nxt.append(s)
         frontier = nxt
-    assert all(x is not None for x in lam)
+    _require(all(x is not None for x in lam),
+             "the breadth-first tree misses a vertex of an irreducible graph")
 
     # 4. every edge must satisfy the pairing relation.  The tree-path cycle
     # through a bad edge is only guaranteed non-conforming when both scaling
@@ -337,7 +340,8 @@ def detect_invariant_form(G: TransvectionGraph, twist: str = "identity",
     for t in range(N):
         lhs = gram.vecmat(G.verts[t].v)
         rhs = vec_scale(F, lam[t], tuple(th(a) for a in G.verts[t].phi))
-        assert lhs == rhs
+        _require(lhs == rhs, f"the assembled Gram matrix fails the pairing "
+                             f"relation at vertex {t}")
 
     form = SesquiForm(F, gram, twist)
     for t in G.verts:
@@ -413,14 +417,16 @@ def recover_quadratic(G: TransvectionGraph, f: SesquiForm):
         for j in range(i + 1, n):
             coeffs[i][j] = f.evaluate(ident.rows[i], ident.rows[j])
     Q = QuadraticForm(F, Mat(F, tuple(tuple(r) for r in coeffs)))
-    assert Q.polar.gram.rows == f.gram.rows
+    _require(Q.polar.gram.rows == f.gram.rows,
+             "the recovered quadratic form does not polarize to the given form")
 
     for i, u in enumerate(us):
         val = Q.evaluate(u)
         if val != 1:
             return QuadraticObstruction(i, val)
     for t in G.verts:  # the generator criterion implies invariance
-        assert Q.preserved_by(t.matrix())
+        _require(Q.preserved_by(t.matrix()),
+                 "a generator does not preserve the recovered quadratic form")
     return Q
 
 
@@ -658,11 +664,13 @@ def transvective_split(v: Sequence[int], basis: Sequence[Vec], kind: str,
     total = tuple([0] * n)
     for x in out:
         total = vec_add(F, total, x)
-    assert total == v
+    _require(total == v, "the transvective parts do not sum to the vector")
     for x in out:
-        assert is_transvective(x, kind, form)
+        _require(is_transvective(x, kind, form),
+                 f"a part of the split is not {kind}-transvective")
         sx = sum(1 for c in B.solve(x) if c != 0)
-        assert 2 * sx <= k + 4
+        _require(2 * sx <= k + 4, f"a part of the split has support {sx} "
+                                  f"> (k + 4) / 2 with k = {k}")
     return out
 
 

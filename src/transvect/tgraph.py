@@ -22,6 +22,7 @@ from .errors import (
     NotInvariantForm,
     NotIrreducible,
     NotStronglyConnected,
+    _require,
 )
 from .gf import Field
 from .linalg import Mat, Subspace, Vec, dot
@@ -510,9 +511,10 @@ def shorten_path(G: TransvectionGraph, phi: Vec, v: Vec) -> tuple[Transvection, 
         tprime = G.verts[ipath[-1]].conjugate(g)
         word = (tuple((i, 1) for i in ipath)
                 + tuple((i, -1) for i in reversed(ipath[:-1])))
-    if dot(F, phi, tprime.v) == 0 or dot(F, tprime.phi, v) == 0:
-        raise AssertionError("shortened witness failed its defining property")
-    assert word_matrix(G.verts, word) == tprime.matrix()
+    _require(dot(F, phi, tprime.v) != 0 and dot(F, tprime.phi, v) != 0,
+             "shortened witness failed its defining property")
+    _require(word_matrix(G.verts, word) == tprime.matrix(),
+             "the word of a shortened witness does not evaluate to it")
     return tprime, word
 
 
@@ -544,15 +546,17 @@ def densify(T: Sequence[Transvection],
             if (covered >> i) & 1:
                 continue
             tprime, word = shorten_path(G, phi, pts[i])
-            assert len(word) <= 2 * n - 1
+            _require(len(word) <= 2 * n - 1,
+                     f"a density witness word has length {len(word)} > 2n - 1")
             out.append(tprime)
             words.append(word)
             a, b = _coverage_masks(F, pts, tprime)
             masks.append((a, b))
-            assert (b >> j) & 1 and (a >> i) & 1
+            _require((b >> j) & 1 and (a >> i) & 1,
+                     f"a density witness does not cover the pair ({i}, {j})")
             covered |= a
     ok, _ = is_dense(build_graph(out), budget_projective)
-    assert ok
+    _require(ok, "densify returned a set that is not dense")
     return out, words
 
 
@@ -625,8 +629,9 @@ def winkle(T_dense: Sequence[Transvection],
         G = build_graph(out)
         k1b = G.vspace.intersect(G.dual_space.perp())
         k2b = G.vspace.perp().intersect(G.dual_space)
-        assert k1b.dim == k1.dim - 1 and k2b.dim == k2.dim - 1
-    assert is_strongly_connected(G)
+        _require(k1b.dim == k1.dim - 1 and k2b.dim == k2.dim - 1,
+                 "a winkle step did not lower both kernel dimensions by one")
+    _require(is_strongly_connected(G), "winkle lost strong connectivity")
     return out
 
 
@@ -682,8 +687,9 @@ def restrict_to_section(G: TransvectionGraph) -> SectionRestriction:
             tbar.append(tb)
         index_map.append(idx)
     Gbar = build_graph(tbar)
-    for i in range(len(G.verts)):
-        for j in range(len(G.verts)):
-            assert bool(G.pair[i][j]) == bool(Gbar.pair[index_map[i]][index_map[j]])
+    N = len(G.verts)
+    _require(all(bool(G.pair[i][j]) == bool(Gbar.pair[index_map[i]][index_map[j]])
+                 for i in range(N) for j in range(N)),
+             "the section restriction changes an edge")
     return SectionRestriction(U, W, tuple(tbar), tuple(index_map), Gbar,
                               tuple(W.basis), tuple(basis_c))

@@ -7,6 +7,9 @@ import random
 import pytest
 
 from transvect.cayley import (
+    _code,
+    _digits,
+    _RowTable,
     bfs_explore,
     bidirectional_distance,
     layering_audit,
@@ -435,3 +438,46 @@ def test_profile_rejects_non_generating():
     en = enumerate_group(mats(SL23_PAIR))
     with pytest.raises(BadParameters):
         transvection_length_profile(en, [SL23_PAIR[0]])
+
+
+# -- row tables ---------------------------------------------------------------
+
+
+def random_matrix(F, n, rng):
+    return Mat(F, [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)])
+
+
+def vecmat_code(S, code):
+    q, n = S.F.q, S.nrows
+    return _code(q, S.vecmat(_digits(q, n, code)))
+
+
+@pytest.mark.parametrize("f,n", [(1, 6), (2, 3), (3, 2), (4, 2)])
+def test_row_table_xor_fill_matches_vecmat_on_every_code(f, n):
+    # in characteristic 2 a miss is the XOR of the bit images of the code
+    F = field_create(2, f)
+    rng = random.Random(10 * f + n)
+    for S in [Mat.identity(F, n), random_matrix(F, n, rng), random_matrix(F, n, rng)]:
+        tbl = _RowTable(S)
+        for code in range(F.q**n):
+            assert tbl[code] == vecmat_code(S, code)
+        assert len(tbl.bits) == F.f * n
+
+
+def test_row_table_xor_fill_matches_vecmat_on_sampled_codes():
+    F = field_create(2, 10)
+    rng = random.Random(10)
+    S = random_matrix(F, 2, rng)
+    tbl = _RowTable(S)
+    for _ in range(2000):
+        code = rng.randrange(F.q**2)
+        assert tbl[code] == vecmat_code(S, code)
+
+
+def test_row_table_odd_characteristic_uses_vecmat():
+    F = field_create(3, 2)
+    S = random_matrix(F, 2, random.Random(9))
+    tbl = _RowTable(S)
+    for code in range(F.q**2):
+        assert tbl[code] == vecmat_code(S, code)
+    assert tbl.bits is None

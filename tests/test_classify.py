@@ -58,6 +58,7 @@ from transvect.tgraph import (
     build_graph,
     is_irreducible,
     is_strongly_connected,
+    projective_points,
     restrict_to_section,
 )
 from transvect.transvections import Transvection, standard_full_field_set
@@ -665,6 +666,50 @@ def test_detect_monomial_structure_errors():
     with pytest.raises(CapExceeded):
         detect_monomial_structure(build_monomial_group(3, 3, F4),
                                   budget_projective=4)
+
+
+def orbits_both_ways(T):
+    """The packed orbit scan and the tuple path it replaces in
+    characteristic 2, on the projective points of T's space."""
+    F, n = T[0].F, T[0].n
+    pts = projective_points(F, n)
+    return (classify_mod._point_orbits(T, pts, F),
+            classify_mod._tuple_point_orbits(T, pts, F))
+
+
+def test_point_orbits_packed_scan_matches_tuple_path():
+    cases = [build_monomial_group(3, 3, F4), build_monomial_group(4, 5, F16),
+             build_monomial_group(4, 7, F8), su4_generators(), sp4_full()]
+    for T in cases:
+        packed, tuples = orbits_both_ways(T)
+        assert packed == tuples
+    assert len(orbits_both_ways(sp4_full())[0]) == 1
+
+
+def test_point_orbits_packed_scan_matches_tuple_path_on_fuzz_sets():
+    for F, n, T in fuzz_sets():
+        packed, tuples = orbits_both_ways(T)
+        assert packed == tuples
+
+
+def test_point_orbits_packed_scan_matches_tuple_path_on_random_conjugates():
+    rng = random.Random(4)
+    T = sl3_generators(F4)
+    for _ in range(5):
+        packed, tuples = orbits_both_ways(random_conjugate(T, rng))
+        assert packed == tuples == [list(range(21))]
+    # one transvection alone: its fixed points are orbits of size 1
+    packed, tuples = orbits_both_ways(T[:1])
+    assert packed == tuples
+    assert sum(len(o) == 1 for o in packed) == 5
+
+
+def test_point_orbits_corrupted_point_index_raises_internal_error():
+    for F, T in [(F16, build_monomial_group(4, 5, F16)), (F3, sl3_triangle(F3))]:
+        pts = projective_points(F, T[0].n)
+        corrupted = pts[:-1] + ((0,) * (T[0].n - 1) + (2,),)
+        with pytest.raises(InternalError, match="outside the projective point index"):
+            classify_mod._point_orbits(T, corrupted, F)
 
 
 def test_detect_symmetric_type_rep5():

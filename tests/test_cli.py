@@ -306,6 +306,12 @@ def test_decompose_split(tmp_path):
     assert total == [1, 0, 1, 0]
 
 
+def test_decompose_rejects_target_entries_outside_the_field(tmp_path, capsys):
+    path = sl22_file(tmp_path)
+    assert main(["decompose", "--gens", path, "--target", "[[1,5],[0,1]]"]) == 1
+    assert "5 is not an element of GF(2)" in capsys.readouterr().err
+
+
 def test_decompose_flag_validation(tmp_path):
     path = sl22_file(tmp_path)
     assert main(["decompose", "--gens", path]) == 1

@@ -11,6 +11,7 @@ import pytest
 from transvect.errors import (
     BadParameters,
     IndexMismatch,
+    InternalError,
     MissingForm,
     NoInvolution,
     NotFound,
@@ -430,6 +431,16 @@ def test_recover_quadratic_o6_hyperbolic_block():
     # the hyperbolic block reads x1 x2 + x3 x4
     assert Q.coeffs.rows[0][1] == 1 and Q.coeffs.rows[2][3] == 1
     assert Q.coeffs.rows[0][2] == Q.coeffs.rows[1][2] == Q.coeffs.rows[1][3] == 0
+
+
+def test_recover_quadratic_invariant_failure_raises_internal_error(monkeypatch):
+    # the invariance check survives python -O and raises a TransvectError
+    T, _ = orthogonal_transvections(Q_PLUS6)
+    G = build_graph(T)
+    f = detect_invariant_form(G, "identity")
+    monkeypatch.setattr(QuadraticForm, "preserved_by", lambda self, M: False)
+    with pytest.raises(InternalError, match="does not preserve"):
+        recover_quadratic(G, f)
 
 
 def test_recover_quadratic_sp4_obstruction():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from transvect import gf
-from transvect.errors import DimensionMismatch, NoSolution, Singular
+from transvect.errors import DimensionMismatch, FieldMismatch, NoSolution, Singular
 from transvect.linalg import Mat, Subspace, dot, is_zero_vec, outer, vec_add, vec_scale
 
 
@@ -164,3 +164,11 @@ def test_json_roundtrip():
     F = gf.field_create(3, 2)
     M = Mat(F, [(1, 8), (0, 3)])
     assert Mat.from_json(F, M.to_json()) == M
+
+
+def test_from_json_rejects_entries_outside_the_field():
+    # the constructor stays unchecked for the hot paths; the JSON boundary checks
+    with pytest.raises(FieldMismatch, match="5 is not an element of GF"):
+        Mat.from_json(gf.field_create(2, 1), [[1, 5], [0, 1]])
+    with pytest.raises(FieldMismatch):
+        Mat.from_json(gf.field_create(2, 2), [[1, 0], [-1, 1]])

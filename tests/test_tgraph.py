@@ -18,6 +18,7 @@ from transvect.errors import (
     BadParameters,
     CapExceeded,
     DimensionMismatch,
+    InternalError,
     NoInvolution,
     NotDense,
     NotIrreducible,
@@ -514,6 +515,17 @@ def test_densify_examples():
 
     with pytest.raises(NotIrreducible):
         densify([full_sl2[0]])
+
+
+def test_densify_invariant_failure_raises_internal_error(monkeypatch):
+    # the final density check survives python -O and raises a TransvectError
+    import transvect.tgraph as tgraph_mod
+
+    F = field_create(2, 1)
+    pair = [Transvection(F, (1, 0), (0, 1)), Transvection(F, (0, 1), (1, 0))]
+    monkeypatch.setattr(tgraph_mod, "is_dense", lambda G, budget: (False, None))
+    with pytest.raises(InternalError, match="not dense"):
+        densify(pair)
 
 
 def test_densify_fuzz():
