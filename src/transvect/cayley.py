@@ -7,12 +7,13 @@ witnesses, transvection balls, and the maximal transvection-length of a
 group containing transvections.
 
 Every group search in the package, including the exact enumeration in
-`classify`, runs on one packed-row engine: a row packs as sum(x_j q^j) and
-a matrix as sum(r_i D^i) over its row codes r_i, with D = q^n.  Right
-multiplication by a step S maps rows independently, so a product is one
-lookup per row in a memo table of S, filled on first use: in characteristic
-2, where adding packed rows is XOR of their codes, as the XOR of the images
-of the code's set bits; otherwise through `Mat.vecmat`.
+`classify`, runs on one packed-row engine: a row packs as sum(x_j q^j)
+(the `linalg` vector codec) and a matrix as sum(r_i D^i) over its row
+codes r_i, with D = q^n.  Right multiplication by a step S maps rows
+independently, so a product is one lookup per row in a memo table of S,
+filled on first use: in characteristic 2, where adding packed rows is XOR
+of their codes, as the XOR of the images of the code's set bits; otherwise
+through `Mat.vecmat`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     Singular,
 )
 from .gf import Field
-from .linalg import Mat
+from .linalg import Mat, _code, _digits
 from .transvections import Transvection, tv_from_matrix
 
 Word = tuple
@@ -41,22 +42,6 @@ Word = tuple
 # key (at most n^2 log2(q) bits) plus the distance and parent entries, so
 # 10^7 elements stay within desk memory.
 DEFAULT_CAP = 10**7
-
-
-def _code(base: int, digits: Sequence[int]) -> int:
-    """sum(digits[j] * base^j)."""
-    code = 0
-    for x in reversed(digits):
-        code = code * base + x
-    return code
-
-
-def _digits(base: int, n: int, code: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        code, x = divmod(code, base)
-        out.append(x)
-    return tuple(out)
 
 
 def _rows(M: Mat) -> tuple[int, ...]:

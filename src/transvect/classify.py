@@ -34,8 +34,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .cayley import (
     _check_generators,
-    _code,
-    _digits,
     _pack,
     _rows,
     _RowTable,
@@ -60,7 +58,7 @@ from .forms import (
     recover_quadratic,
 )
 from .gf import Field, field_create
-from .linalg import Mat, Vec, vec_scale
+from .linalg import Mat, Vec, _code, _digits, vec_scale
 from .tgraph import (
     PROJECTIVE_BUDGET,
     WALK_BUDGET,
@@ -666,7 +664,11 @@ def _point_orbits(gens: Sequence[Transvection], pts: tuple[Vec, ...],
     canonical by dividing by its lowest nonzero digit, found with c & -c,
     through one table per divisor.  No table grows with q^n.  Odd p maps
     the point tuples with `Transvection.apply` (`_tuple_point_orbits`),
-    which is also the oracle the packed scan is tested against."""
+    which is also the oracle the packed scan is tested against.
+
+    Callers: `detect_monomial_structure` (also through certify's monomial
+    exclusion) and `detect_symmetric_type`, whose vector orbits over GF(2)
+    are these point orbits."""
     if F.p != 2:
         return _tuple_point_orbits(gens, pts, F)
     q, f = F.q, F.f
@@ -816,8 +818,10 @@ def detect_symmetric_type(gens: Sequence[Transvection],
     An irreducible transvection group over GF(2) has odd symmetric type
     (it is S_(n+1) permuting B) exactly when such an invariant spanning
     set exists, and B is then the unique spanning orbit of that size.
-    Enumerates vector orbits by BFS in code order and returns the first
-    spanning orbit of size n+1, as vectors sorted by code.
+    Over GF(2) every nonzero vector is a projective point, with point index
+    code - 1, so the vector orbits are the point orbits of `_point_orbits`,
+    in order of least code.  Returns the first spanning orbit of size n+1,
+    as vectors sorted by code.
     """
     G = build_graph(gens)
     if G.F.q != 2:
@@ -830,35 +834,10 @@ def detect_symmetric_type(gens: Sequence[Transvection],
     F, n = G.F, G.n
     if 2**n > budget_vectors:
         raise CapExceeded("vector orbit scan over budget", count=budget_vectors)
-    total = 2**n
-    seen = [False] * total
-
-    def code_of(v: Sequence[int]) -> int:
-        c = 0
-        for x in reversed(v):
-            c = c * 2 + x
-        return c
-
-    def vec_of(c: int) -> Vec:
-        return tuple((c >> i) & 1 for i in range(n))
-
-    for s in range(1, total):
-        if seen[s]:
-            continue
-        seen[s] = True
-        orbit = [s]
-        queue = [s]
-        while queue:
-            c = queue.pop()
-            v = vec_of(c)
-            for t in gens:
-                w = code_of(t.apply(v))
-                if not seen[w]:
-                    seen[w] = True
-                    orbit.append(w)
-                    queue.append(w)
+    pts = projective_points(F, n)
+    for orbit in _point_orbits(gens, pts, F):
         if len(orbit) == n + 1:
-            vecs = tuple(vec_of(c) for c in sorted(orbit))
+            vecs = tuple(pts[i] for i in orbit)
             if Mat(F, vecs).rank() == n:
                 return vecs
     return None
@@ -913,7 +892,9 @@ def quadratic_type(Q: QuadraticForm,
                    budget_vectors: int = PROJECTIVE_BUDGET) -> str:
     """\"plus\" (hyperbolic) or \"minus\" (elliptic) for a nondegenerate
     quadratic form in characteristic 2, decided by counting singular
-    nonzero vectors: (q^(m-1)+1)(q^m-1) vs (q^(m-1)-1)(q^m+1), n = 2m."""
+    nonzero vectors: (q^(m-1)+1)(q^m-1) vs (q^(m-1)-1)(q^m+1), n = 2m.
+    Q(cv) = c^2 Q(v), so that count is q - 1 times the number of singular
+    points in `projective_points`."""
     F, n = Q.F, Q.n
     if n % 2:
         raise BadParameters("nondegenerate quadratic forms in characteristic 2 "
@@ -921,15 +902,7 @@ def quadratic_type(Q: QuadraticForm,
     q = F.q
     if q**n > budget_vectors:
         raise CapExceeded("vector scan over budget", count=budget_vectors)
-    count = 0
-    for code in range(1, q**n):
-        digs = []
-        r = code
-        for _ in range(n):
-            digs.append(r % q)
-            r //= q
-        if Q.evaluate(tuple(digs)) == 0:
-            count += 1
+    count = (q - 1) * sum(Q.evaluate(v) == 0 for v in projective_points(F, n))
     m = n // 2
     if count == (q ** (m - 1) + 1) * (q**m - 1):
         return "plus"

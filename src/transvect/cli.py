@@ -168,7 +168,7 @@ def _parse_matrix(F: Field, text: str) -> Mat:
 def _parse_vector(F: Field, text: str) -> tuple[int, ...]:
     try:
         data = json.loads(text)
-        return tuple(F.check(int(a)) for a in data)
+        return tuple(F.check(a) for a in data)
     except (json.JSONDecodeError, TypeError, ValueError) as e:
         raise ParseError(f"bad vector literal: {e}") from None
 

@@ -195,7 +195,7 @@ class Field:
         return hash((self.p, self.f))
 
     def check(self, x: int) -> int:
-        if not isinstance(x, int) or x < 0 or x >= self.q:
+        if not isinstance(x, int) or isinstance(x, bool) or x < 0 or x >= self.q:
             raise FieldMismatch(f"{x!r} is not an element of {self}")
         return x
 

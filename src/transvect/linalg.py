@@ -4,6 +4,11 @@ Vectors and covectors are plain int tuples (covectors act through the
 standard dot product).  Matrices are immutable row-major tuples so they can
 be dict keys.  Subspaces are stored by their reduced-row-echelon basis, which
 makes equality structural.
+
+The package's one vector codec lives here: `_code` packs a vector x as the
+integer sum(x_j q^j), first coordinate least significant, and `_digits`
+unpacks it.  The Cayley searches, the projective orbit scans and the
+projective point list all use it.
 """
 
 from __future__ import annotations
@@ -45,6 +50,23 @@ def vec_neg(F: Field, v: Sequence[int]) -> Vec:
 
 def vec_scale(F: Field, c: int, v: Sequence[int]) -> Vec:
     return tuple(F.mul(c, a) for a in v)
+
+
+def _code(base: int, digits: Sequence[int]) -> int:
+    """sum(digits[j] * base^j)."""
+    code = 0
+    for x in reversed(digits):
+        code = code * base + x
+    return code
+
+
+def _digits(base: int, n: int, code: int) -> tuple[int, ...]:
+    """The n base-`base` digits of code, least significant first."""
+    out = []
+    for _ in range(n):
+        code, x = divmod(code, base)
+        out.append(x)
+    return tuple(out)
 
 
 def is_zero_vec(v: Sequence[int]) -> bool:
@@ -294,7 +316,7 @@ class Mat:
 
     @staticmethod
     def from_json(F: Field, data: Sequence[Sequence[int]]) -> "Mat":
-        rows = tuple(tuple(F.check(int(a)) for a in r) for r in data)
+        rows = tuple(tuple(F.check(a) for a in r) for r in data)
         return Mat(F, rows)
 
 

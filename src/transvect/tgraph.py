@@ -25,7 +25,7 @@ from .errors import (
     _require,
 )
 from .gf import Field
-from .linalg import Mat, Subspace, Vec, dot
+from .linalg import Mat, Subspace, Vec, _digits, dot
 from .transvections import Transvection
 
 __all__ = [
@@ -394,23 +394,18 @@ _POINT_CACHE: dict[tuple[int, int, int], tuple[Vec, ...]] = {}
 def projective_points(F: Field, n: int) -> tuple[Vec, ...]:
     """Canonical representatives (first nonzero entry 1) of the projective
     points of F^n, ordered by integer encoding (first coordinate least
-    significant)."""
+    significant).
+
+    A point whose first nonzero coordinate is k has the code
+    q^k (1 + q m) for some m < q^(n-k-1), so the codes are generated
+    directly, sorted and decoded."""
     key = (F.p, F.f, n)
     cached = _POINT_CACHE.get(key)
     if cached is not None:
         return cached
-    out = []
     q = F.q
-    for code in range(1, q**n):
-        digs = []
-        r = code
-        for _ in range(n):
-            digs.append(r % q)
-            r //= q
-        v = tuple(digs)
-        if next(a for a in v if a) == 1:
-            out.append(v)
-    pts = tuple(out)
+    codes = sorted(c for k in range(n) for c in range(q**k, q**n, q ** (k + 1)))
+    pts = tuple(_digits(q, n, c) for c in codes)
     _POINT_CACHE[key] = pts
     return pts
 

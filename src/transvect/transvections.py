@@ -105,8 +105,7 @@ class Transvection:
         if "matrix" in data:
             return tv_from_matrix(Mat.from_json(F, data["matrix"]))
         try:
-            v = [int(a) for a in data["v"]]
-            phi = [int(a) for a in data["phi"]]
+            v, phi = data["v"], data["phi"]
         except KeyError as e:
             raise BadParameters(f"transvection record missing {e}") from e
         return Transvection(F, v, phi)

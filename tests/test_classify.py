@@ -55,7 +55,9 @@ from transvect.forms import QuadraticForm, SesquiForm, detect_invariant_form
 from transvect.gf import field_create
 from transvect.linalg import Mat
 from transvect.tgraph import (
+    PROJECTIVE_BUDGET,
     build_graph,
+    densify,
     is_irreducible,
     is_strongly_connected,
     projective_points,
@@ -725,32 +727,74 @@ def test_detect_symmetric_type_none_on_sp4():
     assert detect_symmetric_type(sp4_full()) is None
 
 
+def spanning_vector_orbits(T):
+    """Oracle: the spanning vector orbits of size n+1 over GF(2), by BFS
+    from each nonzero vector in code order, each sorted by code (last
+    coordinate most significant)."""
+    n = T[0].n
+    seen = set()
+    for code in range(1, 2**n):
+        start = tuple((code >> i) & 1 for i in range(n))
+        if start in seen:
+            continue
+        orbit = {start}
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            for t in T:
+                w = t.apply(v)
+                if w not in orbit:
+                    orbit.add(w)
+                    queue.append(w)
+        seen |= orbit
+        if len(orbit) == n + 1 and Mat(F2, tuple(orbit)).rank() == n:
+            yield tuple(sorted(orbit, key=lambda v: v[::-1]))
+
+
+def symmetric_type_oracle(T):
+    """The first spanning orbit of size n+1 in code order, or None."""
+    return next(spanning_vector_orbits(T), None)
+
+
 def test_detect_symmetric_type_uniqueness():
     # scan all vector orbits independently: exactly one spanning orbit of
     # size n+1 exists for the odd symmetric representations
     for m in (5, 7, 9):
         T = build_symmetric_rep(m)
-        n = T[0].n
-        found = []
-        seen = set()
-        for code in range(1, 2**n):
-            start = tuple((code >> i) & 1 for i in range(n))
-            if start in seen:
-                continue
-            orbit = {start}
-            queue = [start]
-            while queue:
-                v = queue.pop()
-                for t in T:
-                    w = t.apply(v)
-                    if w not in orbit:
-                        orbit.add(w)
-                        queue.append(w)
-            seen |= orbit
-            if len(orbit) == n + 1 and Mat(F2, tuple(orbit)).rank() == n:
-                found.append(orbit)
+        found = list(spanning_vector_orbits(T))
         assert len(found) == 1
-        assert found[0] == set(detect_symmetric_type(T))
+        assert detect_symmetric_type(T) == found[0]
+
+
+def test_detect_symmetric_type_matches_vector_orbit_oracle(monkeypatch):
+    cases = [build_symmetric_rep(m) for m in range(5, 10)] + [sp4_full()]
+    irreducible = 0
+    for F, n, T in fuzz_sets():
+        if F.q == 2 and is_irreducible(build_graph(T)).irreducible:
+            cases.append(T)
+            irreducible += 1
+    assert irreducible > 0
+    # the sections certify's symmetric exclusion tries on dense sets
+    sections = []
+    real = classify_mod.detect_symmetric_type
+
+    def recording(gens, budget):
+        sections.append(list(gens))
+        return real(gens, budget)
+
+    monkeypatch.setattr(classify_mod, "detect_symmetric_type", recording)
+    for T in (sp4_full(), build_symmetric_rep(8)):
+        T_dense, _ = densify(T)
+        classify_mod._find_symmetric_exclusion(T_dense, PROJECTIVE_BUDGET)
+    monkeypatch.undo()
+    assert len(sections) >= 4
+    cases += sections
+    answers = set()
+    for T in cases:
+        B = detect_symmetric_type(T)
+        assert B == symmetric_type_oracle(T)
+        answers.add(B is None)
+    assert answers == {True, False}
 
 
 def test_detect_symmetric_type_errors():
@@ -770,6 +814,28 @@ def test_quadratic_type():
     # hyperbolic over GF(4)
     Q = QuadraticForm(F4, Mat(F4, ((0, 1), (0, 0))))
     assert quadratic_type(Q) == "plus"
+
+
+def singular_count_type(Q):
+    """Oracle: the type read off a count of singular nonzero vectors over
+    all q^n vectors."""
+    q, m = Q.F.q, Q.n // 2
+    count = sum(Q.evaluate(v) == 0
+                for v in itertools.product(range(q), repeat=Q.n) if any(v))
+    if count == (q ** (m - 1) + 1) * (q**m - 1):
+        return "plus"
+    assert count == (q ** (m - 1) - 1) * (q**m + 1)
+    return "minus"
+
+
+def test_quadratic_type_matches_full_vector_count():
+    forms = [QuadraticForm(F2, M) for M in (Q_PLUS4, Q_MINUS4, Q_PLUS6, Q_MINUS6)]
+    # x^2 + xy + a y^2 over GF(4) is hyperbolic for a = 1 and elliptic for
+    # a = 2, where t^2 + t + a has no root
+    forms += [QuadraticForm(F4, Mat(F4, ((1, 1), (0, a)))) for a in (1, 2)]
+    types = [quadratic_type(Q) for Q in forms]
+    assert types == [singular_count_type(Q) for Q in forms]
+    assert types == ["plus", "minus", "plus", "minus", "plus", "minus"]
 
 
 # -- classify -----------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from transvect.cli import (
     JobConfig,
+    _parse_vector,
     field_spec,
     main,
     parse_field,
@@ -18,6 +19,7 @@ from transvect.cli import (
 )
 from transvect.errors import (
     BadParameters,
+    FieldMismatch,
     InternalError,
     NotTransvection,
     ParseError,
@@ -310,6 +312,38 @@ def test_decompose_rejects_target_entries_outside_the_field(tmp_path, capsys):
     path = sl22_file(tmp_path)
     assert main(["decompose", "--gens", path, "--target", "[[1,5],[0,1]]"]) == 1
     assert "5 is not an element of GF(2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [1.0, 1.5, 1.6, "1", True])
+@pytest.mark.parametrize("entry", ["generator", "matrix", "vector"])
+def test_non_integer_entries_are_rejected(tmp_path, capsys, entry, bad):
+    # a float, string or boolean entry is not a field element, even when
+    # int() would turn it into one
+    if entry == "generator":
+        with pytest.raises(FieldMismatch):
+            Transvection.from_json(F2, {"v": [bad, 0], "phi": [0, 1]})
+        path = write_gens(tmp_path / "g.json", "2^1", [
+            {"v": [0, 1], "phi": [1, 0]},
+            {"v": [bad, 0], "phi": [0, 1]},
+        ])
+        with pytest.raises(ParseError, match="generator 1"):
+            parse_input(path)
+        argv = ["classify", "--gens", path]
+    elif entry == "matrix":
+        with pytest.raises(FieldMismatch):
+            Mat.from_json(F2, [[bad, 0], [0, 1]])
+        argv = ["decompose", "--gens", sl22_file(tmp_path),
+                "--target", json.dumps([[bad, 0], [0, 1]])]
+    else:
+        with pytest.raises(FieldMismatch):
+            _parse_vector(F2, json.dumps([bad, 0]))
+        argv = ["decompose", "--gens", sl22_file(tmp_path),
+                "--vector", json.dumps([bad, 0]), "--kind", "linear"]
+    assert main(argv + ["--out", str(tmp_path / "x.json")]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad!r} is not an element of GF(2)" in err
+    if entry == "generator":
+        assert "generator 1" in err
 
 
 def test_decompose_flag_validation(tmp_path):

@@ -86,6 +86,32 @@ def trace_weight(ts: list[Transvection], verts: tuple[int, ...]) -> int:
     return M.trace()
 
 
+def digit_filter_points(F, n: int) -> tuple[tuple[int, ...], ...]:
+    """Oracle: unpack every nonzero code by a digit loop and keep the
+    vectors whose first nonzero entry is 1, in code order."""
+    out = []
+    for code in range(1, F.q**n):
+        digs = []
+        r = code
+        for _ in range(n):
+            digs.append(r % F.q)
+            r //= F.q
+        if next(a for a in digs if a) == 1:
+            out.append(tuple(digs))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p,f,n", [(2, 1, n) for n in range(1, 11)]
+                         + [(3, 1, n) for n in range(1, 6)]
+                         + [(2, 2, n) for n in range(1, 5)]
+                         + [(5, 1, 3), (7, 1, 2), (2, 3, 3), (3, 2, 2), (2, 4, 2)])
+def test_projective_points_matches_digit_filter(p, f, n):
+    F = field_create(p, f)
+    pts = projective_points(F, n)
+    assert pts == digit_filter_points(F, n)
+    assert len(pts) == (F.q**n - 1) // (F.q - 1)
+
+
 def reducible_by_closure(F, gens: list[Mat], n: int) -> bool:
     """Oracle: a proper nonzero invariant subspace exists iff the invariant
     closure of some projective point is proper."""
