@@ -14,13 +14,17 @@ independently, so a product is one lookup per row in a memo table of S,
 filled on first use: in characteristic 2, where adding packed rows is XOR
 of their codes, as the XOR of the images of the code's set bits; otherwise
 through `Mat.vecmat`.
+
+Packed keys decode to transvections in one place, `_transvections`, for
+the transvection balls and `CayleyExploration.transvections`; so the
+transvection profile is one search over X and one over every transvection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BadParameters,
@@ -55,6 +59,16 @@ def _pack(M: Mat) -> int:
 
 def _unpack(F: Field, n: int, key: int) -> Mat:
     return Mat(F, [_digits(F.q, n, c) for c in _digits(F.q**n, n, key)])
+
+
+def _transvections(F: Field, n: int,
+                   keys: Iterable[int]) -> Iterator[tuple[int, Transvection]]:
+    """(key, transvection) for each key that packs a transvection."""
+    for key in keys:
+        try:
+            yield key, tv_from_matrix(_unpack(F, n, key))
+        except NotTransvection:
+            pass
 
 
 class _RowTable(dict):
@@ -220,6 +234,11 @@ class CayleyExploration:
     def __contains__(self, g: Mat) -> bool:
         return self.encode(g) in self.dist
 
+    def transvections(self) -> list[Transvection]:
+        """The transvections among the explored elements, in increasing key
+        order."""
+        return [t for _, t in _transvections(self.F, self.n, sorted(self.dist))]
+
     def to_json(self) -> dict:
         return {
             "order": self.order,
@@ -333,37 +352,30 @@ def transvection_ball(T: Sequence[Transvection], r: int,
     if len(dist) > cap:
         raise CapExceeded(f"ball exploration exceeded {cap} elements",
                           radius=len(histogram) - 1, count=cap)
-    out: dict[Transvection, Word] = {}
-    for key in dist:
-        if parents[key] is not None:
-            try:
-                out[tv_from_matrix(_unpack(F, n, key))] = _word(parents, steps, key)
-            except NotTransvection:
-                pass
-    return out
+    return {t: _word(parents, steps, key) for key, t in _transvections(F, n, dist)}
 
 
 def transvection_length_profile(G_elements, T_all,
                                 cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, ...]]:
-    """The maximum and histogram of word lengths over the given elements
-    when every transvection of the group is a generator.
+    """The maximum and histogram of word lengths over the given group when
+    every transvection of the group is a generator.
 
-    `G_elements` iterates the group (or is an enumeration with a
-    .matrices() view); `T_all` lists its transvections, as Transvection or
-    matrix.  Raises BadParameters when some element is not reached, i.e.
-    when T_all fails to generate.
+    `G_elements` is the group: anything with an `.order` (a
+    `GroupEnumeration` or a `CayleyExploration`) or an iterable of its
+    elements.  `T_all` lists its transvections, as Transvection or matrix.
+    T_all lies in the group, so it generates the group exactly when its
+    exploration has the group's order, and the maximum is then that
+    exploration's diameter.  Raises BadParameters when T_all fails to
+    generate.
     """
     mats = [t.matrix() if isinstance(t, Transvection) else t for t in T_all]
     ex = bfs_explore(mats, cap)
-    if hasattr(G_elements, "matrices"):
-        G_elements = G_elements.matrices()
-    best = 0
-    for M in G_elements:
-        key = ex.encode(M)
-        if key not in ex.dist:
-            raise BadParameters("the transvections do not generate the group")
-        best = max(best, ex.dist[key])
-    return best, ex.histogram
+    order = getattr(G_elements, "order", None)
+    if order is None:
+        order = sum(1 for _ in G_elements)
+    if ex.order != order:
+        raise BadParameters("the transvections do not generate the group")
+    return ex.diameter, ex.histogram
 
 
 def layering_audit(exploration: CayleyExploration,

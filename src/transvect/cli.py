@@ -24,7 +24,7 @@ from .cayley import (
     transvection_length_profile,
     word_recover,
 )
-from .classify import ELEMENT_BUDGET, certify, classify, enumerate_group
+from .classify import ELEMENT_BUDGET, certify, classify
 from .classify import build_monomial_group, build_symmetric_rep
 from .errors import (
     BadParameters,
@@ -55,7 +55,7 @@ from .tgraph import (
     is_irreducible,
     scc,
 )
-from .transvections import Transvection, standard_full_field_set, tv_from_matrix
+from .transvections import Transvection, standard_full_field_set
 
 COMMANDS = ("analyze", "classify", "certify", "diameter", "gen", "decompose")
 GEN_KINDS = ("SL", "SP", "SU3", "O_char2", "monomial", "symmetric")
@@ -235,29 +235,19 @@ def _analyze_forms(job: JobConfig, F: Field, G) -> dict:
 
 
 def _run_diameter(job: JobConfig, F: Field, T: list[Transvection]) -> dict:
-    mats = [t.matrix() for t in T]
-    profile = job.options.get("profile", "full")
-    if profile == "transvections":
-        en = enumerate_group(mats, job.cap)
-        T_all = []
-        for M in en.matrices():
-            try:
-                T_all.append(tv_from_matrix(M))
-            except NotTransvection:
-                pass
-        best, hist = transvection_length_profile(en, T_all, job.cap)
-        result = {"profile": "transvections", "order": en.order,
+    ex = bfs_explore([t.matrix() for t in T], job.cap)
+    if job.options.get("profile", "full") == "transvections":
+        T_all = ex.transvections()
+        best, hist = transvection_length_profile(ex, T_all, job.cap)
+        result = {"profile": "transvections", "order": ex.order,
                   "diameter": best, "histogram": list(hist),
                   "transvections": len(T_all)}
     else:
-        ex = bfs_explore(mats, job.cap)
         result = {"profile": "full", "order": ex.order,
                   "diameter": ex.diameter, "histogram": list(ex.histogram)}
     target = job.options.get("witness")
     if target is not None:
         # witness words always index the input generator list
-        if profile == "transvections":
-            ex = bfs_explore(mats, job.cap)
         M = _parse_matrix(F, target)
         word = word_recover(ex, M)
         result["witness"] = {"element": M.to_json(),

@@ -41,6 +41,7 @@ from .tgraph import (
     WALK_BUDGET,
     TransvectionGraph,
     _closed_walks,
+    _distances,
     cycle_weight,
     directed_diameter,
     is_irreducible,
@@ -260,26 +261,11 @@ def detect_invariant_form(G: TransvectionGraph, twist: str = "identity",
     def hunt(bound: int) -> ObstructionCycle:
         return _first_obstruction(G, th, twist, min(bound, limit), budget_walks)
 
-    # distances for localized obstruction bounds
-    def bfs_dist(src: int) -> list[int]:
-        dist = [-1] * N
-        dist[src] = 0
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in G.succ[u]:
-                    if dist[w] < 0:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        return dist
-
     # 1. every edge must be two-way
     for i in range(N):
         for j in G.succ[i]:
             if P[j][i] == 0:
-                return hunt(1 + bfs_dist(j)[i])
+                return hunt(1 + _distances(G, j)[i])
 
     # 2. 2-cycle weights must be fixed by theta
     for i in range(N):

@@ -160,21 +160,26 @@ def is_strongly_connected(G: TransvectionGraph) -> bool:
     return len(scc(G)) == 1
 
 
+def _distances(G: TransvectionGraph, s: int) -> list[int]:
+    """Edge distances from vertex s, with -1 where s does not reach."""
+    dist = [-1] * len(G.verts)
+    dist[s] = 0
+    frontier = [s]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in G.succ[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
 def directed_diameter(G: TransvectionGraph) -> int:
-    N = len(G.verts)
     best = 0
-    for s in range(N):
-        dist = [-1] * N
-        dist[s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in G.succ[u]:
-                    if dist[w] < 0:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = nxt
+    for s in range(len(G.verts)):
+        dist = _distances(G, s)
         if min(dist) < 0:
             raise NotStronglyConnected("diameter undefined: graph not strongly connected")
         best = max(best, max(dist))

@@ -149,7 +149,8 @@ def standard_full_field_set(kind: str, F: Field, n: int,
     """Small witness sets whose cycle weights generate the field of lam.
 
     By default lam is a primitive element, so the weights generate the whole
-    field.
+    field.  An explicit lam must be a nonzero element of F (FieldMismatch
+    otherwise).
 
     kind 'SL':      2 transvections, weight of the 2-cycle is lam.
     kind 'SP':      the same pair read as symplectic transvections (n even).
@@ -160,7 +161,7 @@ def standard_full_field_set(kind: str, F: Field, n: int,
     """
     if lam is None:
         lam = F.primitive_element()
-    elif lam == 0:
+    elif F.check(lam) == 0:
         raise BadParameters("lam must be nonzero")
     if kind == "SL" or kind == "SP":
         if n < 2:

@@ -412,6 +412,7 @@ def test_profile_sl22():
     best, hist = transvection_length_profile(en, T)
     assert best == 2
     assert sum(hist) == 6
+    assert transvection_length_profile(bfs_explore(mats(SL22_PAIR)), T) == (best, hist)
 
 
 def test_profile_sl32():
@@ -421,6 +422,9 @@ def test_profile_sl32():
     best, hist = transvection_length_profile(en.matrices(), T)
     assert sum(hist) == 168
     assert best <= 4
+    ex = bfs_explore(mats(SL32_TRIANGLE))
+    assert transvection_length_profile(ex, T) == (best, hist)
+    assert transvection_length_profile(en, T) == (best, hist)
 
 
 def test_profile_sp42():
@@ -432,12 +436,22 @@ def test_profile_sp42():
     best, hist = transvection_length_profile(en, T)
     assert sum(hist) == 720
     assert best <= 4 * n
+    assert transvection_length_profile(bfs_explore(mats(gens)), T) == (best, hist)
 
 
 def test_profile_rejects_non_generating():
     en = enumerate_group(mats(SL23_PAIR))
-    with pytest.raises(BadParameters):
-        transvection_length_profile(en, [SL23_PAIR[0]])
+    ex = bfs_explore(mats(SL23_PAIR))
+    for G in (en, ex, en.matrices()):
+        with pytest.raises(BadParameters, match="do not generate"):
+            transvection_length_profile(G, [SL23_PAIR[0]])
+
+
+@pytest.mark.parametrize("gens", [SL22_PAIR, SL23_PAIR, SL32_TRIANGLE,
+                                  build_symmetric_rep(6)])
+def test_exploration_transvections_match_enumeration(gens):
+    # key order is the order the enumeration lists its elements in
+    assert bfs_explore(mats(gens)).transvections() == group_transvections(gens)
 
 
 # -- row tables ---------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from transvect import cayley
 from transvect.cli import (
     JobConfig,
     _parse_vector,
@@ -27,7 +28,7 @@ from transvect.errors import (
 from transvect.gf import field_create
 from transvect.linalg import Mat
 from transvect.tgraph import word_matrix
-from transvect.transvections import Transvection
+from transvect.transvections import Transvection, standard_full_field_set
 
 F2 = field_create(2, 1)
 F4 = field_create(2, 2)
@@ -181,6 +182,21 @@ def test_gen_missing_arguments():
     assert main(["gen", "--kind", "monomial", "--field", "2^2"]) == 1
 
 
+@pytest.mark.parametrize("kind,field,n,lam", [
+    ("SL", "2^1", 2, 7),
+    ("SP", "3^1", 4, 3),
+    ("SU3", "2^2", 3, 9),
+    ("SU3", "2^2", 3, -2),
+    ("SL", "2^2", 2, -1),
+])
+def test_gen_rejects_lam_outside_the_field(kind, field, n, lam, capsys):
+    with pytest.raises(FieldMismatch):
+        standard_full_field_set(kind, parse_field(field), n, lam)
+    assert main(["gen", "--kind", kind, "--field", field, "--n", str(n),
+                 "--lam", str(lam)]) == 1
+    assert "is not an element of" in capsys.readouterr().err
+
+
 def test_classify_sp42(tmp_path):
     path = sp42_file(tmp_path)
     rep = run_json(tmp_path, ["classify", "--gens", path])
@@ -266,6 +282,98 @@ def test_diameter_transvections_profile(tmp_path):
     assert res["order"] == 6
     assert res["transvections"] == 3
     assert res["diameter"] == 2
+
+
+def sl3_triangle_file(tmp_path):
+    return write_gens(tmp_path / "sl32.json", "2^1", [
+        {"v": [1, 0, 0], "phi": [0, 1, 0]},
+        {"v": [0, 1, 0], "phi": [0, 0, 1]},
+        {"v": [0, 0, 1], "phi": [1, 0, 0]},
+    ])
+
+
+def sl2_root_file(tmp_path, field, lams):
+    """x_12(lam) for each lam, then x_21(1)."""
+    gens = [{"v": [1, 0], "phi": [0, lam]} for lam in lams]
+    return write_gens(tmp_path / "sl2.json", field,
+                      gens + [{"v": [0, 1], "phi": [1, 0]}])
+
+
+# Reports of `diameter --profile transvections`, each with the witness
+# element and its word over the input generators.
+PROFILE_GOLDEN = {
+    "SL2(3)": (lambda tmp: sl2_root_file(tmp, "3^1", [1]),
+               {"order": 24, "diameter": 3, "histogram": [1, 8, 14, 1],
+                "transvections": 8},
+               [[0, 1], [2, 0]], [[0, 1], [1, -1], [0, 1]]),
+    "SL2(9)": (lambda tmp: sl2_root_file(tmp, "3^2", [1, 4]),
+               {"order": 720, "diameter": 3, "histogram": [1, 80, 638, 1],
+                "transvections": 80},
+               [[0, 1], [2, 0]], [[0, 1], [2, -1], [0, 1]]),
+    "SL3(2)": (sl3_triangle_file,
+               {"order": 168, "diameter": 3, "histogram": [1, 21, 98, 48],
+                "transvections": 21},
+               [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+               [[0, 1], [1, 1], [2, 1], [0, 1], [1, 1], [2, 1], [0, 1]]),
+    "Sp4(2)": (sp42_file,
+               {"order": 720, "diameter": 5,
+                "histogram": [1, 15, 85, 225, 274, 120], "transvections": 15},
+               [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+               [[0, 1], [2, 1]]),
+}
+
+
+@pytest.mark.parametrize("witness", [False, True])
+@pytest.mark.parametrize("group", sorted(PROFILE_GOLDEN))
+def test_diameter_profile_golden(tmp_path, group, witness):
+    make, expected, element, word = PROFILE_GOLDEN[group]
+    argv = ["diameter", "--gens", make(tmp_path), "--profile", "transvections"]
+    expected = {"profile": "transvections", **expected}
+    if witness:
+        argv += ["--witness", json.dumps(element)]
+        expected["witness"] = {"element": element, "word": word,
+                               "length": len(word)}
+    assert run_json(tmp_path, argv)["result"] == expected
+
+
+def test_diameter_profile_past_the_vector_budget(tmp_path):
+    # q^n = 2^18: the profile runs the same capped search as --profile full
+    path = write_gens(tmp_path / "gf512.json", "2^9", [
+        {"v": [1, 0], "phi": [0, 1]},
+        {"v": [0, 1], "phi": [1, 0]},
+    ])
+    rep = run_json(tmp_path, ["diameter", "--gens", path,
+                              "--profile", "transvections"])
+    assert rep["result"] == {"profile": "transvections", "order": 6,
+                             "diameter": 2, "histogram": [1, 3, 2],
+                             "transvections": 3}
+
+
+@pytest.mark.parametrize("profile", ["full", "transvections"])
+def test_diameter_over_cap(tmp_path, capsys, profile):
+    path = sp42_file(tmp_path)
+    capsys.readouterr()
+    assert main(["diameter", "--gens", path, "--profile", profile,
+                 "--cap", "50"]) == 2
+    err = capsys.readouterr().err
+    assert err == "transvect: budget exhausted: exploration exceeded 50 elements\n"
+
+
+def test_diameter_profile_witness_runs_two_searches(tmp_path, monkeypatch):
+    calls = []
+    explore = cayley._Search.explore
+
+    def counting(self, *args, **kwargs):
+        calls.append(len(self.tables))
+        return explore(self, *args, **kwargs)
+
+    monkeypatch.setattr(cayley._Search, "explore", counting)
+    run_json(tmp_path, ["diameter", "--gens", sl3_triangle_file(tmp_path),
+                        "--profile", "transvections",
+                        "--witness", "[[0,1,0],[0,0,1],[1,0,0]]"])
+    # one search over X (involutions, so their own inverses), one over the
+    # 21 transvections of SL3(2)
+    assert calls == [3, 21]
 
 
 def test_diameter_csv(tmp_path):
