@@ -166,6 +166,14 @@ class _Search:
         return seen, histogram
 
 
+def _check_entries(M: Mat) -> None:
+    """Raise FieldMismatch unless every entry of M lies in M.F, which `Mat`
+    itself does not check."""
+    for row in M.rows:
+        for a in row:
+            M.F.check(a)
+
+
 def _check_generators(X: Sequence[Mat]) -> tuple[Field, int]:
     if not X:
         raise BadParameters("need at least one generator")
@@ -176,6 +184,7 @@ def _check_generators(X: Sequence[Mat]) -> tuple[Field, int]:
             raise FieldMismatch("generators over different fields")
         if M.nrows != n or M.ncols != n:
             raise DimensionMismatch("generators of different sizes")
+        _check_entries(M)
         if M.det() == 0:
             raise Singular("generators must be invertible")
     return F, n
@@ -222,6 +231,10 @@ class CayleyExploration:
     def encode(self, M: Mat) -> int | None:
         """The key of M, or None when M is not an n x n matrix over F."""
         if M.F != self.F or M.nrows != self.n or M.ncols != self.n:
+            return None
+        try:
+            _check_entries(M)
+        except FieldMismatch:
             return None
         return _pack(M)
 
@@ -303,6 +316,7 @@ def bidirectional_distance(X: Sequence[Mat], g: Mat,
     F, n = _check_generators(X)
     if g.F != F or g.nrows != n or g.ncols != n:
         raise DimensionMismatch("element does not match the generators")
+    _check_entries(g)
     search = _Search(F, n, [S for S, _, _ in _symmetrize(X)])
     fa = [_rows(Mat.identity(F, n))]
     fb = [_rows(g)]

@@ -44,7 +44,6 @@ from .errors import (
     BadParameters,
     CapExceeded,
     InternalError,
-    NotIrreducible,
     UnsupportedTag,
     WrongField,
     _require,
@@ -63,14 +62,14 @@ from .tgraph import (
     PROJECTIVE_BUDGET,
     WALK_BUDGET,
     DefiningFieldReport,
-    TransvectionGraph,
     Word,
+    _radicals,
+    _require_irreducible,
     build_graph,
     connect_up,
     defect,
     defining_field,
     densify,
-    is_irreducible,
     is_strongly_connected,
     projective_points,
     restrict_to_section,
@@ -752,11 +751,7 @@ def detect_monomial_structure(gens: Sequence[Transvection],
     representatives are linearly independent.
     """
     G = build_graph(gens)
-    rep = is_irreducible(G)
-    if not rep.irreducible:
-        raise NotIrreducible(
-            f"monomial detection needs an irreducible action ({rep.failed_condition})",
-            witness=rep.witness)
+    _require_irreducible(G, "monomial detection needs an irreducible action")
     F, n = G.F, G.n
     if F.q**n > budget_projective:
         raise CapExceeded("projective orbit scan over budget", count=budget_projective)
@@ -826,11 +821,7 @@ def detect_symmetric_type(gens: Sequence[Transvection],
     G = build_graph(gens)
     if G.F.q != 2:
         raise WrongField("symmetric type detection applies over GF(2)")
-    rep = is_irreducible(G)
-    if not rep.irreducible:
-        raise NotIrreducible(
-            f"symmetric type detection needs an irreducible action ({rep.failed_condition})",
-            witness=rep.witness)
+    _require_irreducible(G, "symmetric type detection needs an irreducible action")
     F, n = G.F, G.n
     if 2**n > budget_vectors:
         raise CapExceeded("vector orbit scan over budget", count=budget_vectors)
@@ -1084,12 +1075,6 @@ def _descend_to_subfield(T: Sequence[Transvection], e: int, seed: int = 0):
 # -- classification ----------------------------------------------------------
 
 
-def _radical_dims(G: TransvectionGraph) -> tuple[int, int]:
-    k1 = G.vspace.intersect(G.dual_space.perp()).dim
-    k2 = G.vspace.perp().intersect(G.dual_space).dim
-    return k1, k2
-
-
 def classify(T: Sequence[Transvection],
              budget_elements: int = ELEMENT_BUDGET,
              budget_projective: int = PROJECTIVE_BUDGET,
@@ -1112,10 +1097,7 @@ def classify(T: Sequence[Transvection],
     """
     T = list(T)
     G = build_graph(T)
-    rep = is_irreducible(G)
-    if not rep.irreducible:
-        raise NotIrreducible(f"classification needs an irreducible action "
-                             f"({rep.failed_condition})", witness=rep.witness)
+    _require_irreducible(G, "classification needs an irreducible action")
     F, n = G.F, G.n
     q = F.q
     notes: list[str] = []
@@ -1312,8 +1294,7 @@ def _admissible_section(sub: Sequence[Transvection]):
     Gs = build_graph(sub)
     if not is_strongly_connected(Gs):
         return None
-    k1, _ = _radical_dims(Gs)
-    if k1 != 0:
+    if _radicals(Gs)[0].dim != 0:
         return None
     return restrict_to_section(Gs)
 
@@ -1342,7 +1323,7 @@ def _find_monomial_exclusion(T_dense: Sequence[Transvection],
     for k in range(1, cap + 1):
         sub = T_dense[:k]
         Gs = build_graph(sub)
-        k1, k2 = _radical_dims(Gs)
+        k1, k2 = (k.dim for k in _radicals(Gs))
         if min(k1, k2) == 0 and max(k1, k2) > 0:
             return "degenerate", list(range(k))
         if k1 != 0 or not is_strongly_connected(Gs):

@@ -41,10 +41,9 @@ from .tgraph import (
     WALK_BUDGET,
     TransvectionGraph,
     _closed_walks,
+    _cycle_defect,
     _distances,
-    cycle_weight,
-    directed_diameter,
-    is_irreducible,
+    _require_irreducible,
 )
 
 __all__ = [
@@ -198,18 +197,6 @@ class QuadraticObstruction:
 # -- invariant-form detection -------------------------------------------------
 
 
-def _cycle_defect(G: TransvectionGraph, verts: tuple[int, ...],
-                  th: Callable[[int], int]) -> tuple[int, int, int]:
-    F = G.F
-    wf = cycle_weight(G, verts)
-    wr = cycle_weight(G, tuple(reversed(verts)))
-    if len(verts) % 2 == 0:
-        d = F.sub(wf, th(wr))
-    else:
-        d = F.add(wf, th(wr))
-    return wf, wr, d
-
-
 def _first_obstruction(G: TransvectionGraph, th: Callable[[int], int],
                        twist: str, limit: int,
                        budget_walks: int) -> ObstructionCycle:
@@ -243,23 +230,23 @@ def detect_invariant_form(G: TransvectionGraph, twist: str = "identity",
     - lam_t outside Fix(theta) makes the tree path there-and-back
       non-conforming.
 
+    Each failed check hunts cycles up to its own witness length: 1 + dist
+    <= D + 1, 2, 2 depth <= 2D, or depth_t + depth_s + 1 <= 2D + 1, where
+    a breadth-first depth is a distance.  Every bound is thus already
+    within 2D+1, so D itself is never computed.
+
     On success the Gram matrix is the unique solution of v_t^T gram =
     lam_t theta(phi_t) over a basis of v_t's; nondegeneracy and generator
     invariance follow (and are verified before returning).
     """
-    rep = is_irreducible(G)
-    if not rep.irreducible:
-        raise NotIrreducible(f"form detection needs irreducibility "
-                             f"({rep.failed_condition})", witness=rep.witness)
+    _require_irreducible(G, "form detection needs irreducibility")
     F = G.F
     th = _twist_fn(F, twist)
     N = len(G.verts)
     P = G.pair
-    diam = directed_diameter(G)
-    limit = 2 * diam + 1
 
     def hunt(bound: int) -> ObstructionCycle:
-        return _first_obstruction(G, th, twist, min(bound, limit), budget_walks)
+        return _first_obstruction(G, th, twist, bound, budget_walks)
 
     # 1. every edge must be two-way
     for i in range(N):
@@ -312,12 +299,7 @@ def detect_invariant_form(G: TransvectionGraph, twist: str = "identity",
             return hunt(2 * depth[t])
 
     # 6. assemble the Gram matrix from a basis of the v_t
-    basis_idx: list[int] = []
-    span = Subspace.zero(F, G.n)
-    for t in range(N):
-        if not span.contains(G.verts[t].v):
-            basis_idx.append(t)
-            span = span.sum(Subspace.span(F, G.n, [G.verts[t].v]))
+    basis_idx = Subspace.zero(F, G.n).extension(t.v for t in G.verts)
     B = Mat(F, tuple(G.verts[t].v for t in basis_idx))
     R = Mat(F, tuple(vec_scale(F, lam[t], tuple(th(a) for a in G.verts[t].phi))
                      for t in basis_idx))
@@ -378,12 +360,7 @@ def recover_quadratic(G: TransvectionGraph, f: SesquiForm):
             raise NotInvariantForm("phi_t is not parallel to f(., v_t)")
         us.append(vec_scale(F, F.sqrt_char2(a), t.v))
 
-    basis_idx: list[int] = []
-    span = Subspace.zero(F, n)
-    for i, u in enumerate(us):
-        if not span.contains(u):
-            basis_idx.append(i)
-            span = span.sum(Subspace.span(F, n, [u]))
+    basis_idx = Subspace.zero(F, n).extension(us)
     B = Mat(F, tuple(us[i] for i in basis_idx)).transpose()  # columns = basis
 
     def q_value(x: Vec) -> int:

@@ -378,6 +378,17 @@ class Subspace:
                 v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
         return all(a == 0 for a in v)
 
+    def extension(self, vectors: Iterable[Sequence[int]]) -> list[int]:
+        """Indices of the vectors that, taken in order, each leave the span
+        of this subspace and the vectors picked before them; the picked
+        vectors extend a basis of this subspace to one of the sum."""
+        span, picked = self, []
+        for k, v in enumerate(vectors):
+            if not span.contains(v):
+                picked.append(k)
+                span = Subspace(self.F, self.n, span.basis + (tuple(v),))
+        return picked
+
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis)
 

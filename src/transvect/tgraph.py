@@ -225,11 +225,22 @@ def is_irreducible(G: TransvectionGraph) -> IrreducibilityReport:
     return IrreducibilityReport(True)
 
 
-def _require_irreducible(G: TransvectionGraph) -> None:
+def _require_irreducible(G: TransvectionGraph, what: str) -> None:
+    """Raise NotIrreducible unless <T> acts irreducibly; the message is
+    `what` followed by the failed condition in parentheses, and the
+    exception carries the invariant subspace of `is_irreducible`."""
     rep = is_irreducible(G)
     if not rep.irreducible:
-        raise NotIrreducible(f"action is reducible ({rep.failed_condition})",
+        raise NotIrreducible(f"{what} ({rep.failed_condition})",
                              witness=rep.witness)
+
+
+def _radicals(G: TransvectionGraph) -> tuple[Subspace, Subspace]:
+    """The pairing kernels (V(T) cap V*(T)-perp, V(T)-perp cap V*(T)): the
+    vectors of V(T) that every phi in V*(T) kills, and the covectors of
+    V*(T) that kill every v in V(T)."""
+    return (G.vspace.intersect(G.dual_space.perp()),
+            G.vspace.perp().intersect(G.dual_space))
 
 
 # -- cycles and weights ----------------------------------------------------
@@ -264,6 +275,8 @@ def cycles_up_to(G: TransvectionGraph, L: int,
     (length, vertex tuple)."""
     if L > MAX_CYCLE_LEN:
         raise BadParameters(f"cycle length cap is {MAX_CYCLE_LEN}, got {L}")
+    if L < 1:
+        raise BadParameters(f"need a cycle length bound L >= 1, got {L}")
     return _closed_walks(G, L, budget_walks)
 
 
@@ -304,29 +317,32 @@ def _closed_walks(G: TransvectionGraph, L: int,
     return records
 
 
+def _cycle_defect(G: TransvectionGraph, verts: Sequence[int],
+                  th: Callable[[int], int]) -> tuple[int, int, int]:
+    """(wf, wr, d) for the cycle t_1..t_k: the forward weight
+    wf = w(t_1..t_k), the reverse weight wr = w(t_k..t_1) before the twist,
+    and the defect d = wf - (-1)^k th(wr)."""
+    F = G.F
+    verts = tuple(verts)
+    wf = cycle_weight(G, verts)
+    wr = cycle_weight(G, verts[::-1])
+    d = F.sub(wf, th(wr)) if len(verts) % 2 == 0 else F.add(wf, th(wr))
+    return wf, wr, d
+
+
 def cycle_symplectic_defect(cycle, G: TransvectionGraph) -> int:
     """d_s = w(t_1..t_k) - (-1)^k w(t_k..t_1); zero on every cycle iff an
     invariant alternating form exists (given irreducibility)."""
-    verts = tuple(cycle.verts if isinstance(cycle, CycleRecord) else cycle)
-    F = G.F
-    wf = cycle_weight(G, verts)
-    wr = cycle_weight(G, tuple(reversed(verts)))
-    if len(verts) % 2 == 0:
-        return F.sub(wf, wr)
-    return F.add(wf, wr)
+    verts = cycle.verts if isinstance(cycle, CycleRecord) else cycle
+    return _cycle_defect(G, verts, lambda x: x)[2]
 
 
 def cycle_unitary_defect(cycle, G: TransvectionGraph,
                          theta: Callable[[int], int] | None = None) -> int:
     """d_theta = w(t_1..t_k) - (-1)^k theta(w(t_k..t_1))."""
-    verts = tuple(cycle.verts if isinstance(cycle, CycleRecord) else cycle)
-    F = G.F
-    th = theta if theta is not None else F.involution
-    wf = cycle_weight(G, verts)
-    wr = th(cycle_weight(G, tuple(reversed(verts))))
-    if len(verts) % 2 == 0:
-        return F.sub(wf, wr)
-    return F.add(wf, wr)
+    verts = cycle.verts if isinstance(cycle, CycleRecord) else cycle
+    th = theta if theta is not None else G.F.involution
+    return _cycle_defect(G, verts, th)[2]
 
 
 # -- defining field --------------------------------------------------------
@@ -457,9 +473,15 @@ def is_dense(G: TransvectionGraph,
 
 def word_matrix(T: Sequence[Transvection], word: Word) -> Mat:
     """Evaluate a word (list of (index, +-1) pairs) over the set T."""
+    if not T:
+        raise BadParameters("need a nonempty transvection set")
     F = T[0].F
     M = Mat.identity(F, T[0].n)
     for i, e in word:
+        if not 0 <= i < len(T):
+            raise BadParameters(f"word letter {i} is not an index into T")
+        if e not in (1, -1):
+            raise BadParameters(f"word exponent {e} is not +1 or -1")
         t = T[i] if e == 1 else T[i].inverse()
         M = M.mul(t.matrix())
     return M
@@ -473,7 +495,7 @@ def shorten_path(G: TransvectionGraph, phi: Vec, v: Vec) -> tuple[Transvection, 
     and conjugates: t' = (t_1..t_{m-1}) t_m (t_1..t_{m-1})^-1.  Minimality
     makes the v_{t_i} independent, so m <= n.
     """
-    _require_irreducible(G)
+    _require_irreducible(G, "action is reducible")
     F = G.F
     starts = [i for i, t in enumerate(G.verts) if dot(F, phi, t.v)]
     goals = {i for i, t in enumerate(G.verts) if dot(F, t.phi, v)}
@@ -526,7 +548,7 @@ def densify(T: Sequence[Transvection],
     T_d[i] over T and has length <= 2n-1.
     """
     G = build_graph(T)
-    _require_irreducible(G)
+    _require_irreducible(G, "action is reducible")
     F, n = G.F, G.n
     if F.q**n > budget_projective:
         raise CapExceeded("projective scan budget exhausted", count=budget_projective)
@@ -599,8 +621,7 @@ def connect_up(T_dense: Sequence[Transvection], T0: Sequence[Transvection],
 def defect(G: TransvectionGraph) -> int:
     """min(dim V(T) cap V*(T)-perp, dim V(T)-perp cap V*(T)); zero on one
     side is weak nondegeneracy."""
-    k1 = G.vspace.intersect(G.dual_space.perp())
-    k2 = G.vspace.perp().intersect(G.dual_space)
+    k1, k2 = _radicals(G)
     return min(k1.dim, k2.dim)
 
 
@@ -615,21 +636,18 @@ def winkle(T_dense: Sequence[Transvection],
     if not is_strongly_connected(G):
         raise NotStronglyConnected("winkle needs a strongly connected start set")
     F = G.F
-    while True:
-        k1 = G.vspace.intersect(G.dual_space.perp())
-        k2 = G.vspace.perp().intersect(G.dual_space)
-        if min(k1.dim, k2.dim) == 0:
-            break
+    k1, k2 = _radicals(G)
+    while min(k1.dim, k2.dim) > 0:
         u = k1.lex_least_nonzero()
         psi = k2.lex_least_nonzero()
         t = next((t for t in T_dense if dot(F, psi, t.v) and dot(F, t.phi, u)), None)
         if t is None:
             raise NotDense("no witness for the kernel pair", counterexample=(u, psi))
         out.append(t)
+        dims = (k1.dim - 1, k2.dim - 1)
         G = build_graph(out)
-        k1b = G.vspace.intersect(G.dual_space.perp())
-        k2b = G.vspace.perp().intersect(G.dual_space)
-        _require(k1b.dim == k1.dim - 1 and k2b.dim == k2.dim - 1,
+        k1, k2 = _radicals(G)
+        _require((k1.dim, k2.dim) == dims,
                  "a winkle step did not lower both kernel dimensions by one")
     _require(is_strongly_connected(G), "winkle lost strong connectivity")
     return out
@@ -661,12 +679,7 @@ def restrict_to_section(G: TransvectionGraph) -> SectionRestriction:
     F = G.F
     U = G.vspace
     W = U.intersect(G.dual_space.perp())
-    span = W
-    basis_c: list[Vec] = []
-    for row in U.basis:
-        if not span.contains(row):
-            basis_c.append(row)
-            span = span.sum(Subspace.span(F, G.n, [row]))
+    basis_c = [U.basis[i] for i in W.extension(U.basis)]
     if not basis_c:
         raise BadParameters("section has dimension zero")
     cols = tuple(W.basis) + tuple(basis_c)

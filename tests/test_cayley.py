@@ -17,7 +17,12 @@ from transvect.cayley import (
     transvection_length_profile,
     word_recover,
 )
-from transvect.classify import VECTOR_TABLE_BUDGET, build_symmetric_rep, enumerate_group
+from transvect.classify import (
+    VECTOR_TABLE_BUDGET,
+    build_symmetric_rep,
+    enumerate_group,
+    group_order,
+)
 from transvect.errors import (
     BadParameters,
     CapExceeded,
@@ -495,3 +500,39 @@ def test_row_table_odd_characteristic_uses_vecmat():
     for code in range(F.q**2):
         assert tbl[code] == vecmat_code(S, code)
     assert tbl.bits is None
+
+
+# -- entries outside the field -------------------------------------------------
+
+ROGUE_GF2 = Mat(F2, [[1, 5], [0, 1]])
+LOWER_GF2 = Mat(F2, [[1, 0], [1, 1]])
+NEG_GF3 = [Mat(F3, [[1, -1], [0, 1]]), Mat(F3, [[1, 0], [1, 1]])]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bfs_explore([ROGUE_GF2, LOWER_GF2]),
+    lambda: group_order([Mat(F3, [[1, 4], [0, 1]]), Mat(F3, [[1, 0], [1, 1]])]),
+    lambda: group_order(NEG_GF3),
+    lambda: enumerate_group(NEG_GF3),
+    lambda: bidirectional_distance(mats(SL22_PAIR), Mat(F2, [[1, 3], [0, 1]])),
+], ids=["bfs_explore", "group_order-4", "group_order-neg", "enumerate_group-neg",
+        "bidirectional_distance"])
+def test_entries_outside_the_field_are_rejected(call):
+    # `Mat` does not check its entries, and a search that indexes tables by
+    # entry fails deep inside or returns a wrong order (7 for SL2(3)
+    # written with -1) when handed one outside the field
+    with pytest.raises(FieldMismatch, match="is not an element of"):
+        call()
+
+
+def test_exploration_does_not_encode_entries_outside_the_field():
+    ex = bfs_explore(mats(SL22_PAIR))
+    rogue = Mat(F2, [[1, 2], [0, 1]])
+    assert ex.encode(rogue) is None
+    assert rogue not in ex
+    with pytest.raises(NotExplored):
+        ex.distance(rogue)
+    with pytest.raises(NotExplored):
+        word_recover(ex, rogue)
+    # -1 written as 2 gives the true order of SL2(3)
+    assert group_order([Mat(F3, [[1, 2], [0, 1]]), NEG_GF3[1]]) == 24

@@ -8,6 +8,7 @@ from itertools import combinations, product
 
 import pytest
 
+from transvect import forms
 from transvect.errors import (
     BadParameters,
     IndexMismatch,
@@ -40,7 +41,14 @@ from transvect.forms import (
 )
 from transvect.gf import field_create
 from transvect.linalg import Mat, Subspace, dot, is_zero_vec, vec_add, vec_scale
-from transvect.tgraph import build_graph, cycle_weight, is_irreducible
+from transvect.tgraph import (
+    build_graph,
+    cycle_symplectic_defect,
+    cycle_unitary_defect,
+    cycle_weight,
+    directed_diameter,
+    is_irreducible,
+)
 from transvect.transvections import Transvection, standard_full_field_set
 
 F2 = field_create(2, 1)
@@ -409,6 +417,48 @@ def test_detect_oracle_fuzz():
                     else:
                         assert res.defect == F.add(wf, th(wr))
                     assert res.defect != 0
+                    if twist == "identity":
+                        assert cycle_symplectic_defect(res.verts, G) == res.defect
+                    else:
+                        assert cycle_unitary_defect(res.verts, G) == res.defect
+
+
+def random_irreducible(F, n, rng):
+    while True:
+        T = random_set(F, n, rng.randrange(n, n + 3), rng)
+        if is_irreducible(build_graph(T)).irreducible:
+            return T
+
+
+def test_detect_hunt_bounds_stay_within_twice_the_diameter(monkeypatch):
+    # detection hunts obstructions up to the witness length of the failed
+    # check without clamping it, which is sound only if every such bound is
+    # at most 2D + 1 for the directed diameter D
+    bounds = []
+    first = forms._first_obstruction
+
+    def recording(G, th, twist, limit, budget_walks):
+        bounds.append(limit)
+        return first(G, th, twist, limit, budget_walks)
+
+    monkeypatch.setattr(forms, "_first_obstruction", recording)
+    rng = random.Random(202)
+    hunts = 0
+    for F in (F2, F3, F4, F5, F9):
+        for n in (2, 3, 4):
+            for _ in range(12):
+                T = random_irreducible(F, n, rng)
+                G = build_graph(T)
+                D = directed_diameter(G)
+                for twist in ("identity", "theta") if F.has_involution() else ("identity",):
+                    bounds.clear()
+                    res = detect_invariant_form(G, twist)
+                    assert len(bounds) == isinstance(res, ObstructionCycle)
+                    for b in bounds:
+                        assert 1 <= b <= 2 * D + 1
+                        assert len(res.verts) <= b
+                    hunts += len(bounds)
+    assert hunts >= 50
 
 
 # -- recover_quadratic ---------------------------------------------------------

@@ -172,3 +172,32 @@ def test_from_json_rejects_entries_outside_the_field():
         Mat.from_json(gf.field_create(2, 1), [[1, 5], [0, 1]])
     with pytest.raises(FieldMismatch):
         Mat.from_json(gf.field_create(2, 2), [[1, 0], [-1, 1]])
+
+
+def test_subspace_extension_matches_rank_oracle():
+    # index k is picked exactly when it raises the rank of the start basis
+    # plus the vectors 0..k
+    rng = random.Random(8)
+    for F in [gf.field_create(2, 1), gf.field_create(3, 1), gf.field_create(2, 2),
+              gf.field_create(3, 2)]:
+        for _ in range(60):
+            n = rng.randrange(1, 6)
+            start = Subspace.span(F, n, rand_mat(F, rng.randrange(0, n + 1), n, rng).rows)
+            vecs = list(rand_mat(F, rng.randrange(0, 2 * n + 1), n, rng).rows)
+            if vecs and rng.random() < 0.5:
+                vecs.append(vecs[0])  # a repeat never leaves the span
+            got = start.extension(vecs)
+            want = []
+            rank = start.dim
+            for k in range(len(vecs)):
+                r = Mat(F, start.basis + tuple(vecs[:k + 1])).rank()
+                if r > rank:
+                    want.append(k)
+                    rank = r
+            assert got == want
+            picked = [vecs[k] for k in got]
+            assert start.dim + len(got) == start.sum(Subspace.span(F, n, vecs)).dim
+            assert Subspace.span(F, n, start.basis + tuple(picked)) == \
+                start.sum(Subspace.span(F, n, vecs))
+    with pytest.raises(DimensionMismatch):
+        Subspace.zero(gf.field_create(2, 1), 3).extension([(1, 0)])

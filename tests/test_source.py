@@ -20,3 +20,26 @@ def test_no_assert_statements_in_the_package():
                 found.append(f"{path.name}:{node.lineno}")
     assert len(list(SRC.glob("*.py"))) >= 10
     assert found == []
+
+
+def test_no_unused_imports_in_the_package():
+    # a module-level import whose name the module never loads is dead; the
+    # package's __init__ re-exports by import, and __future__ imports are
+    # compiler directives
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in loaded]
+    assert found == []

@@ -24,6 +24,13 @@ from transvect.errors import (
     NotIrreducible,
     NotStronglyConnected,
 )
+from transvect.classify import (
+    Certificate,
+    classify,
+    detect_monomial_structure,
+    detect_symmetric_type,
+)
+from transvect.forms import detect_invariant_form
 from transvect.gf import field_create
 from transvect.linalg import Mat, Subspace, dot
 from transvect.transvections import Transvection, standard_full_field_set
@@ -257,6 +264,48 @@ def test_is_irreducible_examples():
             assert W.contains(g.apply(b))
 
 
+def _guard_cases():
+    F = field_create(2, 1)
+    F3 = field_create(3, 1)
+    t = Transvection(F, (1, 0), (0, 1))
+    line = [t]                                            # v_span
+    dual = [Transvection(F, (1, 0, 0), (0, 1, 0)),        # dual_span
+            Transvection(F, (0, 1, 0), (1, 0, 0)),
+            Transvection(F, (0, 0, 1), (1, 0, 0))]
+    plane = [Transvection(F, (1, 0, 0), (0, 1, 0)),       # v_span
+             Transvection(F, (0, 1, 0), (1, 0, 0))]
+    two_comp = [Transvection(F3, e(4, 0), (0, 1, 1, 0)),  # connectivity
+                Transvection(F3, e(4, 1), e(4, 0)),
+                Transvection(F3, e(4, 2), e(4, 3)),
+                Transvection(F3, e(4, 3), e(4, 2))]
+    return [
+        ("classify", line, classify,
+         "classification needs an irreducible action (v_span)", ((1, 0),)),
+        ("monomial", dual, detect_monomial_structure,
+         "monomial detection needs an irreducible action (dual_span)", ((0, 0, 1),)),
+        ("symmetric", plane, detect_symmetric_type,
+         "symmetric type detection needs an irreducible action (v_span)",
+         ((1, 0, 0), (0, 1, 0))),
+        ("forms", two_comp, lambda T: detect_invariant_form(build_graph(T)),
+         "form detection needs irreducibility (connectivity)",
+         ((1, 0, 0, 0), (0, 1, 0, 0))),
+        ("shorten_path", line, lambda T: shorten_path(build_graph(T), (1, 0), (1, 0)),
+         "action is reducible (v_span)", ((1, 0),)),
+        ("densify", dual, densify,
+         "action is reducible (dual_span)", ((0, 0, 1),)),
+    ]
+
+
+@pytest.mark.parametrize("case", _guard_cases(), ids=lambda c: c[0])
+def test_irreducibility_guards_pin_message_and_witness(case):
+    _, T, call, message, witness = case
+    with pytest.raises(NotIrreducible) as info:
+        call(T)
+    assert str(info.value) == message
+    assert info.value.witness.basis == witness
+    assert info.value.witness == is_irreducible(build_graph(T)).witness
+
+
 def test_irreducibility_oracle_fuzz():
     rng = random.Random(7)
     cases = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3),
@@ -323,6 +372,15 @@ def brute_force_cycles(G, L):
             key = min(tup[i:] + tup[:i] for i in range(k))
             found.setdefault(key, w)
     return found
+
+
+def test_cycles_up_to_rejects_a_bound_below_one():
+    F = field_create(2, 1)
+    G = build_graph([Transvection(F, (1, 0), (0, 1)), Transvection(F, (0, 1), (1, 0))])
+    assert cycles_up_to(G, 1) == []
+    for L in (0, -1):
+        with pytest.raises(BadParameters, match="L >= 1"):
+            cycles_up_to(G, L)
 
 
 def test_cycles_oracle_bruteforce():
@@ -494,6 +552,26 @@ def test_shorten_path_examples():
 
     with pytest.raises(NotIrreducible):
         shorten_path(build_graph([t]), (1, 0), (1, 0))
+
+
+@pytest.mark.parametrize("word,match", [
+    (((2, 1),), "not an index"),
+    (((-1, 1),), "not an index"),
+    (((1, 7),), "not \\+1 or -1"),
+    (((0, 1), (1, 0)), "not \\+1 or -1"),
+], ids=["past-the-end", "negative", "exponent-7", "exponent-0"])
+def test_word_matrix_rejects_malformed_words(word, match):
+    F = field_create(2, 1)
+    T = (Transvection(F, (1, 0), (0, 1)), Transvection(F, (0, 1), (1, 0)))
+    with pytest.raises(BadParameters, match=match):
+        word_matrix(T, word)
+    # a certificate is checked by evaluating its words, so a word read as
+    # another (T[-1] as T[1], exponent 7 as -1) must not evaluate at all
+    with pytest.raises(BadParameters, match=match):
+        Certificate(base=T, T0=(T[1],), words=(word,), properties=())
+    with pytest.raises(BadParameters, match="nonempty"):
+        word_matrix((), word)
+    assert word_matrix(T, ((1, -1), (0, 1))) == T[1].matrix().mul(T[0].matrix())
 
 
 def test_shorten_path_fuzz():
