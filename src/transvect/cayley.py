@@ -6,14 +6,16 @@ inverses), yielding the diameter, per-distance histograms, shortest-word
 witnesses, transvection balls, and the maximal transvection-length of a
 group containing transvections.
 
-Every group search in the package, including the exact enumeration in
-`classify`, runs on one packed-row engine: a row packs as sum(x_j q^j)
-(the `linalg` vector codec) and a matrix as sum(r_i D^i) over its row
-codes r_i, with D = q^n.  Right multiplication by a step S maps rows
-independently, so a product is one lookup per row in a memo table of S,
-filled on first use: in characteristic 2, where adding packed rows is XOR
-of their codes, as the XOR of the images of the code's set bits; otherwise
-through `Mat.vecmat`.
+Every group search in the package, `classify.enumerate_group` included,
+runs on one packed-row engine: a row packs as sum(x_j q^j) (the `linalg`
+vector codec) and a matrix as sum(r_i D^i) over its row codes r_i, with
+D = q^n.  Right multiplication by a step S maps rows independently, so a
+product is one lookup per row in a memo table of S (`_RowTable`), built
+from the row codes of S and filled on first use: in characteristic 2,
+where adding packed rows is XOR of their codes, as the XOR of the images
+of the code's set bits; otherwise as a sum of digit images in wide lanes,
+reduced mod p once.  The stabilizer chain behind `classify.group_order`
+multiplies with the same tables.
 
 Packed keys decode to transvections in one place, `_transvections`, for
 the transvection balls and `CayleyExploration.transvections`; so the
@@ -37,7 +39,7 @@ from .errors import (
     Singular,
 )
 from .gf import Field
-from .linalg import Mat, _code, _digits
+from .linalg import Mat, _check_entries, _code, _digits
 from .transvections import Transvection, tv_from_matrix
 
 Word = tuple
@@ -57,6 +59,17 @@ def _pack(M: Mat) -> int:
     return _code(M.F.q**M.nrows, _rows(M))
 
 
+def _encode(F: Field, n: int, M: Mat) -> int | None:
+    """The key of M, or None when M is not an n x n matrix over F."""
+    if M.F != F or M.nrows != n or M.ncols != n:
+        return None
+    try:
+        _check_entries(M)
+    except FieldMismatch:
+        return None
+    return _pack(M)
+
+
 def _unpack(F: Field, n: int, key: int) -> Mat:
     return Mat(F, [_digits(F.q, n, c) for c in _digits(F.q**n, n, key)])
 
@@ -72,38 +85,107 @@ def _transvections(F: Field, n: int,
 
 
 class _RowTable(dict):
-    """Row code -> code of row . S, computed on first use, so no table is
-    filled ahead of time and any q^n works.
+    """Row code -> code of row . S, for the matrix S over F given by its row
+    codes, computed on first use, so no table is filled ahead of time and
+    any q^n works.  A miss needs no `Mat` and, in characteristic 2, no
+    field multiplication.
 
-    A miss with p = 2 is the XOR of the images of the code's set bits: bit
-    f k + b of a row code stands for 2^b in coordinate k, whose image is the
-    code of 2^b S_k.  Those f n bit images are built on the first miss.
-    For odd p a miss unpacks the code and calls `Mat.vecmat`."""
+    p = 2: bit f k + b of a row code stands for x^b in coordinate k, whose
+    image is x^b S_k, so a miss is the XOR of the images of the code's set
+    bits.  The f n bit images are built on the first miss: over GF(2) they
+    are the rows themselves, and over GF(2^f) the image of bit b + 1 is the
+    image of bit b times x in all n lanes at once, by shifting each lane
+    left and adding x^f mod the field's modulus where its top bit fell
+    out.
 
-    __slots__ = ("S", "bits")
+    Odd p: the base-q code of a row is also the base-p code of its n f
+    coefficients over F_p.  A miss adds, with plain integer +, the image
+    d S_k of each nonzero digit d in coordinate k, stored with one w-bit
+    lane per base-p digit, w = bit_length(n (p - 1)), so no lane carries
+    into the next; then reduces each lane mod p once, back into a base-q
+    code.  Each (coordinate, digit) image is built on its first use: a
+    table sees few misses in a stabilizer chain."""
 
-    def __init__(self, S: Mat):
+    __slots__ = ("F", "rows", "images", "lanes")
+
+    def __init__(self, F: Field, rows: Sequence[int]):
         super().__init__()
-        self.S = S
-        self.bits: list[int] | None = None
+        self.F = F
+        self.rows = rows
+        self.images: list | None = None
 
     def __missing__(self, code: int) -> int:
-        F, n = self.S.F, self.S.nrows
-        if F.p != 2:
-            out = self[code] = _code(F.q, self.S.vecmat(_digits(F.q, n, code)))
-            return out
-        bits = self.bits
-        if bits is None:
-            bits = self.bits = [_code(F.q, [F.mul(1 << b, x) for x in row])
-                                for row in self.S.rows for b in range(F.f)]
-        out = 0
-        c = code
-        while c:
-            low = c & -c
-            out ^= bits[low.bit_length() - 1]
-            c ^= low
+        if self.F.p == 2:
+            out = 0
+            c = code
+            bits = self.images or self._bit_images()
+            while c:
+                low = c & -c
+                out ^= bits[low.bit_length() - 1]
+                c ^= low
+        else:
+            out = self._odd_image(code)
         self[code] = out
         return out
+
+    def _bit_images(self) -> list[int]:
+        f = self.F.f
+        if f == 1:
+            bits = list(self.rows)
+        else:
+            top = sum(1 << (f * j + f - 1) for j in range(len(self.rows)))
+            r = self.F.from_digits(self.F.modulus[:f])  # x^f mod the modulus
+            bits = []
+            for c in self.rows:
+                for _ in range(f):
+                    bits.append(c)
+                    hi = c & top
+                    c = ((c ^ hi) << 1) ^ ((hi >> (f - 1)) * r)
+        self.images = bits
+        return bits
+
+    def _odd_image(self, code: int) -> int:
+        F = self.F
+        p, q = F.p, F.q
+        images = self.images
+        if images is None:
+            n = len(self.rows)
+            w = (n * (p - 1)).bit_length()
+            images = self.images = [[None] * q for _ in range(n)]
+            self.lanes = (w, (1 << w) - 1, range(w * (n * F.f - 1), -1, -w))
+        w, mask, shifts = self.lanes
+        acc = 0
+        k = 0
+        while code:
+            code, d = divmod(code, q)
+            if d:
+                wide = images[k][d]
+                if wide is None:
+                    wide = images[k][d] = self._wide(w, k, d)
+                acc += wide
+            k += 1
+        out = 0
+        for s in shifts:
+            out = out * p + (acc >> s & mask) % p
+        return out
+
+    def _wide(self, w: int, k: int, d: int) -> int:
+        """d S_k with one w-bit lane per base-p digit of its code."""
+        F = self.F
+        p, q = F.p, F.q
+        c = self.rows[k]
+        wide = 0
+        shift = 0
+        while c:
+            c, x = divmod(c, q)
+            y = F.mul(d, x)
+            s = shift
+            while y:
+                y, r = divmod(y, p)
+                wide |= r << s
+                s += w
+            shift += w * F.f
+        return wide
 
 
 class _Search:
@@ -114,7 +196,7 @@ class _Search:
         self.F = F
         self.n = n
         self.weights = tuple(F.q ** (n * i) for i in range(n))
-        self.tables = [_RowTable(S) for S in steps]
+        self.tables = [_RowTable(F, _rows(S)) for S in steps]
 
     def key(self, rows: Sequence[int]) -> int:
         return sum(map(mul, rows, self.weights))
@@ -164,14 +246,6 @@ class _Search:
             if frontier:
                 histogram.append(len(frontier))
         return seen, histogram
-
-
-def _check_entries(M: Mat) -> None:
-    """Raise FieldMismatch unless every entry of M lies in M.F, which `Mat`
-    itself does not check."""
-    for row in M.rows:
-        for a in row:
-            M.F.check(a)
 
 
 def _check_generators(X: Sequence[Mat]) -> tuple[Field, int]:
@@ -230,13 +304,7 @@ class CayleyExploration:
 
     def encode(self, M: Mat) -> int | None:
         """The key of M, or None when M is not an n x n matrix over F."""
-        if M.F != self.F or M.nrows != self.n or M.ncols != self.n:
-            return None
-        try:
-            _check_entries(M)
-        except FieldMismatch:
-            return None
-        return _pack(M)
+        return _encode(self.F, self.n, M)
 
     def distance(self, g: Mat) -> int:
         key = self.encode(g)

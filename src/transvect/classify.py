@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .cayley import (
     _check_generators,
-    _pack,
+    _encode,
     _rows,
     _RowTable,
     _Search,
@@ -320,8 +320,9 @@ class GroupEnumeration:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def encode(self, M: Mat) -> int:
-        return _pack(M)
+    def encode(self, M: Mat) -> int | None:
+        """The key of M, or None when M is not an n x n matrix over F."""
+        return _encode(self.F, self.n, M)
 
     def decode(self, key: int) -> Mat:
         return _unpack(self.F, self.n, key)
@@ -367,10 +368,17 @@ class _Chain:
     table, inverse rows), and the basic orbit of e_i: the orbit points in
     discovery order, and for each point p the transversal entry
     [u, u^-1, row table of u^-1 or None] with e_i u = p (None at e_i).
+    Row tables are built from row codes: only a strong generator is ever
+    decoded into a `Mat`, to invert it, and a transversal inverse gets its
+    table from the inverse rows the entry already stores.
+
+    Orbits only grow, so the product of the orbit lengths is a lower bound
+    on the order throughout; `_close` checks it against the cap and
+    against `bound`, an upper bound on the order known to the caller.
     """
 
-    def __init__(self, F: Field, n: int, cap: int):
-        self.F, self.n, self.cap = F, n, cap
+    def __init__(self, F: Field, n: int, cap: int, bound: int | float):
+        self.F, self.n, self.cap, self.bound = F, n, cap, bound
         self.base = tuple(F.q**i for i in range(n))  # also the identity's rows
         self.gens: list[list[tuple]] = [[] for _ in range(n)]
         self.points = [[b] for b in self.base]
@@ -378,19 +386,23 @@ class _Chain:
         # per level and orbit point: how many strong generators have had
         # their Schreier generator at that point sifted
         self.checked = [[0] for _ in range(n)]
-
-    def _mat(self, rows: tuple) -> Mat:
-        q, n = self.F.q, self.n
-        return Mat(self.F, [_digits(q, n, c) for c in rows])
+        self.records: dict[tuple, tuple] = {}
 
     def strong(self, rows: tuple, M: Mat | None = None) -> tuple:
-        """A strong generator record (rows, row table, inverse rows)."""
-        M = self._mat(rows) if M is None else M
-        return rows, _RowTable(M), _rows(M.inv())
+        """The strong generator record (rows, row table, inverse rows), one
+        per element: a residue equal to an earlier strong generator shares
+        its record."""
+        s = self.records.get(rows)
+        if s is None:
+            if M is None:
+                q, n = self.F.q, self.n
+                M = Mat(self.F, [_digits(q, n, c) for c in rows])
+            s = self.records[rows] = rows, _RowTable(self.F, rows), _rows(M.inv())
+        return s
 
     def _inverse_table(self, entry: list) -> _RowTable:
         if entry[2] is None:
-            entry[2] = _RowTable(self._mat(entry[1]))
+            entry[2] = _RowTable(self.F, entry[1])
         return entry[2]
 
     def order(self) -> int:
@@ -406,8 +418,8 @@ class _Chain:
     def _close(self, level: int, first: int) -> None:
         """Extend the basic orbit of `level` by generators `first` onwards
         (on old points) and by all generators (on new points).  Raises
-        CapExceeded once the product of the orbit lengths, a lower bound on
-        the order, exceeds the cap."""
+        CapExceeded once the product of the orbit lengths exceeds the cap,
+        and InternalError once it exceeds the bound."""
         pts, orbit, gens = self.points[level], self.orbits[level], self.gens[level]
         others = self.order() // len(pts)
         old = len(pts)
@@ -427,9 +439,13 @@ class _Chain:
                                 None]
                 pts.append(r)
                 self.checked[level].append(0)
-                if len(pts) * others > self.cap:
+                lower = len(pts) * others
+                if lower > self.cap:
                     raise CapExceeded("group order element budget exhausted",
                                       count=self.cap)
+                if lower > self.bound:
+                    raise InternalError(f"the orbit lengths multiply to more "
+                                        f"than the order bound {self.bound}")
             k += 1
 
     def sift(self, h: tuple, start: int) -> tuple[tuple | None, int]:
@@ -491,19 +507,32 @@ def group_order(gens: Sequence[Mat], cap: int = ELEMENT_BUDGET) -> int:
     built, so their product is a lower bound on the order throughout:
     raises CapExceeded as soon as it exceeds `cap`.
     """
+    return _group_order(gens, cap, math.inf)
+
+
+def _group_order(gens: Sequence[Mat], cap: int, bound: int | float) -> int:
+    """`group_order`, stopped as soon as the product of the orbit lengths
+    reaches `bound`, a proven upper bound on the order.
+
+    Each basic orbit of the chain lies in the orbit of the full point
+    stabilizer, so the product is at most the order; once it equals an
+    upper bound, the order is that bound, and the remaining Schreier
+    generators need not be sifted.  A product above the bound raises
+    InternalError.  The product is monotone, so it passes any cap below the
+    bound before it can reach the bound: CapExceeded is raised exactly
+    where `group_order` raises it.
+    """
     gens = list(gens)
     F, n = _check_generators(gens)
     if cap < 1:
         raise CapExceeded("group order element budget exhausted", count=cap)
-    chain = _Chain(F, n, cap)
-    seen = {chain.base}
+    chain = _Chain(F, n, cap, bound)
     for M in gens:
         rows = _rows(M)
-        if rows not in seen:
-            seen.add(rows)
+        if rows != chain.base and rows not in chain.records:
             chain.add(chain.strong(rows, M), 0, 0)
     level = 0
-    while level >= 0:
+    while level >= 0 and chain.order() < bound:
         drop = chain.complete_level(level)
         level = level - 1 if drop is None else drop
     return chain.order()
@@ -1094,6 +1123,18 @@ def classify(T: Sequence[Transvection],
     monomial lines, then a spanning set acted on by transpositions, then
     the detected classical form cross-checked against its order formula,
     then the even symmetric and exceptional orders.
+
+    The stabilizer chain stops as soon as the product of its orbit lengths
+    reaches U, the order of the classical guess of step 4, because U is
+    a proven upper bound on |G|.  Transvections have determinant 1, so
+    G <= SL_n(q).  If t = 1 + v phi preserves a form f, then f(v, .) and
+    f(., v) are multiples a phi and -a phi (theta-twisted for a
+    sesquilinear f); the v of an irreducible set span F^n, so f is
+    alternating, or a scalar multiple of a hermitian form, and its radical
+    is G-invariant, hence zero.  `detect_invariant_form` and
+    `recover_quadratic` verify invariance under every generator before they
+    return a form, so G lies in the Sp, SU or O+/- of that form, and
+    `quadratic_type` counts the type exactly.
     """
     T = list(T)
     G = build_graph(T)
@@ -1198,11 +1239,24 @@ def classify(T: Sequence[Transvection],
                      f"monomial parameter {mono_a} is not an odd divisor "
                      f"> 1 of q - 1")
 
+    # the classical guess of step 4, whose order bounds the exact order
+    if quad is not None and qtype is not None:
+        ctag = ORTHOGONAL_PLUS if qtype == "plus" else ORTHOGONAL_MINUS
+    elif has_symp and n >= 4:
+        ctag = SYMPLECTIC
+    elif has_symp and n == 2:
+        ctag = LINEAR  # a symplectic pairing in dimension 2 is the determinant
+    elif unit is not None:
+        ctag = UNITARY
+    else:
+        ctag = LINEAR
+    classical = order_formula(ctag, n, q)
+
     # exact order
     N: int | None = None
     if q**n <= VECTOR_TABLE_BUDGET:
         try:
-            N = group_order([t.matrix() for t in T], budget_elements)
+            N = _group_order([t.matrix() for t in T], budget_elements, classical)
         except CapExceeded:
             notes.append(f"enumeration exceeded the {budget_elements}-element budget")
     else:
@@ -1245,21 +1299,10 @@ def classify(T: Sequence[Transvection],
                      f"is not {predicted}")  # pragma: no cover - contradictory
 
     # 4. classical by detected forms
-    if quad is not None and qtype is not None:
-        ctag = ORTHOGONAL_PLUS if qtype == "plus" else ORTHOGONAL_MINUS
-    elif has_symp and n >= 4:
-        ctag = SYMPLECTIC
-    elif has_symp and n == 2:
-        ctag = LINEAR  # a symplectic pairing in dimension 2 is the determinant
-    elif unit is not None:
-        ctag = UNITARY
-    else:
-        ctag = LINEAR
-    predicted = order_formula(ctag, n, q)
     if N is None:
         notes.append("order cross-check skipped")
-        return report(ctag, predicted)
-    if N == predicted:
+        return report(ctag, classical)
+    if N == classical:
         return report(ctag, N)
 
     # 5. even symmetric type, recognized by order alone
@@ -1280,7 +1323,7 @@ def classify(T: Sequence[Transvection],
 
     # 7. nothing fits
     notes.append(f"enumerated order {N} matches no candidate "
-                 f"(closest classical guess {ctag}: {predicted})")
+                 f"(closest classical guess {ctag}: {classical})")
     return report(UNDETERMINED, None)
 
 

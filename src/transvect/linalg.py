@@ -69,6 +69,16 @@ def _digits(base: int, n: int, code: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_entries(M: "Mat") -> None:
+    """Raise FieldMismatch unless every entry of M lies in M.F, which `Mat`
+    itself does not check."""
+    q = M.F.q
+    for row in M.rows:
+        for a in row:
+            if type(a) is not int or not 0 <= a < q:
+                M.F.check(a)  # raises, or accepts an int subclass
+
+
 def is_zero_vec(v: Sequence[int]) -> bool:
     return all(a == 0 for a in v)
 

@@ -19,7 +19,7 @@ from .errors import (
     ZeroVector,
 )
 from .gf import Field
-from .linalg import Mat, Vec, dot, is_zero_vec, outer, vec_scale
+from .linalg import Mat, Vec, _check_entries, dot, is_zero_vec, outer, vec_scale
 
 __all__ = ["Transvection", "tv_from_matrix", "standard_full_field_set"]
 
@@ -113,9 +113,10 @@ class Transvection:
 
 def tv_from_matrix(M: Mat) -> Transvection:
     """Recover (v, phi) from a matrix; NotTransvection unless rank(M-1) = 1
-    and det(M) = 1."""
+    and det(M) = 1, FieldMismatch for an entry outside M.F."""
     if M.nrows != M.ncols:
         raise DimensionMismatch("transvection matrices are square")
+    _check_entries(M)
     F = M.F
     n = M.nrows
     D = M.sub(Mat.identity(F, n))

@@ -9,6 +9,7 @@ so any regression stays visible.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 import random
@@ -490,6 +491,25 @@ def test_group_order_matches_enumeration_on_grid():
     for label, T, _, order, _, _ in classification_grid():
         mats = [t.matrix() for t in T]
         assert group_order(mats) == enumerate_group(mats).order == order, label
+
+
+def test_group_order_with_the_classical_bound_on_grid(monkeypatch):
+    # classify stops the chain at the order of its classical guess, a proven
+    # upper bound: the bounded chain gives the full chain's order everywhere
+    classify_mod = importlib.import_module("transvect.classify")
+    chain_order = classify_mod._group_order
+    calls = []
+
+    def record(gens, cap, bound):
+        calls.append((gens, cap, bound))
+        return chain_order(gens, cap, bound)
+
+    monkeypatch.setattr(classify_mod, "_group_order", record)
+    for label, T, _, order, _, _ in classification_grid():
+        classify(T)
+        gens, cap, bound = calls.pop()
+        assert chain_order(gens, cap, bound) == group_order(gens, cap) == order, label
+        assert order <= bound, label
 
 
 # -- criterion 5: density at desk scale ---------------------------------------

@@ -471,35 +471,78 @@ def vecmat_code(S, code):
     return _code(q, S.vecmat(_digits(q, n, code)))
 
 
+def row_table(S):
+    return _RowTable(S.F, tuple(_code(S.F.q, r) for r in S.rows))
+
+
+def fmul_bit_images(S):
+    """The bit images of S in characteristic 2 by field multiplication:
+    bit f k + b stands for x^b in coordinate k."""
+    F = S.F
+    return [_code(F.q, [F.mul(1 << b, x) for x in row])
+            for row in S.rows for b in range(F.f)]
+
+
+def xor_code(images, code):
+    out = 0
+    for i in range(code.bit_length()):
+        if code >> i & 1:
+            out ^= images[i]
+    return out
+
+
 @pytest.mark.parametrize("f,n", [(1, 6), (2, 3), (3, 2), (4, 2)])
 def test_row_table_xor_fill_matches_vecmat_on_every_code(f, n):
-    # in characteristic 2 a miss is the XOR of the bit images of the code
+    # in characteristic 2 a miss is the XOR of the bit images of the code,
+    # which are built by shifting every lane at once (SWAR xtime)
     F = field_create(2, f)
     rng = random.Random(10 * f + n)
     for S in [Mat.identity(F, n), random_matrix(F, n, rng), random_matrix(F, n, rng)]:
-        tbl = _RowTable(S)
+        tbl = row_table(S)
+        images = fmul_bit_images(S)
         for code in range(F.q**n):
-            assert tbl[code] == vecmat_code(S, code)
-        assert len(tbl.bits) == F.f * n
+            assert tbl[code] == vecmat_code(S, code) == xor_code(images, code)
+        assert tbl.images == images
 
 
 def test_row_table_xor_fill_matches_vecmat_on_sampled_codes():
     F = field_create(2, 10)
     rng = random.Random(10)
     S = random_matrix(F, 2, rng)
-    tbl = _RowTable(S)
+    tbl = row_table(S)
+    images = fmul_bit_images(S)
     for _ in range(2000):
         code = rng.randrange(F.q**2)
-        assert tbl[code] == vecmat_code(S, code)
+        assert tbl[code] == vecmat_code(S, code) == xor_code(images, code)
+    assert tbl.images == images
 
 
 def test_row_table_odd_characteristic_uses_vecmat():
     F = field_create(3, 2)
     S = random_matrix(F, 2, random.Random(9))
-    tbl = _RowTable(S)
+    tbl = row_table(S)
     for code in range(F.q**2):
         assert tbl[code] == vecmat_code(S, code)
-    assert tbl.bits is None
+
+
+@pytest.mark.parametrize("p,f,n", [(3, 1, 4), (5, 1, 3), (3, 2, 2), (5, 2, 2)])
+def test_row_table_odd_fill_matches_vecmat_on_every_code(p, f, n):
+    # a miss adds wide-lane images of its digits and reduces each lane mod p
+    F = field_create(p, f)
+    rng = random.Random(100 * p + 10 * f + n)
+    for S in [Mat.identity(F, n), random_matrix(F, n, rng), random_matrix(F, n, rng)]:
+        tbl = row_table(S)
+        for code in range(F.q**n):
+            assert tbl[code] == vecmat_code(S, code)
+
+
+def test_row_table_odd_fill_matches_vecmat_on_sampled_codes():
+    F = field_create(7, 3)
+    rng = random.Random(73)
+    for S in [random_matrix(F, 3, rng), random_matrix(F, 3, rng)]:
+        tbl = row_table(S)
+        for code in [F.q**3 - 1] + [rng.randrange(F.q**3) for _ in range(500)]:
+            assert tbl[code] == vecmat_code(S, code)
 
 
 # -- entries outside the field -------------------------------------------------
@@ -523,6 +566,20 @@ def test_entries_outside_the_field_are_rejected(call):
     # written with -1) when handed one outside the field
     with pytest.raises(FieldMismatch, match="is not an element of"):
         call()
+
+
+@pytest.mark.parametrize("M", [
+    Mat(F3, [[1, 1], [0, 1]]),
+    Mat(F2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+    Mat(F2, [[1, 2], [0, 1]]),
+], ids=["wrong-field", "wrong-shape", "outside-the-field"])
+def test_enumeration_does_not_encode_foreign_matrices(M):
+    # unchecked, [[1, 2], [0, 1]] over GF(2) packs to the key of
+    # [[1, 1], [0, 1]], which is in SL2(2)
+    en = enumerate_group(mats(SL22_PAIR))
+    assert en.encode(M) is None
+    assert M not in en
+    assert Mat(F2, [[1, 1], [0, 1]]) in en
 
 
 def test_exploration_does_not_encode_entries_outside_the_field():

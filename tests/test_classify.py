@@ -377,9 +377,32 @@ def test_group_order_errors_and_cap():
 
 def enumeration_route(monkeypatch):
     """Make classify take its exact order from enumerate_group, as before
-    the stabilizer chain."""
-    monkeypatch.setattr(classify_mod, "group_order",
-                        lambda gens, cap: enumerate_group(gens, cap).order)
+    the stabilizer chain, ignoring the classical bound."""
+    monkeypatch.setattr(classify_mod, "_group_order",
+                        lambda gens, cap, bound: enumerate_group(gens, cap).order)
+
+
+def bound_agrees(T, monkeypatch):
+    """Check that the chain stopped at classify's classical bound gives the
+    order of the full chain; returns whether it stopped there (False when T
+    is reducible)."""
+    calls = []
+    chain_order = classify_mod._group_order
+
+    def record(gens, cap, bound):
+        calls.append((list(gens), cap, bound))
+        return chain_order(gens, cap, bound)
+
+    with monkeypatch.context() as m:
+        m.setattr(classify_mod, "_group_order", record)
+        try:
+            classify(T)
+        except NotIrreducible:
+            return False
+    ((gens, cap, bound),) = calls
+    N = group_order(gens, cap)
+    assert chain_order(gens, cap, bound) == N <= bound
+    return N == bound
 
 
 def test_classify_budget_boundary_matches_enumeration_route(monkeypatch):
@@ -394,6 +417,67 @@ def test_classify_budget_boundary_matches_enumeration_route(monkeypatch):
                 want = classify(T, budget_elements=cap).to_json()
             assert got == want
             assert got["order_enumerated"] == (None if cap < N else N)
+
+
+def test_group_order_with_the_classical_bound_on_fuzz_sets(monkeypatch):
+    stopped = [bound_agrees(T, monkeypatch) for _, _, T in fuzz_sets()]
+    assert sum(stopped) >= 10
+
+
+def test_group_order_with_the_classical_bound_on_random_sl3_conjugates(monkeypatch):
+    rng = random.Random(15)
+    for F in (F2, F3, F4, F5):
+        T = random_conjugate(sl3_generators(F), rng)
+        rng.shuffle(T)
+        assert bound_agrees(T, monkeypatch)
+
+
+def test_group_order_past_the_bound_raises_internal_error():
+    # SL2(2) has orbit lengths 3 and 2: the product jumps from 3 to 6
+    mats = [t.matrix() for t in sl_generators(F2)]
+    assert classify_mod._group_order(mats, 10**7, 6) == 6
+    with pytest.raises(InternalError, match="order bound 5"):
+        classify_mod._group_order(mats, 10**7, 5)
+    # the cap is checked first, as without a bound
+    with pytest.raises(CapExceeded):
+        classify_mod._group_order(mats, 4, 5)
+
+
+@pytest.mark.parametrize("T,strong,tables,bounded_tables", [
+    (sl3_generators(F3), 4, 60, 42),
+    (sl_generators(F16), 8, 277, 151),
+], ids=["SL3(3)", "SL2(16)"])
+def test_group_order_builds_no_matrix_per_orbit_point(monkeypatch, T, strong,
+                                                      tables, bounded_tables):
+    # only a strong generator found as a sift residue is decoded into a Mat
+    # (to invert it); a transversal entry gets its inverse table from its
+    # stored rows, and the bound saves the tables of the skipped sifts
+    mats = [t.matrix() for t in T]
+    N = order_formula(LINEAR, T[0].n, T[0].F.q)
+    counts = {}
+    chains = []
+
+    def counting(cls):
+        class Counted(cls):
+            def __init__(self, *args):
+                counts[cls.__name__] += 1
+                super().__init__(*args)
+                if cls.__name__ == "_Chain":
+                    chains.append(self)
+        return Counted
+
+    monkeypatch.setattr(classify_mod, "Mat", counting(Mat))
+    monkeypatch.setattr(classify_mod, "_RowTable", counting(_RowTable))
+    monkeypatch.setattr(classify_mod, "_Chain", counting(classify_mod._Chain))
+    for bound, want_tables in ((math.inf, tables), (N, bounded_tables)):
+        counts.update(Mat=0, _RowTable=0, _Chain=0)
+        assert classify_mod._group_order(mats, 10**7, bound) == N
+        chain = chains.pop()
+        n_strong = len({s[0] for level in chain.gens for s in level})
+        n_points = sum(map(len, chain.points))
+        assert counts["Mat"] == n_strong - len(T)
+        assert counts["_RowTable"] == want_tables <= n_strong + n_points
+        assert n_strong == strong
 
 
 def test_classify_sl38_budget_stops_early(monkeypatch):
@@ -424,7 +508,7 @@ def test_group_order_invariant_failure_raises_internal_error(monkeypatch):
     identity_tables = {}
 
     def broken(self, entry):
-        return identity_tables.setdefault(self.n, _RowTable(Mat.identity(self.F, self.n)))
+        return identity_tables.setdefault(self.n, _RowTable(self.F, self.base))
 
     monkeypatch.setattr(classify_mod._Chain, "_inverse_table", broken)
     with pytest.raises(InternalError, match="does not return its point"):

@@ -128,6 +128,17 @@ def test_from_matrix_rejections():
         tv_from_matrix(Mat(F2, ((0, 1), (1, 1))))
 
 
+@pytest.mark.parametrize("p,rows", [
+    (3, ((1, 4), (0, 1))),   # unchecked, 4 would act as 1
+    (2, ((1, 4), (0, 1))),   # unchecked, 4 would index past the GF(2) tables
+    (3, ((1, -1), (0, 1))),
+    (2, ((1, 0), (True, 1))),
+], ids=["gf3-4", "gf2-4", "gf3-neg", "gf2-bool"])
+def test_from_matrix_rejects_entries_outside_the_field(p, rows):
+    with pytest.raises(FieldMismatch, match="is not an element of"):
+        tv_from_matrix(Mat(field_create(p), rows))
+
+
 def test_constructor_rejections():
     F = field_create(2)
     with pytest.raises(ZeroVector):
