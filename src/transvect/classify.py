@@ -682,23 +682,24 @@ def _normalize_point(F: Field, v: Sequence[int]) -> Vec:
 
 
 def _point_orbits(gens: Sequence[Transvection], pts: tuple[Vec, ...],
-                  F: Field) -> list[list[int]]:
+                  F: Field, limit: int | None = None) -> list[list[int]]:
     """Orbits of the generated group on projective points, each sorted,
-    ordered by smallest point index.
+    ordered by smallest point index (only those of <= `limit` points).
 
     In characteristic 2 the scan runs over packed codes sum(x_j q^j), where
     adding vectors is XOR: t maps c to c ^ code(phi(c) v), phi(c) is the XOR
     of one small table per nonzero digit of phi, and an image is made
     canonical by dividing by its lowest nonzero digit, found with c & -c,
-    through one table per divisor.  No table grows with q^n.  Odd p maps
-    the point tuples with `Transvection.apply` (`_tuple_point_orbits`),
-    which is also the oracle the packed scan is tested against.
+    through one table per divisor.  No table grows with q^n; images are made
+    lazily.  Odd p maps the point tuples with `Transvection.apply`
+    (`_tuple_point_orbits`), which is also the oracle the packed scan is
+    tested against.
 
     Callers: `detect_monomial_structure` (also through certify's monomial
-    exclusion) and `detect_symmetric_type`, whose vector orbits over GF(2)
-    are these point orbits."""
+    exclusion) with limit n, and `detect_symmetric_type`, whose vector
+    orbits over GF(2) are these point orbits, with limit n + 1."""
     if F.p != 2:
-        return _tuple_point_orbits(gens, pts, F)
+        return _tuple_point_orbits(gens, pts, F, limit)
     q, f = F.q, F.f
     mask = q - 1
     times = [[F.mul(a, x) for x in range(q)] for a in range(q)]
@@ -709,9 +710,8 @@ def _point_orbits(gens: Sequence[Transvection], pts: tuple[Vec, ...],
     codes = [_code(q, v) for v in pts]
     index = {c: i for i, c in enumerate(codes)}
 
-    def images(i: int) -> list[int | None]:
+    def images(i: int) -> Iterator[int | None]:
         c = codes[i]
-        out = []
         for phi, vcode in maps:
             a = 0
             for sh, row in phi:
@@ -730,43 +730,52 @@ def _point_orbits(gens: Sequence[Transvection], pts: tuple[Vec, ...],
                     u |= row[w & mask] << sh
                     w >>= f
                     sh += f
-            out.append(index.get(u))
-        return out
+            yield index.get(u)
 
-    return _orbit_scan(len(pts), images)
+    return _orbit_scan(len(pts), images, limit)
 
 
 def _tuple_point_orbits(gens: Sequence[Transvection], pts: tuple[Vec, ...],
-                        F: Field) -> list[list[int]]:
+                        F: Field, limit: int | None = None) -> list[list[int]]:
     index = {p: i for i, p in enumerate(pts)}
     return _orbit_scan(len(pts), lambda i: (
-        index.get(_normalize_point(F, t.apply(pts[i]))) for t in gens))
+        index.get(_normalize_point(F, t.apply(pts[i]))) for t in gens), limit)
 
 
 def _orbit_scan(count: int,
-                neighbours: Callable[[int], Iterable[int | None]]) -> list[list[int]]:
+                neighbours: Callable[[int], Iterable[int | None]],
+                limit: int | None = None) -> list[list[int]]:
     """Connected components of 0..count-1 under `neighbours`, each sorted,
     ordered by least element; a neighbour None is an image outside the
-    point index."""
-    orbit_of = [-1] * count
+    point index.  With `limit`, only the components of at most `limit`
+    points: a search stops once its component would pass `limit` or meets a
+    point known to lie in a larger one, and marks all it visited as such."""
+    orbit_of = [-1] * count  # -2: in an orbit of more than `limit` points
     orbits: list[list[int]] = []
     for s in range(count):
-        if orbit_of[s] >= 0:
+        if orbit_of[s] != -1:
             continue
         oid = len(orbits)
-        comp = [s]
         orbit_of[s] = oid
-        queue = [s]
-        while queue:
-            for j in neighbours(queue.pop()):
+        comp = [s]
+        large = False
+        for i in comp:
+            for j in neighbours(i):
                 if j is None:
                     raise InternalError("a generator maps a point outside the "
                                         "projective point index")
-                if orbit_of[j] < 0:
+                if orbit_of[j] == -1 and len(comp) != limit:
                     orbit_of[j] = oid
                     comp.append(j)
-                    queue.append(j)
-        orbits.append(sorted(comp))
+                elif orbit_of[j] < 0:
+                    large = True
+                    break
+            if large:
+                for j in comp:
+                    orbit_of[j] = -2
+                break
+        else:
+            orbits.append(sorted(comp))
     return orbits
 
 
@@ -785,28 +794,19 @@ def detect_monomial_structure(gens: Sequence[Transvection],
     if F.q**n > budget_projective:
         raise CapExceeded("projective orbit scan over budget", count=budget_projective)
     pts = projective_points(F, n)
-    orbits = _point_orbits(gens, pts, F)
-    small = [o for o in orbits if len(o) <= n]
-    found: tuple[Vec, ...] | None = None
+    small = _point_orbits(gens, pts, F, n)
 
-    def dfs(start: int, total: int, chosen: list[list[int]]) -> None:
-        nonlocal found
-        if found is not None:
-            return
-        if total == n:
-            vecs = tuple(pts[i] for o in chosen for i in o)
-            if Mat(F, vecs).rank() == n:
-                found = vecs
-            return
+    def unions(start: int, room: int) -> Iterator[tuple[Vec, ...]]:
+        """Unions of the orbits from `start` on with exactly `room` points,
+        lexicographically by orbit index."""
+        if room == 0:
+            yield ()
         for k in range(start, len(small)):
-            if total + len(small[k]) <= n:
-                chosen.append(small[k])
-                dfs(k + 1, total + len(small[k]), chosen)
-                chosen.pop()
-                if found is not None:
-                    return
+            if len(small[k]) <= room:
+                for rest in unions(k + 1, room - len(small[k])):
+                    yield tuple(pts[i] for i in small[k]) + rest
 
-    dfs(0, 0, [])
+    found = next((vecs for vecs in unions(0, n) if Mat(F, vecs).rank() == n), None)
     if found is None:
         return None
     lineset = set(found)
@@ -855,7 +855,7 @@ def detect_symmetric_type(gens: Sequence[Transvection],
     if 2**n > budget_vectors:
         raise CapExceeded("vector orbit scan over budget", count=budget_vectors)
     pts = projective_points(F, n)
-    for orbit in _point_orbits(gens, pts, F):
+    for orbit in _point_orbits(gens, pts, F, n + 1):
         if len(orbit) == n + 1:
             vecs = tuple(pts[i] for i in orbit)
             if Mat(F, vecs).rank() == n:
@@ -883,29 +883,19 @@ def _acts_by_transpositions(gens: Sequence[Transvection],
 def _spanning_orbit_exists(gens: Sequence[Transvection], F: Field, n: int,
                            budget_projective: int = PROJECTIVE_BUDGET) -> bool:
     """Whether some vector orbit of size n+1 spans (the odd-symmetric
-    criterion over an arbitrary field of characteristic 2): scanning
-    projective representatives suffices because scaling an invariant
-    spanning set gives another one."""
-    if F.q**n > budget_projective:
+    criterion over an arbitrary field of characteristic 2), by the capped
+    `_orbit_scan` over the nonzero vectors, with index code - 1."""
+    q = F.q
+    if q**n > budget_projective:
         raise CapExceeded("projective orbit scan over budget", count=budget_projective)
-    for b in projective_points(F, n):
-        orbit = {b}
-        queue = [b]
-        alive = True
-        while queue and alive:
-            v = queue.pop()
-            for t in gens:
-                w = t.apply(v)
-                if w not in orbit:
-                    orbit.add(w)
-                    queue.append(w)
-                    if len(orbit) > n + 1:
-                        alive = False
-                        break
-        if alive and len(orbit) == n + 1:
-            if Mat(F, tuple(orbit)).rank() == n:
-                return True
-    return False
+
+    def images(i: int) -> Iterator[int]:
+        v = _digits(q, n, i + 1)
+        return (_code(q, t.apply(v)) - 1 for t in gens)
+
+    return any(len(o) == n + 1
+               and Mat(F, tuple(_digits(q, n, i + 1) for i in o)).rank() == n
+               for o in _orbit_scan(q**n - 1, images, n + 1))
 
 
 def quadratic_type(Q: QuadraticForm,

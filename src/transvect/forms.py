@@ -202,11 +202,13 @@ def _first_obstruction(G: TransvectionGraph, th: Callable[[int], int],
                        budget_walks: int) -> ObstructionCycle:
     """First non-conforming cycle in enumeration order (length, then vertex
     tuple); one of length <= limit is guaranteed to exist when detection has
-    failed, since a failed check pins an explicit short witness."""
-    for rec in _closed_walks(G, limit, budget_walks):
-        wf, wr, d = _cycle_defect(G, rec.verts, th)
-        if d != 0:
-            return ObstructionCycle(rec.verts, wf, wr, d, twist)
+    failed, since a failed check pins an explicit short witness.  The walk
+    stream stops there, so the budget need only cover the walks up to it."""
+    for _, rec in _closed_walks(G, limit, budget_walks):
+        if rec is not None:
+            wf, wr, d = _cycle_defect(G, rec.verts, th)
+            if d != 0:
+                return ObstructionCycle(rec.verts, wf, wr, d, twist)
     raise InternalError(
         "detection failed but no obstruction cycle found within its bound")
 

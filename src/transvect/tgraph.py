@@ -10,8 +10,9 @@ a generating set while staying inside a bounded power of T.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     BadParameters,
@@ -264,57 +265,58 @@ def cycle_weight(G: TransvectionGraph, verts: Sequence[int]) -> int:
     return w
 
 
-def _canonical_rotation(verts: tuple[int, ...]) -> tuple[int, ...]:
-    return min(verts[i:] + verts[:i] for i in range(len(verts)))
-
-
 def cycles_up_to(G: TransvectionGraph, L: int,
                  budget_walks: int = WALK_BUDGET) -> list[CycleRecord]:
     """All closed walks of length 2..L with nonzero weight, one record per
     rotation class (canonical rotation = lexicographically least), sorted by
-    (length, vertex tuple)."""
+    (length, vertex tuple): the whole `_closed_walks` stream."""
     if L > MAX_CYCLE_LEN:
         raise BadParameters(f"cycle length cap is {MAX_CYCLE_LEN}, got {L}")
     if L < 1:
         raise BadParameters(f"need a cycle length bound L >= 1, got {L}")
-    return _closed_walks(G, L, budget_walks)
+    return [r for _, r in _closed_walks(G, L, budget_walks) if r is not None]
 
 
-def _closed_walks(G: TransvectionGraph, L: int,
-                  budget_walks: int) -> list[CycleRecord]:
-    """cycles_up_to without the length cap; form detection needs lengths
-    up to 2D+1 for the directed diameter D."""
-    F = G.F
-    N = len(G.verts)
-    found: dict[tuple[int, ...], int] = {}
-    steps = 0
-    path: list[int] = []
+def _closed_walks(G: TransvectionGraph, L: int, budget_walks: int
+                  ) -> Iterator[tuple[int, CycleRecord | None]]:
+    """Closed walks of 2..L vertices, one per rotation class, streamed in
+    (length, vertex tuple) order with no length cap: form detection needs
+    lengths up to 2D+1 for the directed diameter D.
 
-    def dfs(start: int, u: int, w: int) -> None:
-        nonlocal steps
-        steps += 1
-        if steps > budget_walks:
-            raise CapExceeded("closed-walk enumeration budget exhausted",
-                              count=budget_walks)
-        if len(path) >= 2 and G.pair[u][start]:
-            key = _canonical_rotation(tuple(path))
-            if key not in found:
-                found[key] = F.mul(w, G.pair[u][start])
-        if len(path) == L:
-            return
-        for t in G.succ[u]:
-            if t < start:
-                continue
-            path.append(t)
-            dfs(start, t, F.mul(w, G.pair[u][t]))
-            path.pop()
-
-    for s in range(N):
-        path = [s]
-        dfs(s, s, 1)
-    records = [CycleRecord(v, w) for v, w in found.items()]
-    records.sort(key=lambda r: (len(r.verts), r.verts))
-    return records
+    Level k extends each path of k - 1 vertices through the successors
+    t >= its first vertex in ascending order, so paths come out sorted; a
+    closing path that is its own least rotation is yielded as (k, record).
+    (k, None) ends level k before any longer path is made.  Steps count the
+    N roots, then each path as it is made: a full read raises CapExceeded
+    exactly when they pass budget_walks, and a reader that stops early pays
+    only for the paths made so far."""
+    pair, succ = G.pair, G.succ
+    frontier = [(s,) for s in range(len(G.verts))]
+    steps = len(frontier)
+    if steps > budget_walks:
+        raise CapExceeded("closed-walk enumeration budget exhausted",
+                          count=budget_walks)
+    for k in range(2, L + 1):
+        nxt = []
+        for path in frontier:
+            s = path[0]
+            for t in succ[path[-1]]:
+                if t < s:
+                    continue
+                steps += 1
+                if steps > budget_walks:
+                    raise CapExceeded("closed-walk enumeration budget exhausted",
+                                      count=budget_walks)
+                p = path + (t,)
+                if k < L:
+                    nxt.append(p)
+                # a closed walk is a record when no rotation starting at
+                # another visit to its least vertex s is smaller
+                if pair[t][s] and (p.count(s) == 1 or all(
+                        p[i:] + p[:i] >= p for i in range(2, k) if p[i] == s)):
+                    yield k, CycleRecord(p, cycle_weight(G, p))
+        yield k, None
+        frontier = nxt
 
 
 def _cycle_defect(G: TransvectionGraph, verts: Sequence[int],
@@ -359,13 +361,14 @@ class DefiningFieldReport:
 def _witness_cycles(F: Field, records: list[CycleRecord],
                     target: int) -> tuple[CycleRecord, ...]:
     out: list[CycleRecord] = []
-    weights: list[int] = []
+    deg = 1
     for r in records:
-        if F.subfield_generated(weights) == target:
+        if deg == target:
             break
-        if F.subfield_generated(weights + [r.weight]) > F.subfield_generated(weights):
+        d = math.lcm(deg, F.element_degree(r.weight))
+        if d > deg:
             out.append(r)
-            weights.append(r.weight)
+            deg = d
     return tuple(out)
 
 
@@ -374,9 +377,11 @@ def defining_field(G: TransvectionGraph, dense_hint: bool = False,
     """Degree over F_p of the subfield generated by cycle weights.
 
     With dense_hint, weights of cycles of length <= 5 already generate the
-    whole trace field, so a single enumeration suffices.  Otherwise the
-    length bound is raised until the degree is the full field, holds for 3
-    consecutive bounds ("stabilized"), or hits the cap ("cap-limited").
+    whole trace field, so a single enumeration suffices.  Otherwise one
+    `_closed_walks` stream is read level by level until the degree is the
+    full field, holds for 3 consecutive bounds ("stabilized"), or hits the
+    cap ("cap-limited"); it is left between levels, so the walk budget is
+    spent as by `cycles_up_to` at the last length read.
     """
     F = G.F
     if dense_hint:
@@ -385,26 +390,22 @@ def defining_field(G: TransvectionGraph, dense_hint: bool = False,
         return DefiningFieldReport(deg, "dense", _witness_cycles(F, records, deg),
                                    ((5, deg),))
     history: list[tuple[int, int]] = []
-    prev = -1
-    stable = 0
     deg = 1
     records: list[CycleRecord] = []
-    for k in range(2, MAX_CYCLE_LEN + 1):
-        records = cycles_up_to(G, k, budget_walks)
-        deg = F.subfield_generated([r.weight for r in records])
+    status = "cap-limited"
+    for k, rec in _closed_walks(G, MAX_CYCLE_LEN, budget_walks):
+        if rec is not None:
+            records.append(rec)
+            if deg != F.f:
+                deg = math.lcm(deg, F.element_degree(rec.weight))
+            continue
         history.append((k, deg))
-        if deg == F.f:
-            return DefiningFieldReport(deg, "stabilized",
-                                       _witness_cycles(F, records, deg),
-                                       tuple(history))
-        stable = stable + 1 if deg == prev else 1
-        prev = deg
-        if stable >= 3:
-            return DefiningFieldReport(deg, "stabilized",
-                                       _witness_cycles(F, records, deg),
-                                       tuple(history))
-    return DefiningFieldReport(deg, "cap-limited",
-                               _witness_cycles(F, records, deg), tuple(history))
+        # degrees only grow, so equal ends make three equal bounds
+        if deg == F.f or (len(history) >= 3 and history[-3][1] == deg):
+            status = "stabilized"
+            break
+    return DefiningFieldReport(deg, status, _witness_cycles(F, records, deg),
+                               tuple(history))
 
 
 # -- density ---------------------------------------------------------------

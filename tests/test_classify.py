@@ -798,6 +798,47 @@ def test_point_orbits_corrupted_point_index_raises_internal_error():
             classify_mod._point_orbits(T, corrupted, F)
 
 
+def capped_orbits_agree(T):
+    """On both scan paths, the orbits a capped scan returns for the limits
+    n and n + 1 are the uncapped orbits of at most that many points."""
+    F, n = T[0].F, T[0].n
+    pts = projective_points(F, n)
+    for scan in (classify_mod._point_orbits, classify_mod._tuple_point_orbits):
+        full = scan(T, pts, F)
+        for limit in (n, n + 1):
+            assert scan(T, pts, F, limit) == [o for o in full if len(o) <= limit]
+
+
+def test_point_orbits_capped_scan_keeps_exactly_the_small_orbits():
+    cases = [build_monomial_group(3, 3, F4), build_monomial_group(4, 5, F16),
+             build_monomial_group(4, 7, F8), su4_generators(), sp4_full()]
+    cases += [build_symmetric_rep(m) for m in range(5, 10)]
+    for T in cases:
+        capped_orbits_agree(T)
+
+
+def test_point_orbits_capped_scan_on_fuzz_sets_and_random_conjugates():
+    for F, n, T in fuzz_sets():
+        capped_orbits_agree(T)
+    rng = random.Random(4)
+    T = sl3_generators(F4)
+    for _ in range(5):
+        capped_orbits_agree(random_conjugate(T, rng))
+    capped_orbits_agree(T[:1])
+
+
+def test_point_orbits_capped_scan_checks_images_in_a_small_orbit():
+    # the coordinate lines of M3(3)/GF(4) are an orbit of 3 = n points, so
+    # the capped scan completes it and meets the corrupted line
+    T = build_monomial_group(3, 3, F4)
+    pts = projective_points(F4, 3)
+    i = pts.index((1, 0, 0))
+    corrupted = pts[:i] + ((2, 0, 0),) + pts[i + 1:]
+    for scan in (classify_mod._point_orbits, classify_mod._tuple_point_orbits):
+        with pytest.raises(InternalError, match="outside the projective point index"):
+            scan(T, corrupted, F4, 3)
+
+
 def test_detect_symmetric_type_rep5():
     T = build_symmetric_rep(5)
     B = detect_symmetric_type(T)
@@ -812,13 +853,13 @@ def test_detect_symmetric_type_none_on_sp4():
 
 
 def spanning_vector_orbits(T):
-    """Oracle: the spanning vector orbits of size n+1 over GF(2), by BFS
-    from each nonzero vector in code order, each sorted by code (last
+    """Oracle: the spanning vector orbits of size n+1 over T's field, by
+    BFS from each nonzero vector in code order, each sorted by code (last
     coordinate most significant)."""
-    n = T[0].n
+    F, n = T[0].F, T[0].n
     seen = set()
-    for code in range(1, 2**n):
-        start = tuple((code >> i) & 1 for i in range(n))
+    for code in range(1, F.q**n):
+        start = tuple(code // F.q**i % F.q for i in range(n))
         if start in seen:
             continue
         orbit = {start}
@@ -831,13 +872,28 @@ def spanning_vector_orbits(T):
                     orbit.add(w)
                     queue.append(w)
         seen |= orbit
-        if len(orbit) == n + 1 and Mat(F2, tuple(orbit)).rank() == n:
+        if len(orbit) == n + 1 and Mat(F, tuple(orbit)).rank() == n:
             yield tuple(sorted(orbit, key=lambda v: v[::-1]))
 
 
 def symmetric_type_oracle(T):
     """The first spanning orbit of size n+1 in code order, or None."""
     return next(spanning_vector_orbits(T), None)
+
+
+def test_spanning_orbit_exists_matches_vector_orbit_oracle():
+    cases = [build_symmetric_rep(m) for m in range(5, 10)]
+    cases += [build_monomial_group(3, 3, F4), build_monomial_group(2, 3, F4),
+              su4_generators(), sp4_full(), sl3_generators(F4), A6_TRIPLE]
+    cases += [T for F, n, T in fuzz_sets() if F.p == 2]
+    rng = random.Random(6)
+    cases += [random_conjugate(sl3_generators(F4), rng) for _ in range(3)]
+    found = {False: 0, True: 0}
+    for T in cases:
+        want = next(spanning_vector_orbits(T), None) is not None
+        assert classify_mod._spanning_orbit_exists(T, T[0].F, T[0].n) == want
+        found[want] += 1
+    assert min(found.values()) > 0
 
 
 def test_detect_symmetric_type_uniqueness():

@@ -9,8 +9,10 @@ from itertools import combinations, product
 import pytest
 
 from transvect import forms
+from transvect.classify import build_monomial_group
 from transvect.errors import (
     BadParameters,
+    CapExceeded,
     IndexMismatch,
     InternalError,
     MissingForm,
@@ -46,6 +48,7 @@ from transvect.tgraph import (
     cycle_symplectic_defect,
     cycle_unitary_defect,
     cycle_weight,
+    cycles_up_to,
     directed_diameter,
     is_irreducible,
 )
@@ -459,6 +462,88 @@ def test_detect_hunt_bounds_stay_within_twice_the_diameter(monkeypatch):
                         assert len(res.verts) <= b
                     hunts += len(bounds)
     assert hunts >= 50
+
+
+def brute_force_walk_list(G, L):
+    """Every closed walk of 2..L vertices with all arcs edges, one per
+    rotation class (its least rotation), sorted by (length, vertices)."""
+    N = len(G.verts)
+    found = set()
+    for k in range(2, L + 1):
+        walks = [(s,) for s in range(N)]
+        for _ in range(k - 1):
+            walks = [w + (t,) for w in walks for t in range(N) if G.adj[w[-1]][t]]
+        found.update(min(w[i:] + w[:i] for i in range(k))
+                     for w in walks if G.adj[w[-1]][w[0]])
+    return sorted(found, key=lambda w: (len(w), w))
+
+
+def first_obstruction_agrees(G, twist, L):
+    F = G.F
+    th = F.involution if twist == "theta" else (lambda x: x)
+    want = next((w for w in brute_force_walk_list(G, L)
+                 if cycle_unitary_defect(w, G, th)), None)
+    if want is None:
+        with pytest.raises(InternalError, match="no obstruction cycle"):
+            forms._first_obstruction(G, th, twist, L, 10**6)
+        return False
+    got = forms._first_obstruction(G, th, twist, L, 10**6)
+    wf = cycle_weight(G, want)
+    wr = cycle_weight(G, want[::-1])
+    d = cycle_unitary_defect(want, G, th)
+    assert got == ObstructionCycle(want, wf, wr, d, twist)
+    return True
+
+
+def su4_transvections():
+    """Six unitary transvections generating SU4(2) inside SL4(4)."""
+    gram = Mat(F4, ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))
+    h = SesquiForm(F4, gram, twist="theta")
+    vs = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+          (1, 0, 1, 0), (1, 0, 2, 0)]
+    return [Transvection(F4, v, h.dual_covector(v)) for v in vs]
+
+
+def test_first_obstruction_is_the_first_non_conforming_walk():
+    F8, F16 = field_create(2, 3), field_create(2, 4)
+    cases = [(build_graph(build_monomial_group(4, 7, F8)), (2, 3)),
+             (build_graph(build_monomial_group(4, 5, F16)), (2, 3))]
+    su4 = su4_transvections()
+    cases += [(build_graph(list(S)), (2, 3, 4, 5))
+              for k in (3, 4, 5) for S in combinations(su4, k)]
+    rng = random.Random(31)
+    for F in (F2, F3, F4, F5, F9):
+        for _ in range(10):
+            n = rng.choice((2, 3))
+            cases.append((build_graph(random_set(F, n, rng.randrange(2, 5), rng)),
+                          (2, 3, 4, 5)))
+    found = 0
+    for G, limits in cases:
+        twists = ("identity", "theta") if G.F.has_involution() else ("identity",)
+        for twist in twists:
+            for L in limits:
+                found += first_obstruction_agrees(G, twist, L)
+    assert found >= 40
+
+
+def test_hunt_returns_its_witness_before_the_walk_budget_runs_out(monkeypatch):
+    # the hunt's full enumeration passes the budget, but the stream reaches
+    # the first obstruction before it does
+    G = build_graph(build_monomial_group(4, 7, field_create(2, 3)))
+    bounds = []
+    first = forms._first_obstruction
+
+    def recording(G, th, twist, limit, budget_walks):
+        bounds.append(limit)
+        return first(G, th, twist, limit, budget_walks)
+
+    monkeypatch.setattr(forms, "_first_obstruction", recording)
+    res = detect_invariant_form(G, "identity")
+    assert isinstance(res, ObstructionCycle) and len(bounds) == 1
+    budget = 2000
+    with pytest.raises(CapExceeded):
+        cycles_up_to(G, bounds[0], budget)
+    assert detect_invariant_form(G, "identity", budget) == res
 
 
 # -- recover_quadratic ---------------------------------------------------------

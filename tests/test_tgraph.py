@@ -391,9 +391,46 @@ def test_cycles_oracle_bruteforce():
             n = rng.choice((2, 3))
             T = random_set(F, n, rng.randrange(2, 5), rng)
             G = build_graph(T)
-            got = {r.verts: r.weight for r in cycles_up_to(G, 4)}
-            want = brute_force_cycles(G, 4)
-            assert got == want
+            recs = cycles_up_to(G, 5)
+            assert {r.verts: r.weight for r in recs} == brute_force_cycles(G, 5)
+            keys = [(len(r.verts), r.verts) for r in recs]
+            assert keys == sorted(keys)
+
+
+def rooted_paths(G, L):
+    """Walks of 1..L vertices whose first vertex is their least, counted
+    by a per-root dynamic programme over the adjacency matrix: the number of
+    steps a closed-walk search up to length L takes."""
+    N = len(G.verts)
+    total = 0
+    for s in range(N):
+        ends = [0] * N
+        ends[s] = 1
+        total += 1
+        for _ in range(L - 1):
+            ends = [sum(ends[u] for u in range(N) if G.adj[u][t]) if t >= s else 0
+                    for t in range(N)]
+            total += sum(ends)
+    return total
+
+
+def test_walk_budget_boundary_is_the_rooted_path_count():
+    rng = random.Random(23)
+    for p, f in ((2, 1), (3, 1), (2, 2)):
+        F = field_create(p, f)
+        for _ in range(6):
+            G = build_graph(random_set(F, rng.choice((2, 3)), rng.randrange(3, 7), rng))
+            for L in range(2, 6):
+                need = rooted_paths(G, L)
+                assert cycles_up_to(G, L, need) == cycles_up_to(G, L)
+                with pytest.raises(CapExceeded):
+                    cycles_up_to(G, L, need - 1)
+            for hint in (False, True):
+                rep = defining_field(G, hint)
+                need = rooted_paths(G, rep.history[-1][0])
+                assert defining_field(G, hint, need) == rep
+                with pytest.raises(CapExceeded):
+                    defining_field(G, hint, need - 1)
 
 
 def test_weight_trace_rotation_conjugation_fuzz():
