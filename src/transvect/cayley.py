@@ -15,7 +15,8 @@ from the row codes of S and filled on first use: in characteristic 2,
 where adding packed rows is XOR of their codes, as the XOR of the images
 of the code's set bits; otherwise as a sum of digit images in wide lanes,
 reduced mod p once.  The stabilizer chain behind `classify.group_order`
-multiplies with the same tables.
+multiplies with the same tables, and the orbit scans of the monomial and
+symmetric detectors map point and vector codes through them.
 
 Packed keys decode to transvections in one place, `_transvections`, for
 the transvection balls and `CayleyExploration.transvections`; so the
@@ -115,17 +116,19 @@ class _RowTable(dict):
         self.images: list | None = None
 
     def __missing__(self, code: int) -> int:
-        if self.F.p == 2:
-            out = 0
-            c = code
-            bits = self.images or self._bit_images()
-            while c:
-                low = c & -c
-                out ^= bits[low.bit_length() - 1]
-                c ^= low
-        else:
-            out = self._odd_image(code)
-        self[code] = out
+        out = self[code] = self.image(code)
+        return out
+
+    def image(self, code: int) -> int:
+        """The code of row . S, not stored."""
+        if self.F.p != 2:
+            return self._odd_image(code)
+        out = 0
+        bits = self.images or self._bit_images()
+        while code:
+            low = code & -code
+            out ^= bits[low.bit_length() - 1]
+            code ^= low
         return out
 
     def _bit_images(self) -> list[int]:

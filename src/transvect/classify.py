@@ -62,6 +62,7 @@ from .tgraph import (
     PROJECTIVE_BUDGET,
     WALK_BUDGET,
     DefiningFieldReport,
+    TransvectionGraph,
     Word,
     _radicals,
     _require_irreducible,
@@ -684,62 +685,54 @@ def _normalize_point(F: Field, v: Sequence[int]) -> Vec:
 def _point_orbits(gens: Sequence[Transvection], pts: tuple[Vec, ...],
                   F: Field, limit: int | None = None) -> list[list[int]]:
     """Orbits of the generated group on projective points, each sorted,
-    ordered by smallest point index (only those of <= `limit` points).
+    ordered by smallest point index (only those of <= `limit` points), by
+    the packed scan `_code_orbits` over every field.  Caller:
+    `detect_monomial_structure`, with limit n."""
+    return _code_orbits(gens, F, len(pts[0]), [_code(F.q, v) for v in pts],
+                        limit, True)
 
-    In characteristic 2 the scan runs over packed codes sum(x_j q^j), where
-    adding vectors is XOR: t maps c to c ^ code(phi(c) v), phi(c) is the XOR
-    of one small table per nonzero digit of phi, and an image is made
-    canonical by dividing by its lowest nonzero digit, found with c & -c,
-    through one table per divisor.  No table grows with q^n; images are made
-    lazily.  Odd p maps the point tuples with `Transvection.apply`
-    (`_tuple_point_orbits`), which is also the oracle the packed scan is
-    tested against.
 
-    Callers: `detect_monomial_structure` (also through certify's monomial
-    exclusion) with limit n, and `detect_symmetric_type`, whose vector
-    orbits over GF(2) are these point orbits, with limit n + 1."""
-    if F.p != 2:
-        return _tuple_point_orbits(gens, pts, F, limit)
-    q, f = F.q, F.f
-    mask = q - 1
-    times = [[F.mul(a, x) for x in range(q)] for a in range(q)]
-    divide = [None] + [times[F.inv(d)] for d in range(1, q)]
-    maps = [([(f * j, times[a]) for j, a in enumerate(t.phi) if a],
-             [_code(q, [F.mul(a, x) for x in t.v]) for a in range(q)])
-            for t in gens]
-    codes = [_code(q, v) for v in pts]
+def _spanning_orbit(G: TransvectionGraph) -> tuple[Vec, ...] | None:
+    """The first vector orbit of n + 1 vectors that spans F^n, in order of
+    least code, as vectors sorted by code, or None: in characteristic 2
+    the criterion for odd symmetric type.  The scan runs over the nonzero
+    vectors, with index code - 1, over GF(2) the projective point index."""
+    F, n = G.F, G.n
+    q = F.q
+    orbits = (tuple(_digits(q, n, i + 1) for i in orbit) for orbit
+              in _code_orbits(G, F, n, range(1, q**n), n + 1, False)
+              if len(orbit) == n + 1)
+    return next((vecs for vecs in orbits if Mat(F, vecs).rank() == n), None)
+
+
+def _code_orbits(gens: Sequence[Transvection], F: Field, n: int,
+                 codes: Sequence[int], limit: int | None,
+                 projective: bool) -> list[list[int]]:
+    """`_orbit_scan` over the vectors of F^n with the given codes, or, when
+    `projective`, over the points they are the canonical representatives
+    (first nonzero coordinate 1) of.  t maps codes through the `_RowTable`
+    with rows t(e_j); a point's image is made canonical through scale[d],
+    the table of d^-1 I, d its lowest nonzero digit (always 1 over GF(2)).
+    Images are not stored."""
+    q = F.q
+    maps = [_RowTable(F, _rows(t.matrix().transpose())).image for t in gens]
+    scale = [_RowTable(F, [F.inv(d) * q**k for k in range(n)]) if d else None
+             for d in range(q)] if projective and q > 2 else None
     index = {c: i for i, c in enumerate(codes)}
 
     def images(i: int) -> Iterator[int | None]:
         c = codes[i]
-        for phi, vcode in maps:
-            a = 0
-            for sh, row in phi:
-                a ^= row[(c >> sh) & mask]
-            if a == 0:
-                continue
-            u = c ^ vcode[a]
-            sh = (u & -u).bit_length() - 1
-            sh -= sh % f
-            d = (u >> sh) & mask
-            if d != 1:
-                row = divide[d]
-                w = u >> sh
-                u = 0
-                while w:
-                    u |= row[w & mask] << sh
-                    w >>= f
-                    sh += f
+        for image in maps:
+            u = image(c)
+            if scale:
+                s = u
+                while s and not s % q:
+                    s //= q
+                if s % q > 1:
+                    u = scale[s % q].image(u)
             yield index.get(u)
 
-    return _orbit_scan(len(pts), images, limit)
-
-
-def _tuple_point_orbits(gens: Sequence[Transvection], pts: tuple[Vec, ...],
-                        F: Field, limit: int | None = None) -> list[list[int]]:
-    index = {p: i for i, p in enumerate(pts)}
-    return _orbit_scan(len(pts), lambda i: (
-        index.get(_normalize_point(F, t.apply(pts[i]))) for t in gens), limit)
+    return _orbit_scan(len(codes), images, limit)
 
 
 def _orbit_scan(count: int,
@@ -794,7 +787,7 @@ def detect_monomial_structure(gens: Sequence[Transvection],
     if F.q**n > budget_projective:
         raise CapExceeded("projective orbit scan over budget", count=budget_projective)
     pts = projective_points(F, n)
-    small = _point_orbits(gens, pts, F, n)
+    small = _point_orbits(G, pts, F, n)
 
     def unions(start: int, room: int) -> Iterator[tuple[Vec, ...]]:
         """Unions of the orbits from `start` on with exactly `room` points,
@@ -810,7 +803,7 @@ def detect_monomial_structure(gens: Sequence[Transvection],
     if found is None:
         return None
     lineset = set(found)
-    for t in gens:  # invariance holds because unions of orbits are invariant
+    for t in G:  # invariance holds because unions of orbits are invariant
         _require({_normalize_point(F, t.apply(v)) for v in found} == lineset,
                  "a union of point orbits is not invariant")
     index = {p: i for i, p in enumerate(pts)}
@@ -841,26 +834,17 @@ def detect_symmetric_type(gens: Sequence[Transvection],
 
     An irreducible transvection group over GF(2) has odd symmetric type
     (it is S_(n+1) permuting B) exactly when such an invariant spanning
-    set exists, and B is then the unique spanning orbit of that size.
-    Over GF(2) every nonzero vector is a projective point, with point index
-    code - 1, so the vector orbits are the point orbits of `_point_orbits`,
-    in order of least code.  Returns the first spanning orbit of size n+1,
-    as vectors sorted by code.
+    set exists, and B is then the unique spanning orbit of that size:
+    the first spanning orbit of size n+1 (`_spanning_orbit`), as vectors
+    sorted by code.
     """
     G = build_graph(gens)
     if G.F.q != 2:
         raise WrongField("symmetric type detection applies over GF(2)")
     _require_irreducible(G, "symmetric type detection needs an irreducible action")
-    F, n = G.F, G.n
-    if 2**n > budget_vectors:
+    if 2**G.n > budget_vectors:
         raise CapExceeded("vector orbit scan over budget", count=budget_vectors)
-    pts = projective_points(F, n)
-    for orbit in _point_orbits(gens, pts, F, n + 1):
-        if len(orbit) == n + 1:
-            vecs = tuple(pts[i] for i in orbit)
-            if Mat(F, vecs).rank() == n:
-                return vecs
-    return None
+    return _spanning_orbit(G)
 
 
 def _acts_by_transpositions(gens: Sequence[Transvection],
@@ -878,24 +862,6 @@ def _acts_by_transpositions(gens: Sequence[Transvection],
         if img not in bset or img != tuple(moved[1]):
             return False
     return True
-
-
-def _spanning_orbit_exists(gens: Sequence[Transvection], F: Field, n: int,
-                           budget_projective: int = PROJECTIVE_BUDGET) -> bool:
-    """Whether some vector orbit of size n+1 spans (the odd-symmetric
-    criterion over an arbitrary field of characteristic 2), by the capped
-    `_orbit_scan` over the nonzero vectors, with index code - 1."""
-    q = F.q
-    if q**n > budget_projective:
-        raise CapExceeded("projective orbit scan over budget", count=budget_projective)
-
-    def images(i: int) -> Iterator[int]:
-        v = _digits(q, n, i + 1)
-        return (_code(q, t.apply(v)) - 1 for t in gens)
-
-    return any(len(o) == n + 1
-               and Mat(F, tuple(_digits(q, n, i + 1) for i in o)).rank() == n
-               for o in _orbit_scan(q**n - 1, images, n + 1))
 
 
 def quadratic_type(Q: QuadraticForm,
@@ -931,6 +897,16 @@ def _eval_poly(F: Field, coeffs: Sequence[int], x: int) -> int:
     return acc
 
 
+def _frobenius_power(F: Field, e: int) -> Callable[[int], int]:
+    """x -> x^(p^e), the Frobenius power whose fixed points in F are the
+    degree-e subfield."""
+    def sig(x: int) -> int:
+        for _ in range(e):
+            x = F.frobenius(x)
+        return x
+    return sig
+
+
 def _subfield_iso(F: Field, e: int) -> tuple[Field, Callable[[int], int]]:
     """The degree-e subfield of F mapped onto the abstract field GF(p^e),
     by sending a multiplicative generator to a root of its minimal
@@ -940,12 +916,7 @@ def _subfield_iso(F: Field, e: int) -> tuple[Field, Callable[[int], int]]:
     sub = field_create(p, e)
     if e == 1:
         return sub, lambda x: x
-
-    def sig(x: int) -> int:
-        for _ in range(e):
-            x = F.frobenius(x)
-        return x
-
+    sig = _frobenius_power(F, e)
     fix = [x for x in F.elements() if sig(x) == x]
     _require(len(fix) == p**e, f"the Frobenius power fixes {len(fix)} "
                                f"elements, not {p**e}")
@@ -993,11 +964,7 @@ def _descend_to_subfield(T: Sequence[Transvection], e: int, seed: int = 0):
     if f % e or e >= f or F.q > VECTOR_TABLE_BUDGET:
         return None
     d = f // e
-
-    def sig(x: int) -> int:
-        for _ in range(e):
-            x = F.frobenius(x)
-        return x
+    sig = _frobenius_power(F, e)
 
     def sig_mat(M: Mat) -> Mat:
         return M.map_entries(sig)
@@ -1126,8 +1093,8 @@ def classify(T: Sequence[Transvection],
     return a form, so G lies in the Sp, SU or O+/- of that form, and
     `quadratic_type` counts the type exactly.
     """
-    T = list(T)
     G = build_graph(T)
+    T = G.verts
     _require_irreducible(G, "classification needs an irreducible action")
     F, n = G.F, G.n
     q = F.q
@@ -1142,7 +1109,7 @@ def classify(T: Sequence[Transvection],
         if dfr.degree < F.f:
             # cycles of a dense extension generate the true defining field
             try:
-                T_df, _ = densify(T, budget_projective)
+                T_df, _ = densify(G, budget_projective)
                 dfr = defining_field(build_graph(T_df), dense_hint=True,
                                      budget_walks=budget_walks)
             except CapExceeded:
@@ -1205,7 +1172,7 @@ def classify(T: Sequence[Transvection],
     b_swaps = False
     if q == 2 and has_symp:
         try:
-            B = detect_symmetric_type(T, budget_projective)
+            B = detect_symmetric_type(G, budget_projective)
         except CapExceeded:
             notes.append("spanning set detection skipped: vector budget")
         if B is not None:
@@ -1219,7 +1186,7 @@ def classify(T: Sequence[Transvection],
     mono_a: int | None = None
     if not has_symp:
         try:
-            mono = detect_monomial_structure(T, budget_projective)
+            mono = detect_monomial_structure(G, budget_projective)
         except CapExceeded:
             notes.append("line structure detection skipped: projective budget")
         if mono is not None:
@@ -1341,7 +1308,7 @@ def _find_symmetric_exclusion(T_dense: Sequence[Transvection],
         sec = _admissible_section(T_dense[:k])
         if sec is None:
             continue
-        if detect_symmetric_type(sec.tbar, budget_projective) is None:
+        if detect_symmetric_type(sec.graph, budget_projective) is None:
             return list(range(k))
     return None
 
@@ -1362,10 +1329,9 @@ def _find_monomial_exclusion(T_dense: Sequence[Transvection],
         if k1 != 0 or not is_strongly_connected(Gs):
             continue
         sec = restrict_to_section(Gs)
-        if detect_monomial_structure(sec.tbar, budget_projective) is not None:
+        if detect_monomial_structure(sec.graph, budget_projective) is not None:
             continue
-        if _spanning_orbit_exists(sec.tbar, sec.graph.F, sec.graph.n,
-                                  budget_projective):
+        if _spanning_orbit(sec.graph) is not None:
             continue
         return "section", list(range(k))
     return None
@@ -1378,8 +1344,8 @@ def sample_supersets(T: Sequence[Transvection], T0: Sequence[Transvection],
     closure of <T>: T0 plus random conjugates t^w (t in T, w a short word
     over T), topped up with density witnesses until strongly connected."""
     rng = random.Random(seed)
-    T = list(T)
     T_dense, _ = densify(T, budget_projective)
+    T = list(T)
     out = []
     for _ in range(count):
         T1 = list(T0)
@@ -1391,9 +1357,7 @@ def sample_supersets(T: Sequence[Transvection], T0: Sequence[Transvection],
             u = t.conjugate(g)
             if u not in T1:
                 T1.append(u)
-        if not is_strongly_connected(build_graph(T1)):
-            T1 = connect_up(T_dense, T1)
-        out.append(T1)
+        out.append(connect_up(T_dense, T1))
     return out
 
 
@@ -1409,7 +1373,7 @@ def stability_check(T: Sequence[Transvection], T0: Sequence[Transvection],
     for T1 in sample_supersets(T, T0, count=samples, seed=seed,
                                budget_projective=budget_projective):
         sec = restrict_to_section(build_graph(T1))
-        reports.append(classify(sec.tbar, budget_elements, budget_projective,
+        reports.append(classify(sec.graph, budget_elements, budget_projective,
                                 budget_walks))
     return reports
 
@@ -1434,14 +1398,14 @@ def certify(T: Sequence[Transvection],
     at most 2n-1.  A small sample of random supersets is reclassified as a
     spot check and recorded in the properties.
     """
-    T = list(T)
-    report = classify(T, budget_elements, budget_projective, budget_walks)
+    G = build_graph(T)
+    T = G.verts
+    report = classify(G, budget_elements, budget_projective, budget_walks)
     if report.tag.kind not in CLASSICAL_KINDS:
         raise UnsupportedTag(f"certification applies to classical types, "
                              f"got {report.tag}")
-    G = build_graph(T)
     F, n = G.F, G.n
-    T_dense, words_dense = densify(T, budget_projective)
+    T_dense, words_dense = densify(G, budget_projective)
     Gd = build_graph(T_dense)
     dense_index: dict[Transvection, int] = {}
     for i, t in enumerate(T_dense):
@@ -1555,8 +1519,9 @@ def certify(T: Sequence[Transvection],
     # matches.
     fill = iter(T_dense)
     while True:
-        sec = restrict_to_section(build_graph(chosen))
-        own = classify(sec.tbar, budget_elements, budget_projective,
+        Gc = build_graph(chosen)
+        sec = restrict_to_section(Gc)
+        own = classify(sec.graph, budget_elements, budget_projective,
                        budget_walks)
         if own.tag == report.tag and own.field_degree == report.field_degree:
             break
@@ -1568,12 +1533,12 @@ def certify(T: Sequence[Transvection],
                                             form=form))
 
     properties.append({"kind": "connectivity", "strongly_connected": True,
-                       "defect": defect(build_graph(chosen))})
+                       "defect": defect(Gc)})
 
     words = tuple(words_dense[dense_index[t]] for t in chosen)
 
     # stability spot check on a few random supersets
-    spot = stability_check(T, chosen, samples=3, seed=seed,
+    spot = stability_check(G, chosen, samples=3, seed=seed,
                            budget_projective=budget_projective,
                            budget_walks=budget_walks)
     matches = all(r.tag == report.tag and r.field_degree == report.field_degree

@@ -71,7 +71,8 @@ class TransvectionGraph:
     """The graph of a transvection set, with pairing values cached.
 
     pair[i][j] = phi_i(v_j); adj[i][j] = (pair[i][j] != 0).  No self-loops
-    (phi(v) = 0 by isotropy).
+    (phi(v) = 0 by isotropy).  The graph iterates and indexes as its vertex
+    list, so it can stand wherever a transvection set is read.
     """
 
     __slots__ = ("F", "n", "verts", "pair", "adj", "succ", "vspace", "dual_space")
@@ -101,8 +102,18 @@ class TransvectionGraph:
     def __len__(self) -> int:
         return len(self.verts)
 
+    def __iter__(self) -> Iterator[Transvection]:
+        return iter(self.verts)
+
+    def __getitem__(self, i):
+        return self.verts[i]
+
 
 def build_graph(T: Sequence[Transvection]) -> TransvectionGraph:
+    """The graph of T; a graph passed as T is returned as it is, so a caller
+    that holds one hands it on instead of a second build."""
+    if isinstance(T, TransvectionGraph):
+        return T
     return TransvectionGraph(T)
 
 

@@ -56,6 +56,7 @@ from transvect.gf import field_create
 from transvect.linalg import Mat
 from transvect.tgraph import (
     PROJECTIVE_BUDGET,
+    TransvectionGraph,
     build_graph,
     densify,
     is_irreducible,
@@ -76,6 +77,7 @@ F7 = field_create(7, 1)
 F8 = field_create(2, 3)
 F9 = field_create(3, 2)
 F16 = field_create(2, 4)
+F25 = field_create(5, 2)
 
 
 def e(n, i, c=1):
@@ -727,6 +729,29 @@ def test_transposition_transvection_correspondence():
 # -- detectors ----------------------------------------------------------------
 
 
+def test_classify_builds_one_graph_and_none_when_handed_one(monkeypatch):
+    # the detectors, densify and the order check run on the graph classify
+    # builds, and a graph passed in stands for its vertex list
+    builds = []
+    real = TransvectionGraph.__init__
+
+    def counted(self, verts):
+        builds.append(self)
+        real(self, verts)
+
+    monkeypatch.setattr(TransvectionGraph, "__init__", counted)
+    for T in (sp4_full(), build_monomial_group(3, 3, F4)):
+        builds.clear()
+        report = classify(T)
+        assert len(builds) == 1
+        G = build_graph(T)
+        builds.clear()
+        assert classify(G).to_json() == report.to_json()
+        assert builds == []
+        assert build_graph(G) is G
+        assert list(G) == G.verts and G[0] is G.verts[0] and len(G) == len(T)
+
+
 def test_detect_monomial_structure_m23():
     T = build_monomial_group(2, 3, F4)
     st = detect_monomial_structure(T)
@@ -754,13 +779,34 @@ def test_detect_monomial_structure_errors():
                                   budget_projective=4)
 
 
+def tuple_point_orbits(T, pts, F, limit=None):
+    """Oracle: the point orbits by `Transvection.apply` on the point tuples,
+    each image made canonical by scaling, through the same capped scan."""
+    index = {p: i for i, p in enumerate(pts)}
+    return classify_mod._orbit_scan(len(pts), lambda i: (
+        index.get(classify_mod._normalize_point(F, t.apply(pts[i])))
+        for t in T), limit)
+
+
 def orbits_both_ways(T):
-    """The packed orbit scan and the tuple path it replaces in
-    characteristic 2, on the projective points of T's space."""
+    """The packed orbit scan and the tuple oracle, on the projective points
+    of T's space."""
     F, n = T[0].F, T[0].n
     pts = projective_points(F, n)
-    return (classify_mod._point_orbits(T, pts, F),
-            classify_mod._tuple_point_orbits(T, pts, F))
+    return (classify_mod._point_orbits(T, pts, F), tuple_point_orbits(T, pts, F))
+
+
+def odd_orbit_cases():
+    """Sets over GF(3), GF(5), GF(7), GF(9) and GF(25), with orbits of one
+    point, of n points and of every point."""
+    rng = random.Random(8)
+    cases = [sl3_triangle(F3), sl3_triangle(F3)[:1], sl3_triangle(F3)[:2],
+             sl_generators(F9), sl_generators(F9)[:1], sl_generators(F25),
+             sl3_generators(F7)[:2]]
+    for F in (F5, F9):
+        cases += [random_conjugate(sl3_generators(F), rng) for _ in range(2)]
+        cases.append(random_conjugate(sl3_generators(F)[:1], rng))
+    return cases
 
 
 def test_point_orbits_packed_scan_matches_tuple_path():
@@ -770,6 +816,15 @@ def test_point_orbits_packed_scan_matches_tuple_path():
         packed, tuples = orbits_both_ways(T)
         assert packed == tuples
     assert len(orbits_both_ways(sp4_full())[0]) == 1
+
+
+def test_point_orbits_packed_scan_matches_tuple_path_over_odd_fields():
+    sizes = set()
+    for T in odd_orbit_cases():
+        packed, tuples = orbits_both_ways(T)
+        assert packed == tuples
+        sizes |= {len(o) for o in packed}
+    assert {1, 3, 5, 10, 13, 26, 31, 91} <= sizes
 
 
 def test_point_orbits_packed_scan_matches_tuple_path_on_fuzz_sets():
@@ -799,14 +854,18 @@ def test_point_orbits_corrupted_point_index_raises_internal_error():
 
 
 def capped_orbits_agree(T):
-    """On both scan paths, the orbits a capped scan returns for the limits
-    n and n + 1 are the uncapped orbits of at most that many points."""
+    """On the packed scan and the oracle, the orbits a capped scan returns
+    for the limits n and n + 1 are the uncapped orbits of at most that many
+    points, and both scans agree."""
     F, n = T[0].F, T[0].n
     pts = projective_points(F, n)
-    for scan in (classify_mod._point_orbits, classify_mod._tuple_point_orbits):
+    for scan in (classify_mod._point_orbits, tuple_point_orbits):
         full = scan(T, pts, F)
         for limit in (n, n + 1):
             assert scan(T, pts, F, limit) == [o for o in full if len(o) <= limit]
+    for limit in (n, n + 1):
+        assert (classify_mod._point_orbits(T, pts, F, limit)
+                == tuple_point_orbits(T, pts, F, limit))
 
 
 def test_point_orbits_capped_scan_keeps_exactly_the_small_orbits():
@@ -825,6 +884,8 @@ def test_point_orbits_capped_scan_on_fuzz_sets_and_random_conjugates():
     for _ in range(5):
         capped_orbits_agree(random_conjugate(T, rng))
     capped_orbits_agree(T[:1])
+    for T in odd_orbit_cases():
+        capped_orbits_agree(T)
 
 
 def test_point_orbits_capped_scan_checks_images_in_a_small_orbit():
@@ -834,7 +895,7 @@ def test_point_orbits_capped_scan_checks_images_in_a_small_orbit():
     pts = projective_points(F4, 3)
     i = pts.index((1, 0, 0))
     corrupted = pts[:i] + ((2, 0, 0),) + pts[i + 1:]
-    for scan in (classify_mod._point_orbits, classify_mod._tuple_point_orbits):
+    for scan in (classify_mod._point_orbits, tuple_point_orbits):
         with pytest.raises(InternalError, match="outside the projective point index"):
             scan(T, corrupted, F4, 3)
 
@@ -881,7 +942,7 @@ def symmetric_type_oracle(T):
     return next(spanning_vector_orbits(T), None)
 
 
-def test_spanning_orbit_exists_matches_vector_orbit_oracle():
+def test_spanning_orbit_matches_vector_orbit_oracle():
     cases = [build_symmetric_rep(m) for m in range(5, 10)]
     cases += [build_monomial_group(3, 3, F4), build_monomial_group(2, 3, F4),
               su4_generators(), sp4_full(), sl3_generators(F4), A6_TRIPLE]
@@ -890,9 +951,9 @@ def test_spanning_orbit_exists_matches_vector_orbit_oracle():
     cases += [random_conjugate(sl3_generators(F4), rng) for _ in range(3)]
     found = {False: 0, True: 0}
     for T in cases:
-        want = next(spanning_vector_orbits(T), None) is not None
-        assert classify_mod._spanning_orbit_exists(T, T[0].F, T[0].n) == want
-        found[want] += 1
+        want = next(spanning_vector_orbits(T), None)
+        assert classify_mod._spanning_orbit(build_graph(T)) == want
+        found[want is not None] += 1
     assert min(found.values()) > 0
 
 

@@ -43,3 +43,41 @@ def test_no_unused_imports_in_the_package():
         found += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in loaded]
     assert found == []
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    # a module-level private function, class or constant that nothing in
+    # the package refers to is either dead or a test-only oracle, which
+    # belongs in the tests
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    defined = {}
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+            else:
+                continue
+            for target in targets:
+                if target.startswith("_") and not target.startswith("__"):
+                    defined[target] = (name, node.lineno, node.end_lineno)
+    used = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                ref = node.id
+            elif isinstance(node, ast.Attribute):
+                ref = node.attr
+            elif isinstance(node, ast.alias):
+                ref = node.name
+            else:
+                continue
+            where = defined.get(ref)
+            if where and not (where[0] == name
+                              and where[1] <= node.lineno <= where[2]):
+                used.add(ref)
+    assert len(defined) >= 20
+    assert sorted(set(defined) - used) == []
