@@ -123,6 +123,8 @@ VECTOR_TABLE_BUDGET = 2**16
 CERT_MAX_CYCLE = 5
 CERT_MAX_SUBSET = 32
 CERT_MAX_SIZE = 128
+# Element budget for classifying the sections of stability supersets.
+STABILITY_ELEMENT_BUDGET = 2 * 10**4
 
 TAG_KINDS = (
     "Linear",
@@ -946,7 +948,7 @@ def _subfield_iso(F: Field, e: int) -> tuple[Field, Callable[[int], int]]:
     return sub, table.__getitem__
 
 
-def _descend_to_subfield(T: Sequence[Transvection], e: int, seed: int = 0):
+def _descend_to_subfield(T: Sequence[Transvection], e: int):
     """Conjugate the set into SL_n over the degree-e subfield, or None.
 
     Solves the F-linear system M S = S sigma(M) over all generators
@@ -1024,7 +1026,7 @@ def _descend_to_subfield(T: Sequence[Transvection], e: int, seed: int = 0):
     for i in range(d - 1):
         partial.append(partial[-1].mul(sig_s[i]))
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     P = None
     for _ in range(64):
         C0 = Mat(F, tuple(tuple(rng.randrange(F.q) for _ in range(n))
@@ -1109,8 +1111,8 @@ def classify(T: Sequence[Transvection],
         if dfr.degree < F.f:
             # cycles of a dense extension generate the true defining field
             try:
-                T_df, _ = densify(G, budget_projective)
-                dfr = defining_field(build_graph(T_df), dense_hint=True,
+                G_df, _ = densify(G, budget_projective)
+                dfr = defining_field(G_df, dense_hint=True,
                                      budget_walks=budget_walks)
             except CapExceeded:
                 notes.append("defining field from stabilized cycle enumeration "
@@ -1337,14 +1339,11 @@ def _find_monomial_exclusion(T_dense: Sequence[Transvection],
     return None
 
 
-def sample_supersets(T: Sequence[Transvection], T0: Sequence[Transvection],
-                     count: int = 100, extras: int = 3, seed: int = 0,
-                     budget_projective: int = PROJECTIVE_BUDGET) -> list[list[Transvection]]:
-    """Random strongly connected supersets of T0 inside the transvection
-    closure of <T>: T0 plus random conjugates t^w (t in T, w a short word
-    over T), topped up with density witnesses until strongly connected."""
+def _supersets(T: Sequence[Transvection], T_dense: Sequence[Transvection],
+               T0: Sequence[Transvection], count: int, extras: int,
+               seed: int) -> list[TransvectionGraph]:
+    """`sample_supersets` with the dense set of T already at hand."""
     rng = random.Random(seed)
-    T_dense, _ = densify(T, budget_projective)
     T = list(T)
     out = []
     for _ in range(count):
@@ -1361,21 +1360,35 @@ def sample_supersets(T: Sequence[Transvection], T0: Sequence[Transvection],
     return out
 
 
+def sample_supersets(T: Sequence[Transvection], T0: Sequence[Transvection],
+                     count: int = 100, extras: int = 3, seed: int = 0,
+                     budget_projective: int = PROJECTIVE_BUDGET
+                     ) -> list[TransvectionGraph]:
+    """Random strongly connected supersets of T0 inside the transvection
+    closure of <T>: T0 plus random conjugates t^w (t in T, w a short word
+    over T), topped up with density witnesses until strongly connected.
+    Each superset comes as the graph that `connect_up` built for it."""
+    if count < 0 or extras < 0:
+        raise BadParameters(f"need count >= 0 and extras >= 0, got "
+                            f"count={count}, extras={extras}")
+    T_dense, _ = densify(T, budget_projective)
+    return _supersets(T, T_dense, T0, count, extras, seed)
+
+
 def stability_check(T: Sequence[Transvection], T0: Sequence[Transvection],
                     samples: int = 100, seed: int = 0,
-                    budget_elements: int = 2 * 10**4,
+                    budget_elements: int = STABILITY_ELEMENT_BUDGET,
                     budget_projective: int = PROJECTIVE_BUDGET,
                     budget_walks: int = WALK_BUDGET) -> list[ClassificationReport]:
     """Classify the section of each sampled strongly connected superset of
     T0; a certified T0 forces every result to match the classification of
     T itself in tag and field degree."""
-    reports = []
-    for T1 in sample_supersets(T, T0, count=samples, seed=seed,
-                               budget_projective=budget_projective):
-        sec = restrict_to_section(build_graph(T1))
-        reports.append(classify(sec.graph, budget_elements, budget_projective,
-                                budget_walks))
-    return reports
+    if samples < 0:
+        raise BadParameters(f"need samples >= 0, got {samples}")
+    return [classify(restrict_to_section(T1).graph, budget_elements,
+                     budget_projective, budget_walks)
+            for T1 in sample_supersets(T, T0, count=samples, seed=seed,
+                                       budget_projective=budget_projective)]
 
 
 def certify(T: Sequence[Transvection],
@@ -1405,10 +1418,9 @@ def certify(T: Sequence[Transvection],
         raise UnsupportedTag(f"certification applies to classical types, "
                              f"got {report.tag}")
     F, n = G.F, G.n
-    T_dense, words_dense = densify(G, budget_projective)
-    Gd = build_graph(T_dense)
+    Gd, words_dense = densify(G, budget_projective)
     dense_index: dict[Transvection, int] = {}
-    for i, t in enumerate(T_dense):
+    for i, t in enumerate(Gd):
         dense_index.setdefault(t, i)
 
     chosen: list[Transvection] = []
@@ -1428,7 +1440,7 @@ def certify(T: Sequence[Transvection],
         dfr = defining_field(Gd, dense_hint=True, budget_walks=budget_walks)
     cycles = []
     for rec in dfr.witnesses:
-        idxs = [add(T_dense[i]) for i in rec.verts]
+        idxs = [add(Gd[i]) for i in rec.verts]
         cycles.append({"cycle": idxs, "weight": rec.weight})
     properties.append({"kind": "field-witnesses", "degree": dfr.degree,
                        "cycles": cycles})
@@ -1442,7 +1454,7 @@ def certify(T: Sequence[Transvection],
         form = None
         _require(len(symp.verts) <= CERT_MAX_CYCLE,
                  f"non-symplectic cycle longer than {CERT_MAX_CYCLE}")
-        idxs = [add(T_dense[i]) for i in symp.verts]
+        idxs = [add(Gd[i]) for i in symp.verts]
         properties.append({"kind": "non-symplectic-cycle", "cycle": idxs,
                            "defect": symp.defect})
 
@@ -1455,7 +1467,7 @@ def certify(T: Sequence[Transvection],
         else:
             _require(len(res.verts) <= CERT_MAX_CYCLE,
                      f"non-hermitian cycle longer than {CERT_MAX_CYCLE}")
-            idxs = [add(T_dense[i]) for i in res.verts]
+            idxs = [add(Gd[i]) for i in res.verts]
             properties.append({"kind": "non-hermitian-cycle", "cycle": idxs,
                                "defect": res.defect})
     else:
@@ -1470,7 +1482,7 @@ def certify(T: Sequence[Transvection],
                                "coeffs": res.coeffs.to_json(),
                                "type": quadratic_type(res, budget_projective)})
         else:
-            idx = add(T_dense[res.index])
+            idx = add(Gd[res.index])
             properties.append({
                 "kind": "quadratic-obstruction", "transvection": idx,
                 "value": res.value,
@@ -1479,9 +1491,9 @@ def certify(T: Sequence[Transvection],
 
     # symmetric-type exclusion over GF(2)
     if F.q == 2 and form is not None:
-        found = _find_symmetric_exclusion(T_dense, budget_projective)
+        found = _find_symmetric_exclusion(Gd, budget_projective)
         if found is not None:
-            idxs = [add(T_dense[i]) for i in found]
+            idxs = [add(Gd[i]) for i in found]
             excludes = "odd+even" if len(found) < (n + 2) // 2 else "odd"
             properties.append({"kind": "symmetric-exclusion", "subset": idxs,
                                "excludes": excludes})
@@ -1492,10 +1504,10 @@ def certify(T: Sequence[Transvection],
 
     # monomial-type exclusion in characteristic 2 without a symplectic form
     if F.p == 2 and form is None:
-        found = _find_monomial_exclusion(T_dense, budget_projective)
+        found = _find_monomial_exclusion(Gd, budget_projective)
         if found is not None:
             mode, sub = found
-            idxs = [add(T_dense[i]) for i in sub]
+            idxs = [add(Gd[i]) for i in sub]
             properties.append({"kind": "monomial-exclusion", "subset": idxs,
                                "mode": ("weakly-nondegenerate-degenerate"
                                         if mode == "degenerate"
@@ -1507,8 +1519,8 @@ def certify(T: Sequence[Transvection],
 
     # connectivity and nondegeneracy closure
     if not chosen:
-        add(T_dense[0])
-    chosen = winkle(T_dense, connect_up(T_dense, chosen, form=form))
+        add(Gd[0])
+    T0 = winkle(Gd, connect_up(Gd, chosen, form=form))
 
     # self-consistency closure: T0 is itself a strongly connected superset
     # of T0, so its own section must classify to the certified tag and
@@ -1517,34 +1529,32 @@ def certify(T: Sequence[Transvection],
     # SL2(5) inside SL2(9), the point stabilizer inside a symmetric
     # coincidence), so grow T0 with dense elements until its section
     # matches.
-    fill = iter(T_dense)
+    fill = iter(Gd)
     while True:
-        Gc = build_graph(chosen)
-        sec = restrict_to_section(Gc)
+        sec = restrict_to_section(T0)
         own = classify(sec.graph, budget_elements, budget_projective,
                        budget_walks)
         if own.tag == report.tag and own.field_degree == report.field_degree:
             break
-        extra = next((t for t in fill if t not in chosen), None)
+        extra = next((t for t in fill if t not in T0), None)
         if extra is None:
             raise BadParameters("certificate closure exhausted the dense set "
                                 "without matching the classification")
-        chosen = winkle(T_dense, connect_up(T_dense, chosen + [extra],
-                                            form=form))
+        T0 = winkle(Gd, connect_up(Gd, [*T0, extra], form=form))
 
     properties.append({"kind": "connectivity", "strongly_connected": True,
-                       "defect": defect(Gc)})
+                       "defect": defect(T0)})
 
-    words = tuple(words_dense[dense_index[t]] for t in chosen)
+    words = tuple(words_dense[dense_index[t]] for t in T0)
 
     # stability spot check on a few random supersets
-    spot = stability_check(G, chosen, samples=3, seed=seed,
-                           budget_projective=budget_projective,
-                           budget_walks=budget_walks)
+    spot = [classify(restrict_to_section(T1).graph, STABILITY_ELEMENT_BUDGET,
+                     budget_projective, budget_walks)
+            for T1 in _supersets(G, Gd, T0, 3, 3, seed)]
     matches = all(r.tag == report.tag and r.field_degree == report.field_degree
                   for r in spot)
     properties.append({"kind": "stability", "samples": len(spot),
                        "matches": matches})
 
-    return Certificate(base=tuple(T), T0=tuple(chosen), words=words,
+    return Certificate(base=tuple(T), T0=tuple(T0), words=words,
                        properties=tuple(properties))

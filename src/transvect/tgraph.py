@@ -11,8 +11,9 @@ a generating set while staying inside a bounded power of T.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .errors import (
     BadParameters,
@@ -67,12 +68,12 @@ MAX_CYCLE_LEN = 8
 Word = tuple
 
 
-class TransvectionGraph:
+class TransvectionGraph(Sequence):
     """The graph of a transvection set, with pairing values cached.
 
     pair[i][j] = phi_i(v_j); adj[i][j] = (pair[i][j] != 0).  No self-loops
-    (phi(v) = 0 by isotropy).  The graph iterates and indexes as its vertex
-    list, so it can stand wherever a transvection set is read.
+    (phi(v) = 0 by isotropy).  The graph is a Sequence of its vertices, so
+    it can stand wherever a transvection set is read.
     """
 
     __slots__ = ("F", "n", "verts", "pair", "adj", "succ", "vspace", "dual_space")
@@ -369,54 +370,40 @@ class DefiningFieldReport:
     history: tuple[tuple[int, int], ...]  # (max length, degree) pairs
 
 
-def _witness_cycles(F: Field, records: list[CycleRecord],
-                    target: int) -> tuple[CycleRecord, ...]:
-    out: list[CycleRecord] = []
-    deg = 1
-    for r in records:
-        if deg == target:
-            break
-        d = math.lcm(deg, F.element_degree(r.weight))
-        if d > deg:
-            out.append(r)
-            deg = d
-    return tuple(out)
-
-
 def defining_field(G: TransvectionGraph, dense_hint: bool = False,
                    budget_walks: int = WALK_BUDGET) -> DefiningFieldReport:
     """Degree over F_p of the subfield generated by cycle weights.
 
-    With dense_hint, weights of cycles of length <= 5 already generate the
-    whole trace field, so a single enumeration suffices.  Otherwise one
-    `_closed_walks` stream is read level by level until the degree is the
-    full field, holds for 3 consecutive bounds ("stabilized"), or hits the
-    cap ("cap-limited"); it is left between levels, so the walk budget is
-    spent as by `cycles_up_to` at the last length read.
+    One `_closed_walks` stream is read level by level and left once the
+    degree is the full field.  With dense_hint, weights of cycles of
+    length <= 5 already generate the whole trace field, so the stream ends
+    there ("dense").  Otherwise it runs until the degree holds for 3
+    consecutive bounds ("stabilized") or hits the cap ("cap-limited").
+    Either way history has one (length, degree) pair per level read, and
+    the walk budget is spent as by `cycles_up_to` at the last length read.
     """
     F = G.F
-    if dense_hint:
-        records = cycles_up_to(G, 5, budget_walks)
-        deg = F.subfield_generated([r.weight for r in records])
-        return DefiningFieldReport(deg, "dense", _witness_cycles(F, records, deg),
-                                   ((5, deg),))
     history: list[tuple[int, int]] = []
     deg = 1
-    records: list[CycleRecord] = []
+    witnesses: list[CycleRecord] = []
     status = "cap-limited"
-    for k, rec in _closed_walks(G, MAX_CYCLE_LEN, budget_walks):
+    for k, rec in _closed_walks(G, 5 if dense_hint else MAX_CYCLE_LEN,
+                                budget_walks):
         if rec is not None:
-            records.append(rec)
-            if deg != F.f:
-                deg = math.lcm(deg, F.element_degree(rec.weight))
+            # the witnesses are the records that raise the degree
+            d = deg if deg == F.f else math.lcm(deg, F.element_degree(rec.weight))
+            if d > deg:
+                witnesses.append(rec)
+                deg = d
             continue
         history.append((k, deg))
         # degrees only grow, so equal ends make three equal bounds
-        if deg == F.f or (len(history) >= 3 and history[-3][1] == deg):
+        if deg == F.f or (not dense_hint and len(history) >= 3
+                          and history[-3][1] == deg):
             status = "stabilized"
             break
-    return DefiningFieldReport(deg, status, _witness_cycles(F, records, deg),
-                               tuple(history))
+    return DefiningFieldReport(deg, "dense" if dense_hint else status,
+                               tuple(witnesses), tuple(history))
 
 
 # -- density ---------------------------------------------------------------
@@ -553,11 +540,13 @@ def shorten_path(G: TransvectionGraph, phi: Vec, v: Vec) -> tuple[Transvection, 
 
 
 def densify(T: Sequence[Transvection],
-            budget_projective: int = PROJECTIVE_BUDGET) -> tuple[list[Transvection], list[Word]]:
+            budget_projective: int = PROJECTIVE_BUDGET
+            ) -> tuple[TransvectionGraph, list[Word]]:
     """Extend T to a dense set using witnesses from the ball of radius 2n-1.
 
-    Returns (T_d, words) with T as a prefix of T_d; words[i] evaluates to
-    T_d[i] over T and has length <= 2n-1.
+    Returns (T_d, words): the graph of the dense set (T's own when T is
+    already dense) with T as a prefix; words[i] evaluates to T_d[i] over T
+    and has length <= 2n-1.
     """
     G = build_graph(T)
     _require_irreducible(G, "action is reducible")
@@ -589,27 +578,28 @@ def densify(T: Sequence[Transvection],
             _require((b >> j) & 1 and (a >> i) & 1,
                      f"a density witness does not cover the pair ({i}, {j})")
             covered |= a
-    ok, _ = is_dense(build_graph(out), budget_projective)
+    Gd = build_graph(out) if len(out) > len(G) else G
+    ok, _ = is_dense(Gd, budget_projective)
     _require(ok, "densify returned a set that is not dense")
-    return out, words
+    return Gd, words
 
 
 def connect_up(T_dense: Sequence[Transvection], T0: Sequence[Transvection],
-               form=None) -> list[Transvection]:
+               form=None) -> TransvectionGraph:
     """Extend T0 by witnesses from the dense set T_dense until its graph is
-    strongly connected.
+    strongly connected, and return that graph (T0's own if it already is).
 
     Components are linked through their lowest-index representatives in a
     cycle (k witnesses for k components) or, when an invariant form makes
     adjacency symmetric, in an open chain (k-1 witnesses).
     """
-    out = list(T0)
-    G0 = build_graph(out)
+    G0 = build_graph(T0)
+    out = list(G0.verts)
     F = G0.F
     comps = scc(G0)
     k = len(comps)
     if k == 1:
-        return out
+        return G0
     reps = [comp[0] for comp in comps]
     pairs = [(reps[i], reps[i + 1]) for i in range(k - 1)]
     if form is None:
@@ -623,11 +613,12 @@ def connect_up(T_dense: Sequence[Transvection], T0: Sequence[Transvection],
                            counterexample=(tb.v, ta.phi))
         if u not in out:
             out.append(u)
-    if not is_strongly_connected(build_graph(out)):
+    G = build_graph(out)
+    if not is_strongly_connected(G):
         raise NotInvariantForm(
             "open-chain closure failed: the supplied form does not make "
             "adjacency symmetric on these transvections")
-    return out
+    return G
 
 
 def defect(G: TransvectionGraph) -> int:
@@ -638,13 +629,13 @@ def defect(G: TransvectionGraph) -> int:
 
 
 def winkle(T_dense: Sequence[Transvection],
-           T0: Sequence[Transvection]) -> list[Transvection]:
+           T0: Sequence[Transvection]) -> TransvectionGraph:
     """Kill the pairing kernels of a strongly connected T0 one dimension at a
     time, using density witnesses for the lexicographically least kernel
     elements.  Adds exactly defect(T0) vertices; preserves strong
-    connectivity."""
-    out = list(T0)
-    G = build_graph(out)
+    connectivity; returns the graph of the result (T0's own at defect 0)."""
+    G = build_graph(T0)
+    out = list(G.verts)
     if not is_strongly_connected(G):
         raise NotStronglyConnected("winkle needs a strongly connected start set")
     F = G.F
@@ -662,7 +653,7 @@ def winkle(T_dense: Sequence[Transvection],
         _require((k1.dim, k2.dim) == dims,
                  "a winkle step did not lower both kernel dimensions by one")
     _require(is_strongly_connected(G), "winkle lost strong connectivity")
-    return out
+    return G
 
 
 # -- section restriction ---------------------------------------------------
@@ -711,7 +702,8 @@ def restrict_to_section(G: TransvectionGraph) -> SectionRestriction:
             seen[tb] = idx
             tbar.append(tb)
         index_map.append(idx)
-    Gbar = build_graph(tbar)
+    # on a spanning nondegenerate set the projection is the identity
+    Gbar = G if tbar == G.verts else build_graph(tbar)
     N = len(G.verts)
     _require(all(bool(G.pair[i][j]) == bool(Gbar.pair[index_map[i]][index_map[j]])
                  for i in range(N) for j in range(N)),

@@ -1334,3 +1334,69 @@ def test_stability_check_deterministic():
     b = stability_check(T, cert.T0, samples=5, seed=11)
     assert [(str(r.tag), r.field_degree) for r in a] == \
         [(str(r.tag), r.field_degree) for r in b]
+
+
+def test_sampling_rejects_negative_counts():
+    T = sp4_full()
+    T0 = T[:4]
+    for kwargs in ({"count": -1}, {"extras": -1}):
+        with pytest.raises(BadParameters):
+            sample_supersets(T, T0, **kwargs)
+    with pytest.raises(BadParameters):
+        stability_check(T, T0, samples=-1)
+    assert sample_supersets(T, T0, count=0) == []
+    assert all(T1[:4] == T0 for T1 in sample_supersets(T, T0, count=2, extras=0))
+
+
+def test_certify_densifies_once_and_hands_on_its_graphs(monkeypatch):
+    # the spot check samples from certify's own dense graph, and the graphs
+    # that connect_up and winkle return are read, never built again, by
+    # winkle, the certificate closure and the stability sections
+    densified = []
+    real_densify = classify_mod.densify
+
+    def counting_densify(*args):
+        densified.append(args[0])
+        return real_densify(*args)
+
+    handed: set = set()
+    rebuilt = []
+    in_connect_up = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            G = fn(*args, **kwargs)
+            handed.add(tuple(G))
+            return G
+        return wrapper
+
+    real_connect_up = recording(classify_mod.connect_up)
+
+    def connect_up(*args, **kwargs):
+        # connect_up builds the graph of the list it is given
+        in_connect_up.append(True)
+        try:
+            return real_connect_up(*args, **kwargs)
+        finally:
+            in_connect_up.pop()
+
+    real_init = TransvectionGraph.__init__
+
+    def counted(self, verts):
+        real_init(self, verts)
+        if not in_connect_up and tuple(self) in handed:
+            rebuilt.append(tuple(self))
+
+    monkeypatch.setattr(classify_mod, "densify", counting_densify)
+    monkeypatch.setattr(classify_mod, "connect_up", connect_up)
+    monkeypatch.setattr(classify_mod, "winkle", recording(classify_mod.winkle))
+    monkeypatch.setattr(TransvectionGraph, "__init__", counted)
+    for T in (sp4_full(), sl24_full()):
+        densified.clear()
+        handed.clear()
+        cert = certify(T)
+        assert len(densified) == 1
+        assert tuple(cert.T0) in handed
+        assert rebuilt == []
+        assert len(stability_check(T, cert.T0, samples=3)) == 3
+        assert rebuilt == []

@@ -10,6 +10,7 @@ Independent oracles used here:
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -547,6 +548,58 @@ def test_defining_field_trace_oracle():
         assert repd.degree == trace_deg
 
 
+def dense_field_oracle(G):
+    """The dense read as a full enumeration: every record of length <= 5,
+    the subfield their weights generate, and the first records that raise
+    the degree until it is reached."""
+    F = G.F
+    records = cycles_up_to(G, 5)
+    deg = F.subfield_generated([r.weight for r in records])
+    witnesses = []
+    d = 1
+    for r in records:
+        if d == deg:
+            break
+        if math.lcm(d, F.element_degree(r.weight)) > d:
+            d = math.lcm(d, F.element_degree(r.weight))
+            witnesses.append(r)
+    return deg, tuple(witnesses)
+
+
+def test_dense_defining_field_matches_the_full_enumeration():
+    # the dense read leaves the walk stream at the full field; sets with
+    # prime-field weights (conjugated out of the prime field) read all five
+    # lengths
+    rng = random.Random(41)
+    stopped_early = read_all = 0
+    for p, f, ns in ((2, 2, (2, 3)), (2, 3, (2, 3)), (3, 2, (2, 3)), (2, 4, (2,))):
+        F = field_create(p, f)
+        prime = field_create(p, 1)
+        for i in range(9):
+            n = ns[i % len(ns)]
+            while True:
+                T = random_set(prime if i < 2 else F, n, rng.randrange(n, n + 3), rng)
+                T = [Transvection(F, t.v, t.phi) for t in T]
+                if is_irreducible(build_graph(T)).irreducible:
+                    break
+            if i < 2:
+                while True:
+                    g = Mat(F, tuple(tuple(rng.randrange(F.q) for _ in range(n))
+                                     for _ in range(n)))
+                    if g.det() != 0:
+                        break
+                T = [t.conjugate(g) for t in T]
+            Gd, _ = densify(T)
+            rep = defining_field(Gd, dense_hint=True)
+            assert (rep.degree, rep.witnesses) == dense_field_oracle(Gd)
+            assert rep.status == "dense"
+            lengths = [k for k, _ in rep.history]
+            assert lengths == list(range(2, lengths[-1] + 1))
+            stopped_early += lengths[-1] < 5
+            read_all += rep.degree < f and lengths[-1] == 5
+    assert stopped_early and read_all
+
+
 # -- density -----------------------------------------------------------------
 
 
@@ -641,7 +694,7 @@ def test_densify_examples():
         Transvection(F, (1, 1), (1, 1)),
     ]
     out, words = densify(full_sl2)
-    assert out == full_sl2
+    assert list(out) == full_sl2
     assert words == [((0, 1),), ((1, 1),), ((2, 1),)]
 
     pair = full_sl2[:2]
@@ -723,7 +776,7 @@ def test_connect_up():
     assert is_strongly_connected(build_graph(T1f))
 
     # already strongly connected: unchanged
-    assert connect_up(dense_set, T0[:2]) == T0[:2]
+    assert list(connect_up(dense_set, T0[:2])) == T0[:2]
 
     # a non-dense ambient set cannot link the components
     with pytest.raises(NotDense):
@@ -739,7 +792,7 @@ def test_winkle():
         Transvection(F, e(4, 1), e(4, 0)),
     ]
     assert defect(build_graph(T0)) == 0
-    assert winkle(dense_set, T0) == T0
+    assert list(winkle(dense_set, T0)) == T0
 
     # isotropic direction e3 inside V(T0): defect 1, one witness added
     T1 = [
