@@ -57,7 +57,7 @@ from .forms import (
     recover_quadratic,
 )
 from .gf import Field, field_create
-from .linalg import Mat, Vec, _code, _digits, vec_scale
+from .linalg import Mat, Subspace, Vec, _code, _digits, vec_scale
 from .tgraph import (
     PROJECTIVE_BUDGET,
     WALK_BUDGET,
@@ -66,6 +66,7 @@ from .tgraph import (
     Word,
     _radicals,
     _require_irreducible,
+    _tree_edges,
     build_graph,
     connect_up,
     defect,
@@ -884,9 +885,9 @@ def quadratic_type(Q: QuadraticForm,
     m = n // 2
     if count == (q ** (m - 1) + 1) * (q**m - 1):
         return "plus"
-    if count == (q ** (m - 1) - 1) * (q**m + 1):
-        return "minus"
-    raise BadParameters("singular count matches neither type")  # pragma: no cover
+    _require(count == (q ** (m - 1) - 1) * (q**m + 1),
+             "singular count matches neither type")
+    return "minus"
 
 
 # -- subfield descent --------------------------------------------------------
@@ -948,116 +949,42 @@ def _subfield_iso(F: Field, e: int) -> tuple[Field, Callable[[int], int]]:
     return sub, table.__getitem__
 
 
-def _descend_to_subfield(T: Sequence[Transvection], e: int):
-    """Conjugate the set into SL_n over the degree-e subfield, or None.
+def _descend_to_subfield(G: TransvectionGraph, e: int):
+    """(T_sub, P): the set of G conjugated by P into SL_n over the degree-e
+    subfield F0, or None when an entry of some P^-1 M_t P leaves F0, which
+    happens only when a cycle weight lies outside F0.
 
-    Solves the F-linear system M S = S sigma(M) over all generators
-    (sigma = the Frobenius power fixing exactly the subfield); any nonzero
-    solution is invertible because its kernel would be invariant.  The
-    Galois cocycle S sigma(S) ... is a scalar c by irreducibility; scaling
-    S by mu with Norm(mu) = 1/c trivializes it, and the twisted average
-    P = sum_i S sigma(S)...sigma^(i-1)(S) sigma^i(C0) over trial matrices
-    C0 yields an invertible P with S sigma(P) = P.  Then P^-1 M P has
-    sigma-fixed entries, which map through the subfield isomorphism.
+    Rescaling t to (a_t v_t, a_t^-1 phi_t) keeps every cycle weight.  Take
+    a_0 = 1 and a_s = a_t / phi_t(v_s) along a breadth-first tree from
+    vertex 0, so every tree edge pairs to 1.  A rescaled pairing
+    a_s / a_t phi_t(v_s) is then the ratio of the weights of two closed
+    walks that share a return path from s to vertex 0: the tree path to t
+    followed by the edge t -> s, and the tree path to s.  Every rescaled
+    pairing lies in F0 when the cycle weights do.  P has columns a_b v_b
+    for the basis of v's that `Subspace.extension` picks, so
+    P^-1 M_t P = 1 + (P^-1 a_t v_t)(a_t^-1 phi_t P).  The right factor is
+    a row of rescaled pairings, and the left one solves a system of them,
+    because the phi's span the dual space.  Both lie in F0^n.
     """
-    F = T[0].F
-    n = T[0].n
-    f = F.f
-    if f % e or e >= f or F.q > VECTOR_TABLE_BUDGET:
+    F, n = G.F, G.n
+    if F.f % e or e >= F.f or F.q > VECTOR_TABLE_BUDGET:
         return None
-    d = f // e
-    sig = _frobenius_power(F, e)
-
-    def sig_mat(M: Mat) -> Mat:
-        return M.map_entries(sig)
-
-    mats = [t.matrix() for t in T]
-    rows = []
-    for M in mats:
-        Ms = sig_mat(M)
-        for i in range(n):
-            for j in range(n):
-                row = [0] * (n * n)
-                for k in range(n):
-                    row[k * n + j] = F.add(row[k * n + j], M.rows[i][k])
-                for k in range(n):
-                    row[i * n + k] = F.sub(row[i * n + k], Ms.rows[k][j])
-                rows.append(tuple(row))
-    ker = Mat(F, tuple(rows)).kernel()
-    if not ker:
-        return None
-    S = Mat(F, tuple(tuple(ker[0][i * n + j] for j in range(n)) for i in range(n)))
-    if S.det() == 0:
-        return None  # pragma: no cover - impossible for irreducible input
-
-    def cocycle(S0: Mat) -> Mat:
-        C = S0
-        Si = S0
-        for _ in range(1, d):
-            Si = sig_mat(Si)
-            C = C.mul(Si)
-        return C
-
-    C = cocycle(S)
-    c = C.rows[0][0]
-    if c == 0 or C.rows != Mat.identity(F, n).scale(c).rows:
-        return None
-
-    def norm(x: int) -> int:
-        acc = x
-        y = x
-        for _ in range(d - 1):
-            y = sig(y)
-            acc = F.mul(acc, y)
-        return acc
-
-    target = F.inv(c)
-    mu = next((x for x in F.nonzero() if norm(x) == target), None)
-    if mu is None:
-        return None  # pragma: no cover - the norm map is surjective
-    S = S.scale(mu)
-    _require(cocycle(S).rows == Mat.identity(F, n).rows,
-             "the rescaled Galois cocycle is not trivial")
-
-    sig_s = [S]
-    for _ in range(1, d):
-        sig_s.append(sig_mat(sig_s[-1]))
-    partial = [Mat.identity(F, n)]
-    for i in range(d - 1):
-        partial.append(partial[-1].mul(sig_s[i]))
-
-    rng = random.Random(0)
-    P = None
-    for _ in range(64):
-        C0 = Mat(F, tuple(tuple(rng.randrange(F.q) for _ in range(n))
-                          for _ in range(n)))
-        cand = Mat.zero(F, n, n)
-        Ci = C0
-        for i in range(d):
-            cand = cand.add(partial[i].mul(Ci))
-            Ci = sig_mat(Ci)
-        if cand.det() != 0:
-            P = cand
-            break
-    if P is None:
-        return None  # pragma: no cover - invertible averages are plentiful
-    _require(S.mul(sig_mat(P)).rows == P.rows,
-             "the descent basis P does not satisfy S sigma(P) = P")
+    a = [1] * len(G)
+    tree = _tree_edges(G, 0)
+    _require(len(tree) == len(G) - 1,
+             "the breadth-first tree misses a vertex of an irreducible graph")
+    for t, s in tree:
+        a[s] = F.div(a[t], G.pair[t][s])
+    basis = Subspace.zero(F, n).extension(t.v for t in G.verts)
+    P = Mat(F, tuple(vec_scale(F, a[b], G.verts[b].v) for b in basis)).transpose()
     Pi = P.inv()
+    sig = _frobenius_power(F, e)
+    conj = [Pi.mul(t.matrix()).mul(P).rows for t in G.verts]
+    if any(sig(x) != x for rows in conj for row in rows for x in row):
+        return None
     sub, iso = _subfield_iso(F, e)
-    out = []
-    for M in mats:
-        Md = Pi.mul(M).mul(P)
-        conv = []
-        for row in Md.rows:
-            new = []
-            for x in row:
-                if sig(x) != x:
-                    return None  # pragma: no cover - forced by S sigma(P) = P
-                new.append(iso(x))
-            conv.append(tuple(new))
-        out.append(tv_from_matrix(Mat(sub, tuple(conv))))
-    return out, P
+    return [tv_from_matrix(Mat(sub, tuple(tuple(map(iso, row)) for row in rows)))
+            for rows in conj], P
 
 
 # -- classification ----------------------------------------------------------
@@ -1071,13 +998,15 @@ def classify(T: Sequence[Transvection],
 
     Pipeline: defining field from cycle weights (confirmed on a dense
     extension when the first pass comes up short of the full field);
-    subfield descent and reclassification when the degree is a proper
-    divisor; symplectic form detection; quadratic refinement and its type
-    in characteristic 2; hermitian detection when no symplectic form
-    exists and the field carries an involution; invariant spanning set
-    over GF(2) under a symplectic form; invariant line structure when no
-    symplectic form exists; the exact group order from a stabilizer chain
-    (`group_order`) within the element budget.  The tag is
+    when the degree is a proper divisor, subfield descent by rescaling
+    along a breadth-first tree of the graph (`_descend_to_subfield`, whose
+    basis P is the `descent_basis` witness) and reclassification of the
+    conjugated set; symplectic form detection; quadratic refinement and
+    its type in characteristic 2; hermitian detection when no symplectic
+    form exists and the field carries an involution; invariant spanning
+    set over GF(2) under a symplectic form; invariant line structure when
+    no symplectic form exists; the exact group order from a stabilizer
+    chain (`group_order`) within the element budget.  The tag is
     the most special verified structure: full linear order first, then
     monomial lines, then a spanning set acted on by transpositions, then
     the detected classical form cross-checked against its order formula,
@@ -1121,7 +1050,7 @@ def classify(T: Sequence[Transvection],
     e = dfr.degree
 
     if e < F.f:
-        descent = _descend_to_subfield(T, e)
+        descent = _descend_to_subfield(G, e)
         if descent is None:
             notes.append(f"cycle weights generate a degree-{e} subfield but no "
                          f"base change was found within budget")

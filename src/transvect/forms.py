@@ -44,6 +44,7 @@ from .tgraph import (
     _cycle_defect,
     _distances,
     _require_irreducible,
+    _tree_edges,
 )
 
 __all__ = [
@@ -266,21 +267,14 @@ def detect_invariant_form(G: TransvectionGraph, twist: str = "identity",
                 return hunt(2)
 
     # 3. propagate lam along a breadth-first tree from vertex 0
-    lam: list[int | None] = [None] * N
+    lam = [1] * N
     depth = [0] * N
-    lam[0] = 1
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for s in G.succ[t]:
-                if lam[s] is None:
-                    lam[s] = F.neg(F.div(F.mul(lam[t], P[t][s]), th(P[s][t])))
-                    depth[s] = depth[t] + 1
-                    nxt.append(s)
-        frontier = nxt
-    _require(all(x is not None for x in lam),
+    tree = _tree_edges(G, 0)
+    _require(len(tree) == N - 1,
              "the breadth-first tree misses a vertex of an irreducible graph")
+    for t, s in tree:
+        lam[s] = F.neg(F.div(F.mul(lam[t], P[t][s]), th(P[s][t])))
+        depth[s] = depth[t] + 1
 
     # 4. every edge must satisfy the pairing relation.  The tree-path cycle
     # through a bad edge is only guaranteed non-conforming when both scaling
@@ -314,10 +308,8 @@ def detect_invariant_form(G: TransvectionGraph, twist: str = "identity",
                              f"relation at vertex {t}")
 
     form = SesquiForm(F, gram, twist)
-    for t in G.verts:
-        if not form.invariant_under(t.matrix()):
-            raise NotInvariantForm(
-                "constructed form rejected by a generator")  # pragma: no cover
+    _require(all(form.invariant_under(t.matrix()) for t in G.verts),
+             "constructed form rejected by a generator")
     return form
 
 
@@ -358,8 +350,8 @@ def recover_quadratic(G: TransvectionGraph, f: SesquiForm):
         w = f.dual_covector(t.v)
         i0 = next(i for i in range(n) if w[i] != 0)
         a = F.div(t.phi[i0], w[i0])
-        if vec_scale(F, a, tuple(w)) != t.phi:  # pragma: no cover - invariance
-            raise NotInvariantForm("phi_t is not parallel to f(., v_t)")
+        _require(vec_scale(F, a, tuple(w)) == t.phi,
+                 "phi_t is not parallel to f(., v_t)")
         us.append(vec_scale(F, F.sqrt_char2(a), t.v))
 
     basis_idx = Subspace.zero(F, n).extension(us)

@@ -24,6 +24,7 @@ from .errors import (
     FieldMismatch,
     NoInvolution,
     NotPrime,
+    _require,
 )
 
 __all__ = ["Field", "field_create", "is_prime"]
@@ -153,7 +154,7 @@ def _find_modulus(p: int, f: int) -> tuple[int, ...]:
         # monic by construction of the range
         if _is_irreducible(digits, p):
             return tuple(digits)
-    raise ArithmeticError("no irreducible polynomial found")  # pragma: no cover
+    _require(False, f"no monic irreducible of degree {f} over F_{p}")
 
 
 class Field:
@@ -401,10 +402,10 @@ class Field:
         dividing q - 1."""
         q = self.q
         rs = _prime_factors(q - 1)
-        for x in range(1, q):
-            if all(self.pow(x, (q - 1) // r) != 1 for r in rs):
-                return x
-        raise ArithmeticError("multiplicative group not cyclic?")  # pragma: no cover
+        x = next((x for x in range(1, q)
+                  if all(self.pow(x, (q - 1) // r) != 1 for r in rs)), None)
+        _require(x is not None, "the multiplicative group has no generator")
+        return x
 
     def sqrt_char2(self, x: int) -> int:
         """Square root when p = 2 (Frobenius is bijective)."""

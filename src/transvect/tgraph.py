@@ -173,19 +173,26 @@ def is_strongly_connected(G: TransvectionGraph) -> bool:
     return len(scc(G)) == 1
 
 
+def _tree_edges(G: TransvectionGraph, s: int) -> list[tuple[int, int]]:
+    """The edges t -> u of the breadth-first tree from vertex s, in the
+    order the search finds them, so each edge starts at s or at the end of
+    an earlier edge."""
+    order, seen, edges = [s], {s}, []
+    for t in order:
+        for u in G.succ[t]:
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+                edges.append((t, u))
+    return edges
+
+
 def _distances(G: TransvectionGraph, s: int) -> list[int]:
     """Edge distances from vertex s, with -1 where s does not reach."""
     dist = [-1] * len(G.verts)
     dist[s] = 0
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in G.succ[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        frontier = nxt
+    for t, u in _tree_edges(G, s):
+        dist[u] = dist[t] + 1
     return dist
 
 
@@ -514,8 +521,7 @@ def shorten_path(G: TransvectionGraph, phi: Vec, v: Vec) -> tuple[Transvection, 
             if found is not None:
                 break
         frontier = nxt
-    if found is None:  # pragma: no cover - impossible for irreducible input
-        raise NotIrreducible("no chain from phi to v")
+    _require(found is not None, "no chain from phi to v")
     rev = []
     node: int | None = found
     while node is not None:

@@ -17,6 +17,7 @@ from .errors import (
     NotTransvection,
     UnsupportedKind,
     ZeroVector,
+    _require,
 )
 from .gf import Field
 from .linalg import Mat, Vec, _check_entries, dot, is_zero_vec, outer, vec_scale
@@ -179,8 +180,7 @@ def standard_full_field_set(kind: str, F: Field, n: int,
             raise BadParameters("need n >= 3")
         th = F.involution
         eps = next((x for x in F.nonzero() if F.add(x, th(x)) == 0), None)
-        if eps is None:
-            raise UnsupportedKind("no eps with eps^theta = -eps")  # pragma: no cover
+        _require(eps is not None, "no eps with eps^theta = -eps")
         # hermitian form x1 y2^th + x2 y1^th + x3 y3^th on the first 3 coords
         def dual(v: Vec) -> Vec:
             out = [0] * n

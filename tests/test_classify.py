@@ -78,6 +78,8 @@ F8 = field_create(2, 3)
 F9 = field_create(3, 2)
 F16 = field_create(2, 4)
 F25 = field_create(5, 2)
+F27 = field_create(3, 3)
+F49 = field_create(7, 2)
 
 
 def e(n, i, c=1):
@@ -1176,13 +1178,73 @@ def test_classify_subfield_descent():
     assert rep.field_degree == 1
     assert rep.order_enumerated == 6
     assert any("subfield" in n for n in rep.notes)
-    assert "descent_basis" in rep.witnesses
+    # both tree edges already pair to 1, so the basis is the v's unscaled
+    assert rep.witnesses["descent_basis"] == Mat.identity(F4, 2)
     # lambda = 1 over GF(9): a copy of SL2(3)
     t = Transvection(F9, (1, 0), (0, 1))
     s = Transvection(F9, (0, 1), (1, 0))
     rep = classify([t, s])
     assert rep.tag == LINEAR and rep.field_degree == 1
     assert rep.order_enumerated == 24
+    assert rep.witnesses["descent_basis"] == Mat.identity(F9, 2)
+
+
+def random_transvection(F, n, rng):
+    while True:
+        v = tuple(rng.randrange(F.q) for _ in range(n))
+        phi = tuple(rng.randrange(F.q) for _ in range(n))
+        if any(v) and any(phi):
+            s = 0
+            for a, b in zip(phi, v):
+                s = F.add(s, F.mul(a, b))
+            if s == 0:
+                return Transvection(F, v, phi)
+
+
+def descent_inputs():
+    """15 seeded irreducible sets over each subfield F0, written over an
+    extension F and conjugated there by a random invertible matrix."""
+    for F0, F in ((F2, F4), (F2, F8), (F2, F16), (F4, F16), (F3, F9),
+                  (F3, F27), (F5, F25), (F7, F49)):
+        _, iso = classify_mod._subfield_iso(F, F0.f)
+        sig = classify_mod._frobenius_power(F, F0.f)
+        emb = {iso(x): x for x in F.elements() if sig(x) == x}
+        rng = random.Random(F.q)
+        for i in range(15):
+            n = 3 if i % 2 and F.q <= 16 else 2
+            while True:
+                T0 = [random_transvection(F0, n, rng)
+                      for _ in range(rng.randint(n, n + 1))]
+                if is_irreducible(build_graph(T0)).irreducible:
+                    break
+            T = [Transvection(F, [emb[x] for x in t.v], [emb[x] for x in t.phi])
+                 for t in T0]
+            yield T0, random_conjugate(T, rng)
+
+
+def test_classify_descent_matches_the_subfield_classification():
+    checked = 0
+    for T0, T in descent_inputs():
+        rep0, rep = classify(T0), classify(T)
+        assert ((rep.tag, rep.field_degree, rep.order_predicted,
+                 rep.order_enumerated)
+                == (rep0.tag, rep0.field_degree, rep0.order_predicted,
+                    rep0.order_enumerated))
+        P = rep.witnesses["descent_basis"]
+        Pi = P.inv()
+        sig = classify_mod._frobenius_power(P.F, rep.field_degree)
+        for t in T:
+            assert all(sig(x) == x for row in Pi.mul(t.matrix()).mul(P).rows
+                       for x in row)
+        checked += 1
+    assert checked >= 100
+
+
+def test_descend_to_subfield_is_none_when_a_weight_leaves_the_subfield():
+    # the 2-cycle weights 2 in GF(4) and 3 in GF(9) lie outside the prime field
+    for F, lam in ((F4, 2), (F9, 3)):
+        T = [Transvection(F, (1, 0), (0, lam)), Transvection(F, (0, 1), (1, 0))]
+        assert classify_mod._descend_to_subfield(build_graph(T), 1) is None
 
 
 def test_classify_requires_irreducible():
@@ -1206,19 +1268,8 @@ def fuzz_sets():
     for _ in range(60):
         F = rng.choice([F2, F3, F4])
         n = rng.choice([2, 3])
-        T = []
-        for _ in range(rng.randint(2, 4)):
-            while True:
-                v = tuple(rng.randrange(F.q) for _ in range(n))
-                phi = tuple(rng.randrange(F.q) for _ in range(n))
-                if any(v) and any(phi):
-                    s = 0
-                    for a, b in zip(phi, v):
-                        s = F.add(s, F.mul(a, b))
-                    if s == 0:
-                        break
-            T.append(Transvection(F, v, phi))
-        yield F, n, T
+        yield F, n, [random_transvection(F, n, rng)
+                     for _ in range(rng.randint(2, 4))]
 
 
 def test_classify_random_inputs_fuzz():

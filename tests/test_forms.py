@@ -293,6 +293,14 @@ def test_detect_sp4_gram():
     assert form_exists_oracle(F2, 4, [t.matrix() for t in T], "identity")
 
 
+def test_detect_invariance_failure_raises_internal_error(monkeypatch):
+    # the final invariance check survives python -O and raises InternalError
+    T, _ = symplectic_transvections(F2, SP4_GRAM)
+    monkeypatch.setattr(SesquiForm, "invariant_under", lambda self, M: False)
+    with pytest.raises(InternalError, match="rejected by a generator"):
+        detect_invariant_form(build_graph(T), "identity")
+
+
 def test_detect_obstruction_ring():
     # SL pair over GF(4) with lambda = omega plus a weight-1 return path:
     # one-way 3-ring whose forward weight omega cannot match the zero

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import ast
+import builtins
+import importlib
 from pathlib import Path
 
 import transvect
+from transvect.errors import TransvectError
 
 SRC = Path(transvect.__file__).parent
 
@@ -81,3 +84,40 @@ def test_every_private_module_name_is_used_in_the_package():
                 used.add(ref)
     assert len(defined) >= 20
     assert sorted(set(defined) - used) == []
+
+
+def test_every_raise_in_the_package_raises_a_transvect_error():
+    # callers and the CLI separate domain failures by TransvectError; any
+    # other exception escapes as a traceback.  A raise that a handler of its
+    # own try statement catches is local control flow and is exempt; a bare
+    # raise re-raises what a handler caught.
+    found, checked = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        name = "transvect" if path.stem == "__init__" else f"transvect.{path.stem}"
+        scope = {**vars(builtins), **vars(importlib.import_module(name))}
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        caught = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Try):
+                handled = tuple(
+                    BaseException if h.type is None
+                    else eval(ast.unparse(h.type), scope)
+                    for h in node.handlers)
+                for stmt in node.body:
+                    for sub in ast.walk(stmt):
+                        if isinstance(sub, ast.Raise):
+                            caught.setdefault(sub, []).append(handled)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = eval(ast.unparse(exc), scope)
+            checked += 1
+            if issubclass(cls, TransvectError):
+                continue
+            if any(issubclass(cls, h) for handled in caught.get(node, ())
+                   for h in handled):
+                continue
+            found.append(f"{path.name}:{node.lineno} {cls.__name__}")
+    assert checked >= 100
+    assert found == []
