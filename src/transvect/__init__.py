@@ -69,6 +69,7 @@ from .cayley import (
     CayleyExploration,
     bfs_explore,
     bidirectional_distance,
+    shortest_word,
     transvection_ball,
     transvection_length_profile,
     word_recover,
@@ -125,6 +126,7 @@ __all__ = [
     "CayleyExploration",
     "bfs_explore",
     "bidirectional_distance",
+    "shortest_word",
     "transvection_ball",
     "transvection_length_profile",
     "word_recover",

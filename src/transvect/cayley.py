@@ -7,26 +7,30 @@ witnesses, transvection balls, and the maximal transvection-length of a
 group containing transvections.
 
 Every group search in the package, `classify.enumerate_group` included,
-runs on one packed-row engine: a row packs as sum(x_j q^j) (the `linalg`
-vector codec) and a matrix as sum(r_i D^i) over its row codes r_i, with
-D = q^n.  Right multiplication by a step S maps rows independently, so a
-product is one lookup per row in a memo table of S (`_RowTable`), built
-from the row codes of S and filled on first use: in characteristic 2,
-where adding packed rows is XOR of their codes, as the XOR of the images
-of the code's set bits; otherwise as a sum of digit images in wide lanes,
-reduced mod p once.  The stabilizer chain behind `classify.group_order`
-multiplies with the same tables, and the orbit scans of the monomial and
-symmetric detectors map point and vector codes through them.
+runs on one packed-row engine.  A row packs as its code sum(x_j q^j) (the
+`linalg` vector codec) and a matrix as the string of its row codes, one
+character each, last row first; so fixed-length keys compare as the
+integers sum(r_i D^i), D = q^n, and q^n - 1 may not exceed
+`sys.maxunicode`.  Right multiplication by a step S maps rows
+independently, so a product is one `str.translate` of the key through a
+memo table of S (`_RowTable`), built from the row codes of S and filled on
+first use: in characteristic 2, where adding packed rows is XOR of their
+codes, as the XOR of the images of the code's set bits; otherwise as a sum
+of digit images in wide lanes, reduced mod p once.  The stabilizer chain
+behind `classify.group_order` multiplies with the same tables, and the
+orbit scans of the monomial and symmetric detectors map point and vector
+codes through them.
 
-Packed keys decode to transvections in one place, `_transvections`, for
-the transvection balls and `CayleyExploration.transvections`; so the
-transvection profile is one search over X and one over every transvection.
+Keys decode to transvections in one place, `_transvections`, which reads
+the row codes without building a matrix, for the transvection balls and
+`CayleyExploration.transvections`; so the transvection profile is one
+search over X and one over every transvection.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -36,18 +40,17 @@ from .errors import (
     FieldMismatch,
     NotExplored,
     NotFound,
-    NotTransvection,
     Singular,
 )
 from .gf import Field
-from .linalg import Mat, _check_entries, _code, _digits
-from .transvections import Transvection, tv_from_matrix
+from .linalg import Mat, _check_entries, _code, _digits, dot
+from .transvections import Transvection
 
 Word = tuple
 
-# Default exploration budget.  Each stored element costs one packed integer
-# key (at most n^2 log2(q) bits) plus the distance and parent entries, so
-# 10^7 elements stay within desk memory.
+# Default exploration budget.  Each stored element costs one key string (n
+# characters of at most 4 bytes, plus the string header) and its distance
+# and parent entries, so 10^7 elements stay within desk memory.
 DEFAULT_CAP = 10**7
 
 
@@ -55,12 +58,13 @@ def _rows(M: Mat) -> tuple[int, ...]:
     return tuple(_code(M.F.q, r) for r in M.rows)
 
 
-def _pack(M: Mat) -> int:
-    """The key of a square matrix: its row codes in base D = q^n."""
-    return _code(M.F.q**M.nrows, _rows(M))
+def _pack(M: Mat) -> str:
+    """The key of a square matrix: its row codes as characters, last row
+    first."""
+    return "".join(map(chr, reversed(_rows(M))))
 
 
-def _encode(F: Field, n: int, M: Mat) -> int | None:
+def _encode(F: Field, n: int, M: Mat) -> str | None:
     """The key of M, or None when M is not an n x n matrix over F."""
     if M.F != F or M.nrows != n or M.ncols != n:
         return None
@@ -71,18 +75,50 @@ def _encode(F: Field, n: int, M: Mat) -> int | None:
     return _pack(M)
 
 
-def _unpack(F: Field, n: int, key: int) -> Mat:
-    return Mat(F, [_digits(F.q, n, c) for c in _digits(F.q**n, n, key)])
+def _unpack(F: Field, n: int, key: str) -> Mat:
+    return Mat(F, [_digits(F.q, n, ord(c)) for c in reversed(key)])
 
 
 def _transvections(F: Field, n: int,
-                   keys: Iterable[int]) -> Iterator[tuple[int, Transvection]]:
-    """(key, transvection) for each key that packs a transvection."""
+                   keys: Iterable[str]) -> Iterator[tuple[str, Transvection]]:
+    """(key, transvection) for each key that packs a transvection.
+
+    Read off the row codes r_i: the displaced rows r_i - e_i must be
+    multiples v_i phi of the first nonzero one, phi (so v is 1 there), with
+    phi(v) = 0; which is the (v, phi) that `tv_from_matrix` recovers.  Only
+    the keys that pass build a `Transvection`."""
+    q = F.q
+    units = [q**i for i in range(n)]
+    minus_one = [F.sub(x, 1) - x for x in range(q)]  # digit x -> x - 1
+    multiples: dict[int, dict[int, int]] = {}  # phi -> {code of c phi: c}
     for key in keys:
-        try:
-            yield key, tv_from_matrix(_unpack(F, n, key))
-        except NotTransvection:
-            pass
+        v = [0] * n
+        phi = 0
+        for i, ch in enumerate(reversed(key)):
+            e = units[i]
+            r = ord(ch)
+            r += minus_one[r // e % q] * e  # the displaced row r_i - e_i
+            if not r:
+                continue
+            if not phi:
+                phi = r
+                scaled = multiples.get(phi)
+                if scaled is None:
+                    digits = _digits(q, n, phi)
+                    scaled = multiples[phi] = {
+                        _code(q, [F.mul(c, x) for x in digits]): c
+                        for c in range(1, q)}
+                v[i] = 1
+            else:
+                c = scaled.get(r)
+                if c is None:
+                    break
+                v[i] = c
+        else:
+            if phi:
+                phi_digits = _digits(q, n, phi)
+                if dot(F, phi_digits, v) == 0:
+                    yield key, Transvection(F, v, phi_digits)
 
 
 class _RowTable(dict):
@@ -193,56 +229,55 @@ class _RowTable(dict):
 
 class _Search:
     """Breadth-first search of the elements reached from the identity by
-    right multiplication with the given steps, over packed keys."""
+    right multiplication with the given steps, over string keys: a product
+    is one `str.translate` of the key through the step's row table."""
 
     def __init__(self, F: Field, n: int, steps: Sequence[Mat]):
+        D = F.q**n
+        if D - 1 > sys.maxunicode:
+            raise CapExceeded(f"q^n = {D} row codes exceed the "
+                              f"{sys.maxunicode + 1} characters of a search key",
+                              count=D)
         self.F = F
         self.n = n
-        self.weights = tuple(F.q ** (n * i) for i in range(n))
         self.tables = [_RowTable(F, _rows(S)) for S in steps]
 
-    def key(self, rows: Sequence[int]) -> int:
-        return sum(map(mul, rows, self.weights))
-
-    def layer(self, frontier: list, seen: dict, d: int, cap: int,
-              parents: dict | None = None) -> list:
-        """Multiply each row tuple of `frontier` by each step, in frontier
-        order then step order, and record every new key in `seen` at
-        distance d (and its (step index, parent key) in `parents`).
-        Returns the new row tuples; stops early once `seen` holds more
-        than `cap` keys."""
-        gets = [t.__getitem__ for t in self.tables]
-        W = self.weights
+    def layer(self, frontier: list[str], seen: dict, d: int, cap: int,
+              parents: dict | None = None) -> list[str]:
+        """Multiply each key of `frontier` by each step, in frontier order
+        then step order, and record every new key in `seen` at distance d
+        (and its (step index, parent key) in `parents`).  Returns the new
+        keys; stops early once `seen` holds more than `cap` keys."""
+        tables = self.tables
         nxt = []
-        for rows in frontier:
-            if parents is not None:
-                pkey = sum(map(mul, rows, W))
-            for si, get in enumerate(gets):
-                new = tuple(map(get, rows))
-                key = sum(map(mul, new, W))
+        for state in frontier:
+            for si, table in enumerate(tables):
+                key = state.translate(table)
                 if key not in seen:
                     seen[key] = d
                     if parents is not None:
-                        parents[key] = (si, pkey)
-                    nxt.append(new)
+                        parents[key] = (si, state)
+                    nxt.append(key)
             if len(seen) > cap:
                 break
         return nxt
 
     def explore(self, cap: int, parents: dict | None = None,
-                radius: int | None = None) -> tuple[dict, list[int]]:
+                radius: int | None = None,
+                target: str | None = None) -> tuple[dict, list[int]]:
         """Layers from the identity until none is new, or through distance
-        `radius`, or until more than `cap` elements are seen.  Returns the
-        distance map and the per-distance counts of the complete layers;
-        the caller detects the cap as len(seen) > cap."""
-        ident = _rows(Mat.identity(self.F, self.n))
-        ikey = self.key(ident)
-        seen = {ikey: 0}
+        `radius`, or through the layer holding `target`, or until more than
+        `cap` elements are seen.  Returns the distance map and the
+        per-distance counts of the complete layers; the caller detects the
+        cap as len(seen) > cap."""
+        ident = _pack(Mat.identity(self.F, self.n))
+        seen = {ident: 0}
         if parents is not None:
-            parents[ikey] = None
+            parents[ident] = None
         frontier = [ident]
         histogram = [1]
-        while frontier and (radius is None or len(histogram) <= radius):
+        while (frontier and (radius is None or len(histogram) <= radius)
+               and target not in seen):
             frontier = self.layer(frontier, seen, len(histogram), cap, parents)
             if len(seen) > cap:
                 break
@@ -267,16 +302,21 @@ def _check_generators(X: Sequence[Mat]) -> tuple[Field, int]:
     return F, n
 
 
+def _check_element(F: Field, n: int, g: Mat) -> None:
+    if g.F != F or g.nrows != n or g.ncols != n:
+        raise DimensionMismatch("element does not match the generators")
+    _check_entries(g)
+
+
 def _symmetrize(X: Sequence[Mat]) -> list[tuple[Mat, int, int]]:
     """The step list X followed by the inverses that are new matrices,
     each tagged (matrix, generator index, exponent)."""
     steps = [(M, i, 1) for i, M in enumerate(X)]
-    keys = {_pack(M) for M in X}
+    seen = set(X)
     for i, M in enumerate(X):
         Minv = M.inv()
-        k = _pack(Minv)
-        if k not in keys:
-            keys.add(k)
+        if Minv not in seen:
+            seen.add(Minv)
             steps.append((Minv, i, -1))
     return steps
 
@@ -286,18 +326,19 @@ class CayleyExploration:
     """Exact distances from the identity in the Cayley graph of <X> with
     respect to X and the inverses.
 
-    `dist` maps the packed integer key of each element (see `encode`) to
-    its distance, `parents` to (step index, parent key) along one shortest
-    path (None at the identity), and `steps` lists the symmetrized
-    generators as (matrix, index into X, exponent).  The histogram counts
-    elements per distance, so the diameter is len(histogram) - 1."""
+    `dist` maps the key of each element (see `encode`: a string of its row
+    codes, last row first) to its distance, `parents` to (step index,
+    parent key) along one shortest path (None at the identity), and
+    `steps` lists the symmetrized generators as (matrix, index into X,
+    exponent).  The histogram counts elements per distance, so the
+    diameter is len(histogram) - 1."""
 
     F: Field
     n: int
     X: tuple[Mat, ...]
     steps: tuple[tuple[Mat, int, int], ...]
-    dist: Mapping[int, int]
-    parents: Mapping[int, tuple[int, int] | None]
+    dist: Mapping[str, int]
+    parents: Mapping[str, tuple[int, str] | None]
     diameter: int
     histogram: tuple[int, ...]
 
@@ -305,7 +346,7 @@ class CayleyExploration:
     def order(self) -> int:
         return len(self.dist)
 
-    def encode(self, M: Mat) -> int | None:
+    def encode(self, M: Mat) -> str | None:
         """The key of M, or None when M is not an n x n matrix over F."""
         return _encode(self.F, self.n, M)
 
@@ -331,6 +372,26 @@ class CayleyExploration:
         }
 
 
+def _explore(X: list[Mat], cap: int, what: str, radius: int | None = None,
+             target: Mat | None = None) -> tuple:
+    """Search <X> from the identity over X and the inverses, through
+    distance `radius` or the layer holding `target` when given.  Returns
+    (F, n, steps, dist, parents, histogram); raises CapExceeded, naming
+    `what`, past `cap` elements."""
+    F, n = _check_generators(X)
+    if target is not None:
+        _check_element(F, n, target)
+    steps = _symmetrize(X)
+    search = _Search(F, n, [S for S, _, _ in steps])
+    parents: dict[str, tuple[int, str] | None] = {}
+    dist, histogram = search.explore(cap, parents, radius,
+                                     None if target is None else _pack(target))
+    if len(dist) > cap:
+        raise CapExceeded(f"{what} exceeded {cap} elements",
+                          radius=len(histogram) - 1, count=cap)
+    return F, n, steps, dist, parents, histogram
+
+
 def bfs_explore(X: Sequence[Mat], cap: int = DEFAULT_CAP) -> CayleyExploration:
     """Layered breadth-first search of <X> from the identity.
 
@@ -341,18 +402,12 @@ def bfs_explore(X: Sequence[Mat], cap: int = DEFAULT_CAP) -> CayleyExploration:
     with the radius reached when the group is larger than `cap`.
     """
     X = list(X)
-    F, n = _check_generators(X)
-    steps = _symmetrize(X)
-    parents: dict[int, tuple[int, int] | None] = {}
-    dist, histogram = _Search(F, n, [S for S, _, _ in steps]).explore(cap, parents)
-    if len(dist) > cap:
-        raise CapExceeded(f"exploration exceeded {cap} elements",
-                          radius=len(histogram) - 1, count=cap)
+    F, n, steps, dist, parents, histogram = _explore(X, cap, "exploration")
     return CayleyExploration(F, n, tuple(X), tuple(steps), dist, parents,
                              len(histogram) - 1, tuple(histogram))
 
 
-def _word(parents: Mapping, steps: Sequence[tuple[Mat, int, int]], key: int) -> Word:
+def _word(parents: Mapping, steps: Sequence[tuple[Mat, int, int]], key: str) -> Word:
     out = []
     while True:
         p = parents[key]
@@ -374,6 +429,21 @@ def word_recover(exploration: CayleyExploration, g: Mat) -> Word:
     return _word(exploration.parents, exploration.steps, key)
 
 
+def shortest_word(X: Sequence[Mat], g: Mat, cap: int = DEFAULT_CAP) -> Word:
+    """A shortest word over X evaluating to g, as `word_recover` gives it
+    after `bfs_explore`, from a search that ends with the layer in which g
+    first appears.  Parents are set at first discovery, so the word is the
+    one the full exploration records.  Raises CapExceeded when more than
+    `cap` elements are seen first, NotExplored when g is not reached, and
+    DimensionMismatch or FieldMismatch when g is not an n x n matrix over
+    the field of X."""
+    _, _, steps, dist, parents, _ = _explore(list(X), cap, "exploration", target=g)
+    key = _pack(g)
+    if key not in dist:
+        raise NotExplored("element not reached by the exploration")
+    return _word(parents, steps, key)
+
+
 def bidirectional_distance(X: Sequence[Mat], g: Mat,
                            cap: int = DEFAULT_CAP) -> int:
     """The distance of a single element by meet-in-the-middle search.
@@ -385,16 +455,14 @@ def bidirectional_distance(X: Sequence[Mat], g: Mat,
     """
     X = list(X)
     F, n = _check_generators(X)
-    if g.F != F or g.nrows != n or g.ncols != n:
-        raise DimensionMismatch("element does not match the generators")
-    _check_entries(g)
+    _check_element(F, n, g)
     search = _Search(F, n, [S for S, _, _ in _symmetrize(X)])
-    fa = [_rows(Mat.identity(F, n))]
-    fb = [_rows(g)]
-    a = {search.key(fa[0]): 0}
-    b = {search.key(fb[0]): 0}
+    fa = [_pack(Mat.identity(F, n))]
+    fb = [_pack(g)]
     if fb == fa:
         return 0
+    a = {fa[0]: 0}
+    b = {fb[0]: 0}
     da = db = 0
     while fa and fb:
         if len(fa) <= len(fb):
@@ -407,7 +475,7 @@ def bidirectional_distance(X: Sequence[Mat], g: Mat,
         if len(a) + len(b) > cap:
             raise CapExceeded(f"bidirectional search exceeded {cap} elements",
                               radius=min(da, db), count=cap)
-        meets = [d + other[k] for k in map(search.key, nxt) if k in other]
+        meets = [d + other[k] for k in nxt if k in other]
         if meets:
             return min(meets)
         if side is a:
@@ -429,14 +497,8 @@ def transvection_ball(T: Sequence[Transvection], r: int,
     """
     if r < 0:
         raise BadParameters("need a radius r >= 0")
-    X = [t.matrix() for t in T]
-    F, n = _check_generators(X)
-    steps = _symmetrize(X)
-    parents: dict[int, tuple[int, int] | None] = {}
-    dist, histogram = _Search(F, n, [S for S, _, _ in steps]).explore(cap, parents, r)
-    if len(dist) > cap:
-        raise CapExceeded(f"ball exploration exceeded {cap} elements",
-                          radius=len(histogram) - 1, count=cap)
+    F, n, steps, dist, parents, _ = _explore([t.matrix() for t in T], cap,
+                                             "ball exploration", radius=r)
     return {t: _word(parents, steps, key) for key, t in _transvections(F, n, dist)}
 
 
@@ -464,7 +526,7 @@ def transvection_length_profile(G_elements, T_all,
 
 
 def layering_audit(exploration: CayleyExploration,
-                   sample: Iterable[int] | None = None) -> bool:
+                   sample: Iterable[str] | None = None) -> bool:
     """Check the BFS layering invariant: every element at distance d > 0
     has a neighbor at distance d - 1 (its recorded parent)."""
     keys = sample if sample is not None else exploration.dist.keys()

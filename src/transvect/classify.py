@@ -304,10 +304,11 @@ class Certificate:
 class GroupEnumeration:
     """The element set of a desk-scale matrix group, stored packed.
 
-    `codes` holds the integer keys of the elements in the row packing of
+    `codes` holds the string keys of the elements in the row packing of
     the `cayley` search engine: a row packs as sum(x_j q^j) (entry 0 least
-    significant) and a matrix packs its row codes base D = q^n (row 0
-    least significant).
+    significant) and a matrix as the string of its row codes, one
+    character each, last row first, so keys sort as the integers
+    sum(r_i D^i), D = q^n.
     """
 
     __slots__ = ("F", "n", "codes")
@@ -324,11 +325,11 @@ class GroupEnumeration:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def encode(self, M: Mat) -> int | None:
+    def encode(self, M: Mat) -> str | None:
         """The key of M, or None when M is not an n x n matrix over F."""
         return _encode(self.F, self.n, M)
 
-    def decode(self, key: int) -> Mat:
+    def decode(self, key: str) -> Mat:
         return _unpack(self.F, self.n, key)
 
     def __contains__(self, M: Mat) -> bool:

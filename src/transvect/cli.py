@@ -21,6 +21,7 @@ from . import __version__
 from .cayley import (
     DEFAULT_CAP,
     bfs_explore,
+    shortest_word,
     transvection_length_profile,
     word_recover,
 )
@@ -288,8 +289,7 @@ def _run_decompose(job: JobConfig, F: Field, T: list[Transvection]) -> dict:
         raise BadParameters("decompose needs exactly one of --target / --vector")
     if target is not None:
         M = _parse_matrix(F, target)
-        ex = bfs_explore([t.matrix() for t in T], job.cap)
-        word = word_recover(ex, M)
+        word = shortest_word([t.matrix() for t in T], M, job.cap)
         return {"mode": "word", "target": M.to_json(),
                 "word": [[i, e] for i, e in word], "length": len(word)}
     kind = job.options.get("kind")

@@ -9,10 +9,13 @@ import pytest
 from transvect.cayley import (
     _code,
     _digits,
+    _pack,
     _RowTable,
+    _unpack,
     bfs_explore,
     bidirectional_distance,
     layering_audit,
+    shortest_word,
     transvection_ball,
     transvection_length_profile,
     word_recover,
@@ -36,10 +39,16 @@ from transvect.errors import (
 from transvect.gf import field_create
 from transvect.linalg import Mat
 from transvect.tgraph import densify, word_matrix
-from transvect.transvections import Transvection, tv_from_matrix
+from transvect.transvections import (
+    Transvection,
+    standard_full_field_set,
+    tv_from_matrix,
+)
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
+F4 = field_create(2, 2)
+F9 = field_create(3, 2)
 
 SL22_PAIR = [Transvection(F2, (1, 0), (0, 1)), Transvection(F2, (0, 1), (1, 0))]
 SL23_PAIR = [Transvection(F3, (1, 0), (0, 1)), Transvection(F3, (0, 1), (1, 0))]
@@ -51,7 +60,7 @@ SL32_TRIANGLE = [
 
 
 def mats(T):
-    return [t.matrix() for t in T]
+    return [t if isinstance(t, Mat) else t.matrix() for t in T]
 
 
 def group_transvections(gens):
@@ -307,6 +316,33 @@ def test_word_recover_golden_words():
         assert word_recover(ex, Mat(F3, rows)) == w
 
 
+@pytest.mark.parametrize("gens", [SL23_PAIR, SL32_TRIANGLE, build_symmetric_rep(6)],
+                         ids=["sl2-3", "sl3-2", "rep6"])
+def test_shortest_word_is_the_explored_word(gens):
+    # the search stops after the target's layer, and parents are set at
+    # first discovery, so the word is the one of the full exploration
+    X = mats(gens)
+    ex = bfs_explore(X)
+    for key in ex.dist:
+        M = _unpack(ex.F, ex.n, key)
+        assert shortest_word(X, M) == word_recover(ex, M)
+
+
+def test_shortest_word_stops_at_the_target_layer():
+    X = mats(build_symmetric_rep(6))
+    ex = bfs_explore(X)
+    g = perm_rep_matrix(6, (1, 0, 2, 3, 4, 5))
+    ball = sum(ex.histogram[:ex.distance(g) + 1])
+    assert ball < ex.order
+    assert shortest_word(X, g, cap=ball) == word_recover(ex, g)
+    with pytest.raises(CapExceeded):
+        shortest_word(X, g, cap=ball - 1)
+    with pytest.raises(DimensionMismatch):
+        shortest_word(X, Mat.identity(F2, 3))
+    with pytest.raises(NotExplored):
+        shortest_word(mats(SL23_PAIR), Mat(F3, ((2, 0), (0, 1))))
+
+
 def test_word_recover_unexplored():
     ex = bfs_explore(mats(SL23_PAIR))
     with pytest.raises(NotExplored):
@@ -452,11 +488,96 @@ def test_profile_rejects_non_generating():
             transvection_length_profile(G, [SL23_PAIR[0]])
 
 
-@pytest.mark.parametrize("gens", [SL22_PAIR, SL23_PAIR, SL32_TRIANGLE,
-                                  build_symmetric_rep(6)])
+def e(n, i, c=1):
+    return tuple(c if j == i else 0 for j in range(n))
+
+
+def corner_sl2(F, n):
+    """SL2(q) on the coordinates 0 and n - 1 of F^n, so row n - 1 takes
+    every code of its last digit."""
+    lam = F.primitive_element()
+    return [Transvection(F, e(n, 0), e(n, n - 1, lam)),
+            Transvection(F, e(n, n - 1), e(n, 0))]
+
+
+# GF(3) with a pseudo-reflection: rank-one displacements with phi(v) != 0
+# are not transvections
+GL23_REFLECTION = [SL23_PAIR[0].matrix(), Mat(F3, [[2, 0], [0, 1]])]
+
+
+@pytest.mark.parametrize("gens", [
+    SL22_PAIR, SL23_PAIR, SL32_TRIANGLE, build_symmetric_rep(6),
+    standard_full_field_set("SL", F4, 2), standard_full_field_set("SU3", F4, 3),
+    standard_full_field_set("SL", F9, 2), corner_sl2(F9, 3), GL23_REFLECTION,
+])
 def test_exploration_transvections_match_enumeration(gens):
-    # key order is the order the enumeration lists its elements in
+    # the row-code reading against `tv_from_matrix` on every element; key
+    # order is the order the enumeration lists its elements in
     assert bfs_explore(mats(gens)).transvections() == group_transvections(gens)
+
+
+# -- string keys --------------------------------------------------------------
+
+
+def int_key(M):
+    """The integer packing sum(r_i D^i), D = q^n, over the row codes r_i."""
+    q, n = M.F.q, M.nrows
+    return sum(_code(q, r) * (q**n)**i for i, r in enumerate(M.rows))
+
+
+KEY_GROUPS = {
+    "gf2^3": SL32_TRIANGLE,
+    "gf3^3": [Transvection(F3, e(3, i), e(3, (i + 1) % 3)) for i in range(3)],
+    "gf4^4": corner_sl2(F4, 4),  # q^n = 256, the last latin-1 code
+    "gf17^2": corner_sl2(field_create(17, 1), 2),  # 289, past latin-1
+    "gf9^3": corner_sl2(F9, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_GROUPS))
+def test_string_keys_round_trip_and_sort_as_integer_keys(name):
+    X = mats(KEY_GROUPS[name])
+    F, n = X[0].F, X[0].nrows
+    ex = bfs_explore(X)
+    keys = sorted(ex.dist)
+    decoded = [_unpack(F, n, k) for k in keys]
+    assert [_pack(M) for M in decoded] == keys
+    assert decoded == sorted(decoded, key=int_key)
+    assert len(set(map(int_key, decoded))) == ex.order
+    # some row takes the top digit in its last coordinate, so the keys use
+    # the widest character kind that q^n allows
+    assert max(ord(c) for k in ex.dist for c in k) >= (F.q - 1) * F.q**(n - 1)
+
+
+def test_string_keys_with_lone_surrogates():
+    # row 0 of t is 1 + 2^11 + 2^12 + 2^14 + 2^15 = 0xD801, a code point
+    # that is a lone surrogate as a character
+    n = 16
+    psi = tuple(1 if j in (11, 12, 14, 15) else 0 for j in range(n))
+    X = mats([Transvection(F2, e(n, 0), psi), Transvection(F2, e(n, 15), e(n, 0)),
+              Transvection(F2, e(n, 11), e(n, 15))])
+    assert _pack(X[0])[-1] == "\ud801"
+    ex = bfs_explore(X)
+    assert_matches_reference(X)
+    decoded = [_unpack(F2, n, k) for k in sorted(ex.dist)]
+    assert decoded == sorted(decoded, key=int_key)
+    assert ex.transvections() == group_transvections(X)
+
+
+# a set whose row codes run past sys.maxunicode: 21 x 21 over GF(2)
+WIDE_T = Transvection(F2, e(21, 0), e(21, 20))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bfs_explore([Mat.identity(F2, 21), WIDE_T.matrix()]),
+    lambda: bidirectional_distance([WIDE_T.matrix()], Mat.identity(F2, 21)),
+    lambda: transvection_ball([WIDE_T], 1),
+    lambda: shortest_word([WIDE_T.matrix()], WIDE_T.matrix()),
+], ids=["bfs_explore", "bidirectional_distance", "transvection_ball",
+        "shortest_word"])
+def test_row_codes_past_the_key_alphabet_are_a_budget(call):
+    with pytest.raises(CapExceeded, match="q\\^n = 2097152 "):
+        call()
 
 
 # -- row tables ---------------------------------------------------------------
@@ -558,8 +679,9 @@ NEG_GF3 = [Mat(F3, [[1, -1], [0, 1]]), Mat(F3, [[1, 0], [1, 1]])]
     lambda: group_order(NEG_GF3),
     lambda: enumerate_group(NEG_GF3),
     lambda: bidirectional_distance(mats(SL22_PAIR), Mat(F2, [[1, 3], [0, 1]])),
+    lambda: shortest_word(mats(SL22_PAIR), Mat(F2, [[1, 3], [0, 1]])),
 ], ids=["bfs_explore", "group_order-4", "group_order-neg", "enumerate_group-neg",
-        "bidirectional_distance"])
+        "bidirectional_distance", "shortest_word"])
 def test_entries_outside_the_field_are_rejected(call):
     # `Mat` does not check its entries, and a search that indexes tables by
     # entry fails deep inside or returns a wrong order (7 for SL2(3)

@@ -402,6 +402,34 @@ def test_decompose_word(tmp_path):
     assert M.to_json() == [[0, 1], [1, 1]]
 
 
+def test_decompose_target_within_the_cap_of_a_larger_group(tmp_path, capsys):
+    # the search ends with the target's layer: 1 + 5 + 14 elements of the
+    # 720 of Sp4(2) reach a product of two generators
+    path = sp42_file(tmp_path)
+    F, T = parse_input(path)
+    target = T[0].matrix().mul(T[1].matrix())
+    argv = ["decompose", "--gens", path, "--target", json.dumps(target.to_json())]
+    rep = run_json(tmp_path, argv + ["--cap", "20"])
+    assert rep["result"]["word"] == run_json(tmp_path, argv)["result"]["word"]
+    assert rep["result"]["length"] == 2
+    assert word_matrix(T, tuple((i, e) for i, e in rep["result"]["word"])) == target
+    capsys.readouterr()
+    assert main(argv + ["--cap", "19"]) == 2
+    assert capsys.readouterr().err == (
+        "transvect: budget exhausted: exploration exceeded 19 elements\n")
+
+
+def test_diameter_past_the_key_alphabet_is_a_budget(tmp_path, capsys):
+    # 21 x 21 over GF(2): row codes up to 2^21 - 1 > sys.maxunicode
+    n = 21
+    path = write_gens(tmp_path / "wide.json", "2^1", [
+        {"v": [int(j == 0) for j in range(n)], "phi": [int(j == 20) for j in range(n)]},
+    ])
+    capsys.readouterr()
+    assert main(["diameter", "--gens", path]) == 2
+    assert "q^n = 2097152 row codes" in capsys.readouterr().err
+
+
 def test_decompose_split(tmp_path):
     path = sp42_file(tmp_path)
     rep = run_json(tmp_path, ["decompose", "--gens", path,
