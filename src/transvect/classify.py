@@ -823,8 +823,7 @@ def _monomial_parameter(gens: Sequence[Transvection],
     Pi = P.inv()
     a = 1
     for t in gens:
-        M = Pi.mul(t.matrix()).mul(P)
-        for row in M.rows:
+        for row in t.conjugate(Pi, P).matrix().rows:
             nz = [x for x in row if x]
             _require(len(nz) == 1, "a generator is not monomial on the "
                                    "invariant lines")
@@ -952,8 +951,8 @@ def _subfield_iso(F: Field, e: int) -> tuple[Field, Callable[[int], int]]:
 
 def _descend_to_subfield(G: TransvectionGraph, e: int):
     """(T_sub, P): the set of G conjugated by P into SL_n over the degree-e
-    subfield F0, or None when an entry of some P^-1 M_t P leaves F0, which
-    happens only when a cycle weight lies outside F0.
+    subfield F0, or None when an entry of some (P^-1 v_t, phi_t P) leaves
+    F0, which happens only when a cycle weight lies outside F0.
 
     Rescaling t to (a_t v_t, a_t^-1 phi_t) keeps every cycle weight.  Take
     a_0 = 1 and a_s = a_t / phi_t(v_s) along a breadth-first tree from
@@ -965,7 +964,8 @@ def _descend_to_subfield(G: TransvectionGraph, e: int):
     for the basis of v's that `Subspace.extension` picks, so
     P^-1 M_t P = 1 + (P^-1 a_t v_t)(a_t^-1 phi_t P).  The right factor is
     a row of rescaled pairings, and the left one solves a system of them,
-    because the phi's span the dual space.  Both lie in F0^n.
+    because the phi's span the dual space.  Both lie in F0^n, and so does
+    their canonical scaling, the pair that `Transvection.conjugate` returns.
     """
     F, n = G.F, G.n
     if F.f % e or e >= F.f or F.q > VECTOR_TABLE_BUDGET:
@@ -980,12 +980,11 @@ def _descend_to_subfield(G: TransvectionGraph, e: int):
     P = Mat(F, tuple(vec_scale(F, a[b], G.verts[b].v) for b in basis)).transpose()
     Pi = P.inv()
     sig = _frobenius_power(F, e)
-    conj = [Pi.mul(t.matrix()).mul(P).rows for t in G.verts]
-    if any(sig(x) != x for rows in conj for row in rows for x in row):
+    conj = [t.conjugate(Pi, P) for t in G.verts]
+    if any(sig(x) != x for t in conj for x in t.v + t.phi):
         return None
     sub, iso = _subfield_iso(F, e)
-    return [tv_from_matrix(Mat(sub, tuple(tuple(map(iso, row)) for row in rows)))
-            for rows in conj], P
+    return [Transvection(sub, map(iso, t.v), map(iso, t.phi)) for t in conj], P
 
 
 # -- classification ----------------------------------------------------------
@@ -1280,10 +1279,8 @@ def _supersets(T: Sequence[Transvection], T_dense: Sequence[Transvection],
         T1 = list(T0)
         for _ in range(extras):
             t = T[rng.randrange(len(T))]
-            g = Mat.identity(t.F, t.n)
-            for _ in range(rng.randint(1, 4)):
-                g = g.mul(T[rng.randrange(len(T))].matrix())
-            u = t.conjugate(g)
+            u = t.conjugate_by([T[rng.randrange(len(T))]
+                                for _ in range(rng.randint(1, 4))])
             if u not in T1:
                 T1.append(u)
         out.append(connect_up(T_dense, T1))

@@ -91,8 +91,11 @@ def parse_input(path: str) -> tuple[Field, list[Transvection]]:
     {"matrix": [[...]]}; matrices must be transvections.  Errors carry the
     line (for JSON syntax) or the generator index.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -490,6 +493,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         job = job_from_args(args)
         report = run(job)
         text = render(report, job.out_format)
+        out = getattr(args, "out", None)
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except CapExceeded as e:
         print(f"transvect: budget exhausted: {e}", file=sys.stderr)
         return 2
@@ -499,12 +508,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (TransvectError, OSError) as e:
         print(f"transvect: error: {e}", file=sys.stderr)
         return 1
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 from .errors import (
     BadParameters,
     DimensionMismatch,
+    FieldMismatch,
     IndexMismatch,
     InternalError,
     MissingForm,
@@ -316,15 +317,29 @@ def detect_invariant_form(G: TransvectionGraph, twist: str = "identity",
 # -- quadratic recovery -------------------------------------------------------
 
 
+def _with_diagonal(F: Field, gram: Mat, diag: Sequence[int]) -> QuadraticForm:
+    """The quadratic form taking the values diag on the basis vectors and
+    polarizing to the alternating form with this Gram matrix."""
+    g, n = gram.rows, gram.nrows
+    return QuadraticForm(F, Mat(F, tuple(
+        tuple(diag[i] if j == i else g[i][j] if j > i else 0 for j in range(n))
+        for i in range(n))))
+
+
 def recover_quadratic(G: TransvectionGraph, f: SesquiForm):
     """Recover the invariant quadratic form from an invariant symplectic one
     in characteristic 2, or report the violating transvection.
 
-    Each t = 1 + v (x) phi with phi parallel to f(., v) rescales uniquely to
+    f is alternating, so t = 1 + v (x) phi preserves it exactly when phi is
+    parallel to f(., v); that one test checks the input form, vertex by
+    vertex (NotInvariantForm).  Each t then rescales uniquely to
     t = 1 + u (x) f(., u) (square roots are unique in characteristic 2); t
     preserves a quadratic form Q polarizing to f exactly when Q(u) = 1.  Q is
     pinned by Q = 1 on a basis of the u_t and polarization, so the remaining
-    generators either confirm it or witness that none exists.
+    generators either confirm it or witness that none exists.  One change of
+    basis reads Q off: with the basis u's as the rows of B, Q(e_k) is the
+    value at row k of B^-1 of the form that is 1 on each u and has Gram
+    matrix B gram B^T, and Q's off-diagonal coefficients are f's Gram entries.
 
     Only V(T) = V is required (the v_t must span), not full irreducibility:
     the recovery is local to the generator vectors, so it also serves
@@ -339,9 +354,8 @@ def recover_quadratic(G: TransvectionGraph, f: SesquiForm):
     if G.vspace.dim < G.n:
         raise NotIrreducible("generator vectors do not span the space",
                              witness=G.vspace)
-    for t in G.verts:
-        if not f.invariant_under(t.matrix()):
-            raise NotInvariantForm("the supplied form is not invariant under T")
+    if f.F != F:
+        raise FieldMismatch("the form is over a different field")
     n = G.n
 
     # unique rescaling u_t = s v_t with phi_t = a f(., v_t), s^2 = a
@@ -350,30 +364,13 @@ def recover_quadratic(G: TransvectionGraph, f: SesquiForm):
         w = f.dual_covector(t.v)
         i0 = next(i for i in range(n) if w[i] != 0)
         a = F.div(t.phi[i0], w[i0])
-        _require(vec_scale(F, a, tuple(w)) == t.phi,
-                 "phi_t is not parallel to f(., v_t)")
+        if vec_scale(F, a, w) != t.phi:
+            raise NotInvariantForm("the supplied form is not invariant under T")
         us.append(vec_scale(F, F.sqrt_char2(a), t.v))
 
-    basis_idx = Subspace.zero(F, n).extension(us)
-    B = Mat(F, tuple(us[i] for i in basis_idx)).transpose()  # columns = basis
-
-    def q_value(x: Vec) -> int:
-        c = B.solve(x)
-        acc = 0
-        for i in range(n):
-            acc = F.add(acc, F.mul(c[i], c[i]))
-            for j in range(i + 1, n):
-                acc = F.add(acc, F.mul(F.mul(c[i], c[j]),
-                                       f.evaluate(us[basis_idx[i]], us[basis_idx[j]])))
-        return acc
-
-    ident = Mat.identity(F, n)
-    coeffs = [[0] * n for _ in range(n)]
-    for i in range(n):
-        coeffs[i][i] = q_value(ident.rows[i])
-        for j in range(i + 1, n):
-            coeffs[i][j] = f.evaluate(ident.rows[i], ident.rows[j])
-    Q = QuadraticForm(F, Mat(F, tuple(tuple(r) for r in coeffs)))
+    B = Mat(F, tuple(us[i] for i in Subspace.zero(F, n).extension(us)))
+    Qu = _with_diagonal(F, B.mul(f.gram).mul(B.transpose()), [1] * n)
+    Q = _with_diagonal(F, f.gram, [Qu.evaluate(c) for c in B.inv().rows])
     _require(Q.polar.gram.rows == f.gram.rows,
              "the recovered quadratic form does not polarize to the given form")
 

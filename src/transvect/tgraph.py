@@ -528,16 +528,9 @@ def shorten_path(G: TransvectionGraph, phi: Vec, v: Vec) -> tuple[Transvection, 
         rev.append(node)
         node = parent[node]
     ipath = rev[::-1]
-    if len(ipath) == 1:
-        tprime = G.verts[ipath[0]]
-        word: Word = ((ipath[0], 1),)
-    else:
-        g = Mat.identity(F, G.n)
-        for i in ipath[:-1]:
-            g = g.mul(G.verts[i].matrix())
-        tprime = G.verts[ipath[-1]].conjugate(g)
-        word = (tuple((i, 1) for i in ipath)
-                + tuple((i, -1) for i in reversed(ipath[:-1])))
+    tprime = G.verts[ipath[-1]].conjugate_by([G.verts[i] for i in ipath[:-1]])
+    word: Word = (tuple((i, 1) for i in ipath)
+                  + tuple((i, -1) for i in reversed(ipath[:-1])))
     _require(dot(F, phi, tprime.v) != 0 and dot(F, tprime.phi, v) != 0,
              "shortened witness failed its defining property")
     _require(word_matrix(G.verts, word) == tprime.matrix(),

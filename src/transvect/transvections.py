@@ -98,6 +98,14 @@ class Transvection:
             g_inv = g.inv()
         return Transvection(self.F, g.matvec(self.v), g_inv.vecmat(self.phi))
 
+    def conjugate_by(self, letters: Sequence["Transvection"]) -> "Transvection":
+        """w t w^-1 for the word w = s_1 ... s_k, conjugating by the last
+        letter first: s t s^-1 = 1 + s(v) * (phi o s^-1)."""
+        v, phi = self.v, self.phi
+        for s in reversed(letters):
+            v, phi = s.apply(v), s.inverse().coapply(phi)
+        return Transvection(self.F, v, phi)
+
     def to_json(self) -> dict:
         return {"v": list(self.v), "phi": list(self.phi)}
 

@@ -58,13 +58,14 @@ from transvect.tgraph import (
     PROJECTIVE_BUDGET,
     TransvectionGraph,
     build_graph,
+    connect_up,
     densify,
     is_irreducible,
     is_strongly_connected,
     projective_points,
     restrict_to_section,
 )
-from transvect.transvections import Transvection, standard_full_field_set
+from transvect.transvections import Transvection, standard_full_field_set, tv_from_matrix
 
 # the module, which the package's `classify` function shadows as an attribute
 classify_mod = importlib.import_module("transvect.classify")
@@ -1369,6 +1370,56 @@ def test_sample_supersets_properties():
     for T1 in sets:
         assert set(cert.T0) <= set(T1)
         assert is_strongly_connected(build_graph(T1))
+
+
+def supersets_by_matrix_products(T, T0, count, extras, seed):
+    """The supersets of `sample_supersets` built from matrices: each
+    conjugate t^w is read off g M_t g^-1 for the word matrix g."""
+    T_dense, _ = densify(T)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        T1 = list(T0)
+        for _ in range(extras):
+            t = T[rng.randrange(len(T))]
+            g = Mat.identity(t.F, t.n)
+            for _ in range(rng.randint(1, 4)):
+                g = g.mul(T[rng.randrange(len(T))].matrix())
+            u = tv_from_matrix(g.mul(t.matrix()).mul(g.inv()))
+            if u not in T1:
+                T1.append(u)
+        out.append(connect_up(T_dense, T1).verts)
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    sp4_full, sl24_full, lambda: sl3_triangle(F3), lambda: sl3_triangle(F4),
+    lambda: sl3_triangle(F5), lambda: build_symmetric_rep(7)])
+def test_sample_supersets_match_the_matrix_product_construction(build):
+    T = build()
+    for seed, extras in ((0, 3), (5, 1), (11, 4)):
+        got = [G.verts for G in sample_supersets(T, T[:1], count=3,
+                                                 extras=extras, seed=seed)]
+        assert got == supersets_by_matrix_products(T, T[:1], 3, extras, seed)
+
+
+def test_sampling_and_densify_invert_no_matrix(monkeypatch):
+    # conjugates are read off (v, phi) one letter at a time
+    sets = [sl3_triangle(F3), sl3_triangle(F4), sp4_full()]
+    inverted = []
+    real_inv = Mat.inv
+
+    def counting_inv(self):
+        inverted.append(self)
+        return real_inv(self)
+
+    monkeypatch.setattr(Mat, "inv", counting_inv)
+    for T in sets:
+        densify(T)
+        assert len(sample_supersets(T, T[:1], count=3, seed=1)) == 3
+    # the triangle's density witnesses include conjugates by two-letter words
+    assert max(map(len, densify(sets[0])[1])) == 5
+    assert inverted == []
 
 
 def test_stability_check_sp4():

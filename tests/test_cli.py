@@ -136,6 +136,28 @@ def test_parse_input_syntax_and_shape_errors(tmp_path):
 # -- JobConfig -------------------------------------------------------------------
 
 
+def test_non_utf8_generator_file_is_a_parse_error(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"field": "2^1", "generators": [], "note": "caf\xe9"}')
+    with pytest.raises(ParseError, match="not UTF-8"):
+        parse_input(str(p))
+    assert main(["classify", "--gens", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("transvect: error:") and "not UTF-8" in err
+
+
+def test_unwritable_out_path_is_an_error(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "report.json"
+    assert main(["classify", "--gens", sl22_file(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("transvect: error:") and "report.json" in err
+    assert not out.exists()
+    out = tmp_path / "gens.json"
+    out.mkdir()
+    assert main(["gen", "--kind", "symmetric", "--m", "6", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("transvect: error:")
+
+
 def test_job_config_validation():
     with pytest.raises(BadParameters):
         JobConfig("dance")

@@ -9,7 +9,7 @@ from itertools import combinations, product
 import pytest
 
 from transvect import forms
-from transvect.classify import build_monomial_group
+from transvect.classify import build_monomial_group, build_symmetric_rep
 from transvect.errors import (
     BadParameters,
     CapExceeded,
@@ -586,6 +586,42 @@ def test_recover_quadratic_invariant_failure_raises_internal_error(monkeypatch):
         recover_quadratic(G, f)
 
 
+def rebuild_quadratic(T, f):
+    """Independent rebuild of the form `recover_quadratic` pins: Q = 1 on
+    the first basis among the rescaled vectors u_t (phi_t = a f(., v_t),
+    u_t = sqrt(a) v_t) and polarization f.  Returns the u_t, Q as a
+    function solving for coordinates in that basis, and Q's upper-triangular
+    coefficients."""
+    F, n = f.F, f.n
+    us = []
+    for t in T:
+        w = f.dual_covector(t.v)
+        i0 = next(i for i in range(n) if w[i])
+        us.append(vec_scale(F, F.sqrt_char2(F.div(t.phi[i0], w[i0])), t.v))
+    basis = []
+    span = Subspace.zero(F, n)
+    for u in us:
+        if not span.contains(u):
+            basis.append(u)
+            span = span.sum(Subspace.span(F, n, [u]))
+    B = Mat(F, tuple(basis)).transpose()
+
+    def q_val(x):
+        c = B.solve(x)
+        acc = 0
+        for i in range(n):
+            acc = F.add(acc, F.mul(c[i], c[i]))
+            for j in range(i + 1, n):
+                acc = F.add(acc, F.mul(F.mul(c[i], c[j]),
+                                       f.evaluate(basis[i], basis[j])))
+        return acc
+
+    coeffs = tuple(tuple(q_val(e(n, i)) if j == i
+                         else f.evaluate(e(n, i), e(n, j)) if j > i else 0
+                         for j in range(n)) for i in range(n))
+    return us, q_val, coeffs
+
+
 def test_recover_quadratic_sp4_obstruction():
     T, f = symplectic_transvections(F2, SP4_GRAM)
     G = build_graph(T)
@@ -594,28 +630,116 @@ def test_recover_quadratic_sp4_obstruction():
     assert res.value == 0
     # reconstruct the pinned Q independently: Q = 1 on the first basis among
     # the v_t and polarization f; the obstruction is the first t violating it
-    vs = [t.v for t in T]
-    basis = []
-    span = Subspace.zero(F2, 4)
-    for v in vs:
-        if not span.contains(v):
-            basis.append(v)
-            span = span.sum(Subspace.span(F2, 4, [v]))
-    B = Mat(F2, tuple(basis)).transpose()
-
-    def q_val(x):
-        c = B.solve(x)
-        acc = 0
-        for i in range(4):
-            acc = F2.add(acc, F2.mul(c[i], c[i]))
-            for j in range(i + 1, 4):
-                acc = F2.add(acc, F2.mul(F2.mul(c[i], c[j]),
-                                         f.evaluate(basis[i], basis[j])))
-        return acc
-
+    vs, q_val, _ = rebuild_quadratic(T, f)
+    assert vs == [t.v for t in T]
     expected = next(i for i, v in enumerate(vs) if q_val(v) != 1)
     assert res.index == expected
     assert q_val(vs[res.index]) == 0
+
+
+def orthogonal_sample(F, Q, k, seed):
+    """k transvections 1 + v (x) Q(v)^-1 f(., v) preserving Q, for seeded
+    nonsingular v that span the space."""
+    f = Q.polarization()
+    rng = random.Random(seed)
+    while True:
+        vs = []
+        while len(vs) < k:
+            v = tuple(rng.randrange(F.q) for _ in range(Q.n))
+            if any(v) and Q.evaluate(v):
+                vs.append(v)
+        if Mat(F, vs).rank() == Q.n:
+            return [Transvection(F, v, vec_scale(F, F.inv(Q.evaluate(v)),
+                                                 f.dual_covector(v)))
+                    for v in vs], f
+
+
+def quadratic_recovery_inputs():
+    F8 = field_create(2, 3)
+    Q4 = QuadraticForm(F4, Mat(F4, ((1, 1, 0, 0), (0, 2, 0, 0),
+                                    (0, 0, 0, 1), (0, 0, 0, 3))))
+    Q8 = QuadraticForm(F8, Mat(F8, ((5, 1, 0, 0, 0, 0), (0, 3, 0, 0, 0, 0),
+                                    (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 0),
+                                    (0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 7))))
+    yield "o6plus", orthogonal_transvections(Q_PLUS6)
+    for m in (8, 9):
+        T = build_symmetric_rep(m)
+        yield f"rep{m}", (T, detect_invariant_form(build_graph(T), "identity"))
+    yield "minus4", orthogonal_transvections(Q_MINUS4)
+    yield "plus4", orthogonal_transvections(Q_PLUS4)
+    yield "sp4-obstruction", symplectic_transvections(F2, SP4_GRAM)
+    for seed in range(3):
+        yield f"gf4-{seed}", orthogonal_sample(F4, Q4, 6, seed)
+        yield f"gf8-{seed}", orthogonal_sample(F8, Q8, 9, seed)
+
+
+def test_recover_quadratic_matches_the_independent_rebuild():
+    names = []
+    for name, (T, f) in quadratic_recovery_inputs():
+        us, q_val, coeffs = rebuild_quadratic(T, f)
+        res = recover_quadratic(build_graph(T), f)
+        bad = next((i for i, u in enumerate(us) if q_val(u) != 1), None)
+        if bad is None:
+            assert isinstance(res, QuadraticForm), name
+            assert res.coeffs.rows == coeffs, name
+            assert all(res.preserved_by(t.matrix()) for t in T), name
+        else:
+            assert res == QuadraticObstruction(bad, q_val(us[bad])), name
+        names.append(name)
+    assert len(names) == 12
+
+
+def random_alternating_form(F, n, rng):
+    while True:
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                g[i][j] = g[j][i] = rng.randrange(F.q)
+        gram = Mat(F, g)
+        if gram.det():
+            return SesquiForm(F, gram, "identity")
+
+
+def test_parallel_test_agrees_with_matrix_invariance():
+    # an alternating f is preserved by t exactly when phi_t is parallel to
+    # f(., v_t); recover_quadratic raises NotInvariantForm exactly then
+    F8 = field_create(2, 3)
+    seen = {True: 0, False: 0}
+    for F in (F2, F4, F8):
+        rng = random.Random(F.q)
+        for n in (2, 4, 6):
+            for _ in range(8):
+                f = random_alternating_form(F, n, rng)
+                # transvections along the basis vectors preserve f and span
+                base = [Transvection(F, e(n, i), f.dual_covector(e(n, i)))
+                        for i in range(n)]
+                v = random_transvection(F, n, rng).v
+                a = rng.randrange(1, F.q) if F.q > 2 else 1
+                for t in (random_transvection(F, n, rng),
+                          Transvection(F, v, vec_scale(F, a, f.dual_covector(v)))):
+                    invariant = f.invariant_under(t.matrix())
+                    seen[invariant] += 1
+                    G = build_graph(base + [t])
+                    if invariant:
+                        assert isinstance(recover_quadratic(G, f),
+                                          (QuadraticForm, QuadraticObstruction))
+                    else:
+                        with pytest.raises(NotInvariantForm):
+                            recover_quadratic(G, f)
+    assert min(seen.values()) >= 20
+
+
+def test_recover_quadratic_rejects_a_form_only_the_last_generator_breaks():
+    for _, (T, f) in quadratic_recovery_inputs():
+        F, n = f.F, f.n
+        rng = random.Random(len(T))
+        while True:
+            t = random_transvection(F, n, rng)
+            if not f.invariant_under(t.matrix()):
+                break
+        recover_quadratic(build_graph(T), f)  # every other generator keeps f
+        with pytest.raises(NotInvariantForm):
+            recover_quadratic(build_graph(T + [t]), f)
 
 
 def test_recover_quadratic_minus_type_orbit():

@@ -121,3 +121,35 @@ def test_every_raise_in_the_package_raises_a_transvect_error():
             found.append(f"{path.name}:{node.lineno} {cls.__name__}")
     assert checked >= 100
     assert found == []
+
+
+def test_only_word_matrix_multiplies_transvection_matrices():
+    # a transvection is conjugated through its (v, phi), as
+    # g t g^-1 = 1 + (g v)(phi o g^-1); a product with a `.matrix()` result
+    # is the evaluation of a word, which is `tgraph.word_matrix`'s alone
+    def is_matrix_call(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "matrix")
+
+    found, allowed = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in ast.walk(tree):  # breadth first: inner functions win
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner[node] = fn.name
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "mul"):
+                continue
+            operands = [node.func.value, *node.args, *(k.value for k in node.keywords)]
+            if not any(map(is_matrix_call, operands)):
+                continue
+            where = f"{path.name}:{owner.get(node, '<module>')}"
+            if where == "tgraph.py:word_matrix":
+                allowed += 1
+            else:
+                found.append(f"{where}:{node.lineno}")
+    assert allowed == 1
+    assert found == []

@@ -103,6 +103,31 @@ def test_inverse_and_conjugate():
         assert c.matrix() == g.mul(t.matrix()).mul(gi)
 
 
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4)])
+def test_conjugation_on_v_phi_matches_the_matrix_product(p, f):
+    # g t g^-1 = 1 + (g v)(phi o g^-1), read against tv_from_matrix(S M_t S^-1)
+    # for an invertible S and for S = s_1 ... s_k, a word of transvections
+    F = field_create(p, f)
+    rng = random.Random(100 * p + f)
+    for n in range(2, 6):
+        for _ in range(6):
+            t = random_transvection(rng, F, n)
+            while True:
+                S = Mat(F, [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)])
+                if S.det():
+                    break
+            Si = S.inv()
+            assert t.conjugate(S) == tv_from_matrix(S.mul(t.matrix()).mul(Si))
+            assert t.conjugate(S, Si) == t.conjugate(S)
+            letters = [random_transvection(rng, F, n) for _ in range(rng.randint(0, 4))]
+            W = Mat.identity(F, n)
+            for s in letters:
+                W = W.mul(s.matrix())
+            expected = tv_from_matrix(W.mul(t.matrix()).mul(W.inv()))
+            assert t.conjugate_by(letters) == expected == t.conjugate(W)
+            assert t.conjugate_by(letters).matrix() == expected.matrix()
+
+
 def test_from_matrix_roundtrip():
     rng = random.Random(13)
     for (p, f, n) in [(2, 1, 4), (2, 2, 3), (3, 1, 3), (5, 1, 2)]:
