@@ -57,7 +57,7 @@ from .forms import (
     recover_quadratic,
 )
 from .gf import Field, field_create
-from .linalg import Mat, Subspace, Vec, _code, _digits, vec_scale
+from .linalg import Mat, Subspace, Vec, _code, _digits, dot, vec_add, vec_scale
 from .tgraph import (
     PROJECTIVE_BUDGET,
     WALK_BUDGET,
@@ -201,6 +201,11 @@ def monomial_tag(a: int) -> GroupTypeTag:
 
 def exceptional_tag(label: str) -> GroupTypeTag:
     return GroupTypeTag("Exceptional", label=label)
+
+
+# the exceptional groups whose order `classify` asserts, by (n, q)
+_EXCEPTIONAL_ORDERS = {(2, 9): (exceptional_tag("SL2(5)"), 120),
+                       (3, 4): (exceptional_tag("3.A6"), 1080)}
 
 
 @dataclass(frozen=True)
@@ -867,27 +872,29 @@ def _acts_by_transpositions(gens: Sequence[Transvection],
     return True
 
 
-def quadratic_type(Q: QuadraticForm,
-                   budget_vectors: int = PROJECTIVE_BUDGET) -> str:
-    """\"plus\" (hyperbolic) or \"minus\" (elliptic) for a nondegenerate
-    quadratic form in characteristic 2, decided by counting singular
-    nonzero vectors: (q^(m-1)+1)(q^m-1) vs (q^(m-1)-1)(q^m+1), n = 2m.
-    Q(cv) = c^2 Q(v), so that count is q - 1 times the number of singular
-    points in `projective_points`."""
-    F, n = Q.F, Q.n
-    if n % 2:
-        raise BadParameters("nondegenerate quadratic forms in characteristic 2 "
-                            "need even dimension")
-    q = F.q
-    if q**n > budget_vectors:
-        raise CapExceeded("vector scan over budget", count=budget_vectors)
-    count = (q - 1) * sum(Q.evaluate(v) == 0 for v in projective_points(F, n))
-    m = n // 2
-    if count == (q ** (m - 1) + 1) * (q**m - 1):
-        return "plus"
-    _require(count == (q ** (m - 1) - 1) * (q**m + 1),
-             "singular count matches neither type")
-    return "minus"
+def quadratic_type(Q: QuadraticForm) -> str:
+    """\"plus\" (hyperbolic) or \"minus\" (elliptic) for a quadratic form in
+    characteristic 2, from its Arf invariant sum Q(e_i) Q(f_i) over a
+    symplectic basis of the polarization f, built by reduction: a vector e,
+    a partner g scaled to f(e, g) = 1, and the rest projected to
+    w + f(w, g) e + f(w, e) g.  Q is plus type exactly when the absolute
+    trace of Arf(Q) is 0 (Arf 1941; Taylor, Geometry of the Classical
+    Groups, ch. 11)."""
+    F = Q.F
+    rest, arf, trace = list(Mat.identity(F, Q.n).rows), 0, 0
+    while rest:
+        e = rest.pop()
+        fe = Q.polar.dual_covector(e)
+        k = next((i for i, w in enumerate(rest) if dot(F, w, fe)), None)
+        _require(k is not None, "the polarization of a quadratic form is degenerate")
+        g = vec_scale(F, F.inv(dot(F, rest[k], fe)), rest.pop(k))
+        fg = Q.polar.dual_covector(g)
+        arf = F.add(arf, F.mul(Q.evaluate(e), Q.evaluate(g)))
+        rest = [vec_add(F, w, vec_add(F, vec_scale(F, dot(F, w, fg), e),
+                                      vec_scale(F, dot(F, w, fe), g))) for w in rest]
+    for _ in range(F.f):
+        trace, arf = F.add(trace, arf), F.frobenius(arf)
+    return "minus" if trace else "plus"
 
 
 # -- subfield descent --------------------------------------------------------
@@ -1010,7 +1017,11 @@ def classify(T: Sequence[Transvection],
     the most special verified structure: full linear order first, then
     monomial lines, then a spanning set acted on by transpositions, then
     the detected classical form cross-checked against its order formula,
-    then the even symmetric and exceptional orders.
+    then the even symmetric and exceptional orders.  When the order
+    cross-check is skipped, the classical guess is returned only once every
+    candidate that would refine it is ruled out (by its structure check, by
+    its order, or by a chain that passed the element budget); otherwise the
+    tag is Undetermined and a note names the candidates left open.
 
     The stabilizer chain stops as soon as the product of its orbit lengths
     reaches U, the order of the classical guess of step 4, because U is
@@ -1022,7 +1033,7 @@ def classify(T: Sequence[Transvection],
     is G-invariant, hence zero.  `detect_invariant_form` and
     `recover_quadratic` verify invariance under every generator before they
     return a form, so G lies in the Sp, SU or O+/- of that form, and
-    `quadratic_type` counts the type exactly.
+    `quadratic_type` reads the type off the Arf invariant, with no budget.
     """
     G = build_graph(T)
     T = G.verts
@@ -1077,16 +1088,11 @@ def classify(T: Sequence[Transvection],
         witnesses["non_symplectic_cycle"] = symp
 
     quad = None
-    qtype: str | None = None
     if has_symp and F.p == 2:
         res = recover_quadratic(G, symp)
         if isinstance(res, QuadraticForm):
             quad = res
             witnesses["quadratic_form"] = quad
-            try:
-                qtype = quadratic_type(quad, budget_projective)
-            except CapExceeded:
-                notes.append("quadratic type undecided: vector scan over budget")
         else:
             witnesses["quadratic_obstruction"] = res
 
@@ -1099,6 +1105,9 @@ def classify(T: Sequence[Transvection],
         else:
             witnesses["non_unitary_cycle"] = res
 
+    # candidates that would refine the classical guess, with their orders:
+    # here those whose structure check was skipped, in step 4 those with none
+    unchecked: list[tuple[GroupTypeTag, int]] = []
     B = None
     b_swaps = False
     if q == 2 and has_symp:
@@ -1106,6 +1115,7 @@ def classify(T: Sequence[Transvection],
             B = detect_symmetric_type(G, budget_projective)
         except CapExceeded:
             notes.append("spanning set detection skipped: vector budget")
+            unchecked.append((SYMMETRIC_ODD, math.factorial(n + 1)))
         if B is not None:
             witnesses["spanning_set"] = B
             b_swaps = _acts_by_transpositions(T, B)
@@ -1120,6 +1130,8 @@ def classify(T: Sequence[Transvection],
             mono = detect_monomial_structure(G, budget_projective)
         except CapExceeded:
             notes.append("line structure detection skipped: projective budget")
+            unchecked += [(monomial_tag(a), order_formula(monomial_tag(a), n, q))
+                          for a in range(3, q) if F.p == 2 and (q - 1) % a == 0]
         if mono is not None:
             mono_a = _monomial_parameter(T, mono)
             witnesses["monomial_lines"] = mono
@@ -1128,8 +1140,8 @@ def classify(T: Sequence[Transvection],
                      f"> 1 of q - 1")
 
     # the classical guess of step 4, whose order bounds the exact order
-    if quad is not None and qtype is not None:
-        ctag = ORTHOGONAL_PLUS if qtype == "plus" else ORTHOGONAL_MINUS
+    if quad is not None:
+        ctag = ORTHOGONAL_PLUS if quadratic_type(quad) == "plus" else ORTHOGONAL_MINUS
     elif has_symp and n >= 4:
         ctag = SYMPLECTIC
     elif has_symp and n == 2:
@@ -1140,13 +1152,15 @@ def classify(T: Sequence[Transvection],
         ctag = LINEAR
     classical = order_formula(ctag, n, q)
 
-    # exact order
+    # exact order; a chain stopped by the element budget proves |G| > `exceeds`
     N: int | None = None
+    exceeds = 0
     if q**n <= VECTOR_TABLE_BUDGET:
         try:
             N = _group_order([t.matrix() for t in T], budget_elements, classical)
         except CapExceeded:
             notes.append(f"enumeration exceeded the {budget_elements}-element budget")
+            exceeds = budget_elements
     else:
         notes.append("enumeration skipped: column table over the vector budget")
 
@@ -1186,9 +1200,21 @@ def classify(T: Sequence[Transvection],
         notes.append(f"spanning set with transposition action but the order {N} "
                      f"is not {predicted}")  # pragma: no cover - contradictory
 
-    # 4. classical by detected forms
+    # 4. classical by detected forms, once every candidate that would refine
+    # them is ruled out: by its structure check, by an order no smaller than
+    # the guess's (S6 = Sp4(2) and S8 = O6+(2) are the guess), or by the
+    # chain.  S_(n+2) keeps a quadratic form exactly when 4 divides n + 2.
     if N is None:
         notes.append("order cross-check skipped")
+        if q == 2 and has_symp and (quad is not None) == ((n + 2) % 4 == 0):
+            unchecked.append((SYMMETRIC_EVEN, math.factorial(n + 2)))
+        if ctag == LINEAR and (n, q) in _EXCEPTIONAL_ORDERS:
+            unchecked.append(_EXCEPTIONAL_ORDERS[n, q])
+        left = [str(tag) for tag, o in unchecked if exceeds < o < classical]
+        if left:
+            notes.append(f"classical guess {ctag} not confirmed: "
+                         f"{', '.join(left)} not ruled out")
+            return report(UNDETERMINED, None)
         return report(ctag, classical)
     if N == classical:
         return report(ctag, N)
@@ -1200,10 +1226,8 @@ def classify(T: Sequence[Transvection],
         return report(SYMMETRIC_EVEN, N)
 
     # 6. exceptional groups
-    if (n, q, N) == (2, 9, 120):
-        return report(exceptional_tag("SL2(5)"), 120)
-    if (n, q, N) == (3, 4, 1080):
-        return report(exceptional_tag("3.A6"), 1080)
+    if (n, q) in _EXCEPTIONAL_ORDERS and N == _EXCEPTIONAL_ORDERS[n, q][1]:
+        return report(*_EXCEPTIONAL_ORDERS[n, q])
     if (n, q) == (6, 4):
         notes.append("flagged by dimension and field only; the order of the "
                      "triple cover of POmega6-(3) is not asserted")
@@ -1407,7 +1431,7 @@ def certify(T: Sequence[Transvection],
         if isinstance(res, QuadraticForm):
             properties.append({"kind": "quadratic-form",
                                "coeffs": res.coeffs.to_json(),
-                               "type": quadratic_type(res, budget_projective)})
+                               "type": quadratic_type(res)})
         else:
             idx = add(Gd[res.index])
             properties.append({

@@ -10,6 +10,7 @@ failed internal invariant check (a bug, reported with its message).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -372,6 +373,7 @@ def render(report: dict, out_format: str) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+@functools.cache  # parsing does not change the parser; build it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="transvect",

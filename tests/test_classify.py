@@ -1032,6 +1032,21 @@ def singular_count_type(Q):
     return "minus"
 
 
+def random_quadratic_forms(F, n, count, rng):
+    """`count` seeded random quadratic forms on F^n with nondegenerate
+    polarization (upper-triangular coefficients, redrawn until
+    `QuadraticForm` accepts them)."""
+    out = []
+    while len(out) < count:
+        rows = tuple(tuple(rng.randrange(F.q) if j >= i else 0 for j in range(n))
+                     for i in range(n))
+        try:
+            out.append(QuadraticForm(F, Mat(F, rows)))
+        except Singular:
+            continue
+    return out
+
+
 def test_quadratic_type_matches_full_vector_count():
     forms = [QuadraticForm(F2, M) for M in (Q_PLUS4, Q_MINUS4, Q_PLUS6, Q_MINUS6)]
     # x^2 + xy + a y^2 over GF(4) is hyperbolic for a = 1 and elliptic for
@@ -1040,6 +1055,62 @@ def test_quadratic_type_matches_full_vector_count():
     types = [quadratic_type(Q) for Q in forms]
     assert types == [singular_count_type(Q) for Q in forms]
     assert types == ["plus", "minus", "plus", "minus", "plus", "minus"]
+    # seeded random forms, fewer where q^n is large
+    rng = random.Random(5)
+    seen = set()
+    for F, ns in ((F2, (2, 4, 6, 8)), (F4, (2, 4, 6, 8)), (F8, (2, 4, 6))):
+        for n in ns:
+            count = 12 if F.q**n <= 4096 else 1
+            for Q in random_quadratic_forms(F, n, count, rng):
+                got = quadratic_type(Q)
+                assert got == singular_count_type(Q)
+                seen.add((F.q, got))
+    assert seen == {(q, t) for q in (2, 4, 8) for t in ("plus", "minus")}
+
+
+def standard_quadratic_form(F, n, kind):
+    """The sum of n/2 hyperbolic planes x y, with the first plane made
+    x^2 + xy + a y^2 for a of absolute trace 1 when `kind` is "minus"."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(0, n, 2):
+        rows[i][i + 1] = 1
+    if kind == "minus":
+        rows[0][0] = 1
+        rows[1][1] = next(a for a in F.elements()
+                          if singular_count_type(QuadraticForm(
+                              F, Mat(F, ((1, 1), (0, a))))) == "minus")
+    return QuadraticForm(F, Mat(F, tuple(map(tuple, rows))))
+
+
+def pulled_back(Q, A):
+    """The form x -> Q(A x), by its upper-triangular coefficients: Q at the
+    columns of A on the diagonal, the polarization on pairs of columns
+    above it."""
+    F, n = Q.F, Q.n
+    cols = A.transpose().rows
+    f = Q.polarization()
+    rows = tuple(tuple(Q.evaluate(cols[i]) if i == j
+                       else f.evaluate(cols[i], cols[j]) if j > i else 0
+                       for j in range(n)) for i in range(n))
+    return QuadraticForm(F, Mat(F, rows))
+
+
+def random_invertible(F, n, rng):
+    while True:
+        A = Mat(F, [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)])
+        if A.rank() == n:
+            return A
+
+
+@pytest.mark.parametrize("F,n", [(F4, 12), (F2, 22)], ids=["GF4^12", "GF2^22"])
+def test_quadratic_type_decides_forms_past_any_vector_scan(F, n):
+    # GF(4)^12 and GF(2)^22 have 2^24 and 2^22 vectors, more than the
+    # projective budget; a change of basis keeps the type
+    rng = random.Random(n)
+    for kind in ("plus", "minus"):
+        Q = pulled_back(standard_quadratic_form(F, n, kind),
+                        random_invertible(F, n, rng))
+        assert quadratic_type(Q) == kind
 
 
 # -- classify -----------------------------------------------------------------
@@ -1168,6 +1239,113 @@ def test_classify_exceptional_3a6():
     rep = classify(A6_TRIPLE)
     assert rep.tag == exceptional_tag("3.A6")
     assert rep.order_enumerated == 1080
+
+
+def orthogonal_sample(Q, k, seed):
+    """k seeded transvections 1 + v (x) Q(v)^-1 f(., v) preserving Q, for
+    nonsingular v that span the space."""
+    F, f = Q.F, Q.polarization()
+    rng = random.Random(seed)
+    while True:
+        vs = []
+        while len(vs) < k:
+            v = tuple(rng.randrange(F.q) for _ in range(Q.n))
+            if Q.evaluate(v):
+                vs.append(v)
+        if Mat(F, vs).rank() == Q.n:
+            return [Transvection(F, v, tuple(F.mul(F.inv(Q.evaluate(v)), x)
+                                             for x in f.dual_covector(v)))
+                    for v in vs]
+
+
+def undetermined_note(ctag, open_tags):
+    return f"classical guess {ctag} not confirmed: {open_tags} not ruled out"
+
+
+# (input, classify budgets, tag, the note naming the open candidates or None)
+STEP4_CASES = {
+    "O8+(2) sample, tiny projective budget": (
+        lambda: orthogonal_sample(standard_quadratic_form(F2, 8, "plus"), 10, 1),
+        {"budget_projective": 100}, ORTHOGONAL_PLUS, None),
+    "O8-(2) sample, tiny projective budget": (
+        lambda: orthogonal_sample(standard_quadratic_form(F2, 8, "minus"), 10, 1),
+        {"budget_projective": 100}, ORTHOGONAL_MINUS, None),
+    "O12+(4) sample": (
+        lambda: orthogonal_sample(standard_quadratic_form(F4, 12, "plus"), 16, 1),
+        {}, ORTHOGONAL_PLUS, None),
+    "O22+(2) sample": (
+        lambda: orthogonal_sample(standard_quadratic_form(F2, 22, "plus"), 26, 1),
+        {}, UNDETERMINED,
+        undetermined_note(ORTHOGONAL_PLUS, "SymmetricOdd, SymmetricEven")),
+    "rep(7), tiny budgets": (
+        lambda: build_symmetric_rep(7),
+        {"budget_projective": 8, "budget_elements": 100}, UNDETERMINED,
+        undetermined_note(ORTHOGONAL_PLUS, "SymmetricOdd")),
+    "M4(5) over GF(16), tiny budgets": (
+        lambda: build_monomial_group(4, 5, F16),
+        {"budget_projective": 100, "budget_elements": 100}, UNDETERMINED,
+        undetermined_note(UNITARY, "Monomial(3), Monomial(5), Monomial(15)")),
+    "M4(7) over GF(8), tiny budgets": (
+        lambda: build_monomial_group(4, 7, F8),
+        {"budget_projective": 100, "budget_elements": 100}, UNDETERMINED,
+        undetermined_note(LINEAR, "Monomial(7)")),
+    "rep(18)": (
+        lambda: build_symmetric_rep(18), {}, UNDETERMINED,
+        undetermined_note(SYMPLECTIC, "SymmetricEven")),
+    "rep(18), element budget 10^17": (
+        lambda: build_symmetric_rep(18), {"budget_elements": 10**17},
+        SYMMETRIC_EVEN, None),
+    "SL2(5) over GF(9), element budget 50": (
+        lambda: [Transvection(F9, (1, 0), (0, 3)), Transvection(F9, (0, 1), (1, 0))],
+        {"budget_elements": 50}, UNDETERMINED,
+        undetermined_note(LINEAR, "Exceptional(SL2(5))")),
+    "3.A6 in SL3(4), element budget 500": (
+        lambda: A6_TRIPLE, {"budget_elements": 500}, UNDETERMINED,
+        undetermined_note(LINEAR, "Exceptional(3.A6)")),
+}
+
+
+@pytest.mark.parametrize("name", list(STEP4_CASES))
+def test_classify_step4_returns_no_classical_tag_while_a_refinement_is_open(name):
+    build, budgets, tag, note = STEP4_CASES[name]
+    rep = classify(build(), **budgets)
+    assert rep.tag == tag
+    if note is None:
+        assert not any("not confirmed" in x for x in rep.notes)
+    else:
+        # the candidates follow the note on the skipped cross-check
+        assert rep.notes[-2:] == ("order cross-check skipped", note)
+        assert rep.order_predicted is None
+    if rep.tag == SYMMETRIC_EVEN:
+        assert rep.order_enumerated == math.factorial(18)
+
+
+def test_classify_names_each_skipped_structure_check():
+    rep = classify(build_symmetric_rep(7), budget_projective=8)
+    assert "spanning set detection skipped: vector budget" in rep.notes
+    rep = classify(build_monomial_group(4, 7, F8), budget_projective=100)
+    assert "line structure detection skipped: projective budget" in rep.notes
+
+
+def test_classify_never_tags_a_quadratic_form_symplectic():
+    # orthogonal inputs at the default budgets and at tiny ones, which skip
+    # the spanning set detection and the order cross-check
+    inputs = [orthogonal_transvections(M, n) for M, n in
+              ((Q_MINUS4, 4), (Q_PLUS6, 6), (Q_MINUS6, 6))]
+    inputs += [build_symmetric_rep(m) for m in (7, 8, 10)]
+    inputs += [orthogonal_sample(standard_quadratic_form(F, n, kind), n + 2, n)
+               for F, n in ((F2, 8), (F2, 10), (F4, 4), (F8, 4))
+               for kind in ("plus", "minus")]
+    budgets = [{}, {"budget_projective": 8, "budget_elements": 100},
+               {"budget_projective": 100}]
+    checked = 0
+    for T in inputs:
+        for b in budgets:
+            rep = classify(T, **b)
+            if "quadratic_form" in rep.witnesses:
+                assert rep.tag != SYMPLECTIC
+                checked += 1
+    assert checked >= 30
 
 
 def test_classify_subfield_descent():

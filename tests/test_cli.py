@@ -571,3 +571,21 @@ def test_render_deterministic():
 def test_run_requires_gens():
     with pytest.raises(BadParameters):
         run(JobConfig("classify"))
+
+
+def test_parser_is_built_once_per_process():
+    import transvect.cli as cli_mod
+
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+
+
+def test_classify_leaves_rep18_undetermined_at_the_default_budget(tmp_path):
+    # S18 on GF(2)^16 has no structural witness, and the chain stops at the
+    # element budget, far below 18!: the symplectic guess stays unconfirmed
+    path = tmp_path / "rep18.json"
+    assert main(["gen", "--kind", "symmetric", "--m", "18",
+                 "--out", str(path)]) == 0
+    rep = run_json(tmp_path, ["classify", "--gens", str(path)])
+    assert rep["result"]["tag"] == "Undetermined"
+    assert rep["result"]["notes"][-1] == ("classical guess Symplectic not "
+                                          "confirmed: SymmetricEven not ruled out")
