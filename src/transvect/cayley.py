@@ -8,18 +8,21 @@ group containing transvections.
 
 Every group search in the package, `classify.enumerate_group` included,
 runs on one packed-row engine.  A row packs as its code sum(x_j q^j) (the
-`linalg` vector codec) and a matrix as the string of its row codes, one
-character each, last row first; so fixed-length keys compare as the
-integers sum(r_i D^i), D = q^n, and q^n - 1 may not exceed
-`sys.maxunicode`.  Right multiplication by a step S maps rows
-independently, so a product is one `str.translate` of the key through a
-memo table of S (`_RowTable`), built from the row codes of S and filled on
-first use: in characteristic 2, where adding packed rows is XOR of their
-codes, as the XOR of the images of the code's set bits; otherwise as a sum
-of digit images in wide lanes, reduced mod p once.  The stabilizer chain
-behind `classify.group_order` multiplies with the same tables, and the
-orbit scans of the monomial and symmetric detectors map point and vector
-codes through them.
+`linalg` vector codec) and a matrix as the sequence of its row codes, last
+row first: the `bytes` of the codes when q^n <= 256, so every code fits a
+byte, and otherwise the string of the codes, one character each, so q^n - 1
+may not exceed `sys.maxunicode`.  Either way fixed-length keys compare as
+the integers sum(r_i D^i), D = q^n.  Right multiplication by a step S maps
+rows independently, so a product is one `translate` of the key through a
+table of S.  A byte key goes through 256 bytes filled when the search
+starts; a string key through a memo table of S (`_RowTable`), built from
+the row codes of S and filled on first use: in characteristic 2, where
+adding packed rows is XOR of their codes, as the XOR of the images of the
+code's set bits; otherwise as a sum of digit images in wide lanes, reduced
+mod p once.  The byte tables are filled from the same row images.  The
+stabilizer chain behind `classify.group_order` multiplies with the memo
+tables, and the orbit scans of the monomial and symmetric detectors map
+point and vector codes through them.
 
 Keys decode to transvections in one place, `_transvections`, which reads
 the row codes without building a matrix, for the transvection balls and
@@ -38,6 +41,7 @@ from .errors import (
     CapExceeded,
     DimensionMismatch,
     FieldMismatch,
+    InternalError,
     NotExplored,
     NotFound,
     Singular,
@@ -48,9 +52,9 @@ from .transvections import Transvection
 
 Word = tuple
 
-# Default exploration budget.  Each stored element costs one key string (n
-# characters of at most 4 bytes, plus the string header) and its distance
-# and parent entries, so 10^7 elements stay within desk memory.
+# Default exploration budget.  Each stored element costs one key (n bytes,
+# or n characters of at most 4 bytes, plus the object header) and its
+# distance and parent entries, so 10^7 elements stay within desk memory.
 DEFAULT_CAP = 10**7
 
 
@@ -58,13 +62,27 @@ def _rows(M: Mat) -> tuple[int, ...]:
     return tuple(_code(M.F.q, r) for r in M.rows)
 
 
-def _pack(M: Mat) -> str:
-    """The key of a square matrix: its row codes as characters, last row
-    first."""
-    return "".join(map(chr, reversed(_rows(M))))
+def _byte_keys(q: int, n: int) -> bool:
+    """Whether the keys of n x n matrices over GF(q) are `bytes`: every one
+    of the q^n row codes fits a byte.  Wider keys are strings."""
+    return q**n <= 256
 
 
-def _encode(F: Field, n: int, M: Mat) -> str | None:
+def _pack(M: Mat) -> str | bytes:
+    """The key of a square matrix: its row codes, last row first, as bytes
+    or as characters."""
+    codes = reversed(_rows(M))
+    if _byte_keys(M.F.q, M.nrows):
+        return bytes(codes)
+    return "".join(map(chr, codes))
+
+
+def _row_codes(key: str | bytes) -> Iterable[int]:
+    """The row codes of a key, first row first."""
+    return reversed(key) if isinstance(key, bytes) else map(ord, reversed(key))
+
+
+def _encode(F: Field, n: int, M: Mat) -> str | bytes | None:
     """The key of M, or None when M is not an n x n matrix over F."""
     if M.F != F or M.nrows != n or M.ncols != n:
         return None
@@ -75,12 +93,12 @@ def _encode(F: Field, n: int, M: Mat) -> str | None:
     return _pack(M)
 
 
-def _unpack(F: Field, n: int, key: str) -> Mat:
-    return Mat(F, [_digits(F.q, n, ord(c)) for c in reversed(key)])
+def _unpack(F: Field, n: int, key: str | bytes) -> Mat:
+    return Mat(F, [_digits(F.q, n, c) for c in _row_codes(key)])
 
 
-def _transvections(F: Field, n: int,
-                   keys: Iterable[str]) -> Iterator[tuple[str, Transvection]]:
+def _transvections(F: Field, n: int, keys: Iterable[str | bytes]
+                   ) -> Iterator[tuple[str | bytes, Transvection]]:
     """(key, transvection) for each key that packs a transvection.
 
     Read off the row codes r_i: the displaced rows r_i - e_i must be
@@ -94,9 +112,8 @@ def _transvections(F: Field, n: int,
     for key in keys:
         v = [0] * n
         phi = 0
-        for i, ch in enumerate(reversed(key)):
+        for i, r in enumerate(_row_codes(key)):
             e = units[i]
-            r = ord(ch)
             r += minus_one[r // e % q] * e  # the displaced row r_i - e_i
             if not r:
                 continue
@@ -229,8 +246,11 @@ class _RowTable(dict):
 
 class _Search:
     """Breadth-first search of the elements reached from the identity by
-    right multiplication with the given steps, over string keys: a product
-    is one `str.translate` of the key through the step's row table."""
+    right multiplication with the given steps: a product is one
+    `translate` of the key through the step's table, 256 bytes for byte
+    keys and a `_RowTable` for string keys.  `parents`, when kept, maps
+    each key to the key it was first reached from (None at the
+    identity)."""
 
     def __init__(self, F: Field, n: int, steps: Sequence[Mat]):
         D = F.q**n
@@ -240,31 +260,44 @@ class _Search:
                               count=D)
         self.F = F
         self.n = n
-        self.tables = [_RowTable(F, _rows(S)) for S in steps]
+        tables = [_RowTable(F, _rows(S)) for S in steps]
+        if _byte_keys(F.q, n):
+            pad = range(D, 256)
+            tables = [bytes([*map(t.image, range(D)), *pad]) for t in tables]
+        self.tables = tables
 
-    def layer(self, frontier: list[str], seen: dict, d: int, cap: int,
-              parents: dict | None = None) -> list[str]:
+    def layer(self, frontier: list, seen: dict, d: int, cap: int,
+              parents: dict | None = None) -> list:
         """Multiply each key of `frontier` by each step, in frontier order
         then step order, and record every new key in `seen` at distance d
-        (and its (step index, parent key) in `parents`).  Returns the new
+        (and the frontier key it came from in `parents`).  Returns the new
         keys; stops early once `seen` holds more than `cap` keys."""
         tables = self.tables
         nxt = []
         for state in frontier:
-            for si, table in enumerate(tables):
+            for table in tables:
                 key = state.translate(table)
                 if key not in seen:
                     seen[key] = d
                     if parents is not None:
-                        parents[key] = (si, state)
+                        parents[key] = state
                     nxt.append(key)
             if len(seen) > cap:
                 break
         return nxt
 
+    def step(self, parent: str | bytes, key: str | bytes) -> int:
+        """The index of the first step, in step order, whose product with
+        `parent` is `key`: the step that `layer` records the key through
+        when it first reaches it from `parent`."""
+        for si, table in enumerate(self.tables):
+            if parent.translate(table) == key:
+                return si
+        raise InternalError("a recorded parent is not a neighbour of its key")
+
     def explore(self, cap: int, parents: dict | None = None,
                 radius: int | None = None,
-                target: str | None = None) -> tuple[dict, list[int]]:
+                target: str | bytes | None = None) -> tuple[dict, list[int]]:
         """Layers from the identity until none is new, or through distance
         `radius`, or through the layer holding `target`, or until more than
         `cap` elements are seen.  Returns the distance map and the
@@ -326,19 +359,21 @@ class CayleyExploration:
     """Exact distances from the identity in the Cayley graph of <X> with
     respect to X and the inverses.
 
-    `dist` maps the key of each element (see `encode`: a string of its row
-    codes, last row first) to its distance, `parents` to (step index,
-    parent key) along one shortest path (None at the identity), and
+    `dist` maps the key of each element (see `encode`: its row codes, last
+    row first, as bytes when q^n <= 256 and as a string otherwise) to its
+    distance, `parents` to its parent key along one shortest path (None at
+    the identity; `parents` is None when the search kept no words), and
     `steps` lists the symmetrized generators as (matrix, index into X,
-    exponent).  The histogram counts elements per distance, so the
-    diameter is len(histogram) - 1."""
+    exponent).  The step from a parent to its key is the first one in step
+    order whose product with the parent is the key.  The histogram counts
+    elements per distance, so the diameter is len(histogram) - 1."""
 
     F: Field
     n: int
     X: tuple[Mat, ...]
     steps: tuple[tuple[Mat, int, int], ...]
-    dist: Mapping[str, int]
-    parents: Mapping[str, tuple[int, str] | None]
+    dist: Mapping[str | bytes, int]
+    parents: Mapping[str | bytes, str | bytes | None] | None
     diameter: int
     histogram: tuple[int, ...]
 
@@ -346,7 +381,7 @@ class CayleyExploration:
     def order(self) -> int:
         return len(self.dist)
 
-    def encode(self, M: Mat) -> str | None:
+    def encode(self, M: Mat) -> str | bytes | None:
         """The key of M, or None when M is not an n x n matrix over F."""
         return _encode(self.F, self.n, M)
 
@@ -373,60 +408,77 @@ class CayleyExploration:
 
 
 def _explore(X: list[Mat], cap: int, what: str, radius: int | None = None,
-             target: Mat | None = None) -> tuple:
+             target: Mat | None = None, words: bool = True) -> tuple:
     """Search <X> from the identity over X and the inverses, through
     distance `radius` or the layer holding `target` when given.  Returns
-    (F, n, steps, dist, parents, histogram); raises CapExceeded, naming
-    `what`, past `cap` elements."""
+    (search, steps, dist, parents, histogram), parents None unless
+    `words`; raises CapExceeded, naming `what`, past `cap` elements."""
     F, n = _check_generators(X)
     if target is not None:
         _check_element(F, n, target)
     steps = _symmetrize(X)
     search = _Search(F, n, [S for S, _, _ in steps])
-    parents: dict[str, tuple[int, str] | None] = {}
+    parents: dict | None = {} if words else None
     dist, histogram = search.explore(cap, parents, radius,
                                      None if target is None else _pack(target))
     if len(dist) > cap:
         raise CapExceeded(f"{what} exceeded {cap} elements",
                           radius=len(histogram) - 1, count=cap)
-    return F, n, steps, dist, parents, histogram
+    return search, steps, dist, parents, histogram
 
 
-def bfs_explore(X: Sequence[Mat], cap: int = DEFAULT_CAP) -> CayleyExploration:
+def bfs_explore(X: Sequence[Mat], cap: int = DEFAULT_CAP,
+                words: bool = True) -> CayleyExploration:
     """Layered breadth-first search of <X> from the identity.
 
     Distances are taken over X and the inverses, so dist(g) = dist(g^-1)
     whenever the generating set is closed enough to matter.  Expansion is
     in deterministic insertion order (frontier order, then step order);
-    identical inputs give identical distance maps.  Raises CapExceeded
-    with the radius reached when the group is larger than `cap`.
+    identical inputs give identical distance maps.  Without `words` the
+    search keeps no parents, a third of its memory, and the exploration
+    gives no words.  Raises CapExceeded with the radius reached when the
+    group is larger than `cap`.
     """
     X = list(X)
-    F, n, steps, dist, parents, histogram = _explore(X, cap, "exploration")
-    return CayleyExploration(F, n, tuple(X), tuple(steps), dist, parents,
-                             len(histogram) - 1, tuple(histogram))
+    search, steps, dist, parents, histogram = _explore(X, cap, "exploration",
+                                                       words=words)
+    return CayleyExploration(search.F, search.n, tuple(X), tuple(steps), dist,
+                             parents, len(histogram) - 1, tuple(histogram))
 
 
-def _word(parents: Mapping, steps: Sequence[tuple[Mat, int, int]], key: str) -> Word:
+def _word(search: _Search, parents: Mapping,
+          steps: Sequence[tuple[Mat, int, int]], key: str | bytes) -> Word:
+    """The recorded word of `key`: the steps from each parent, read back
+    from the identity."""
     out = []
     while True:
-        p = parents[key]
-        if p is None:
+        parent = parents[key]
+        if parent is None:
             break
-        si, key = p
-        _, i, e = steps[si]
+        _, i, e = steps[search.step(parent, key)]
         out.append((i, e))
+        key = parent
     out.reverse()
     return tuple(out)
 
 
+def _parents(exploration: CayleyExploration) -> Mapping:
+    if exploration.parents is None:
+        raise BadParameters("the exploration kept no words")
+    return exploration.parents
+
+
 def word_recover(exploration: CayleyExploration, g: Mat) -> Word:
     """A shortest word over X evaluating to g, as (index, exponent) pairs
-    read left to right; the empty word at the identity."""
+    read left to right; the empty word at the identity.  Raises
+    BadParameters when the exploration kept no words."""
+    parents = _parents(exploration)
     key = exploration.encode(g)
     if key not in exploration.dist:
         raise NotExplored("element not reached by the exploration")
-    return _word(exploration.parents, exploration.steps, key)
+    steps = exploration.steps
+    search = _Search(exploration.F, exploration.n, [S for S, _, _ in steps])
+    return _word(search, parents, steps, key)
 
 
 def shortest_word(X: Sequence[Mat], g: Mat, cap: int = DEFAULT_CAP) -> Word:
@@ -437,11 +489,12 @@ def shortest_word(X: Sequence[Mat], g: Mat, cap: int = DEFAULT_CAP) -> Word:
     `cap` elements are seen first, NotExplored when g is not reached, and
     DimensionMismatch or FieldMismatch when g is not an n x n matrix over
     the field of X."""
-    _, _, steps, dist, parents, _ = _explore(list(X), cap, "exploration", target=g)
+    search, steps, dist, parents, _ = _explore(list(X), cap, "exploration",
+                                               target=g)
     key = _pack(g)
     if key not in dist:
         raise NotExplored("element not reached by the exploration")
-    return _word(parents, steps, key)
+    return _word(search, parents, steps, key)
 
 
 def bidirectional_distance(X: Sequence[Mat], g: Mat,
@@ -497,9 +550,10 @@ def transvection_ball(T: Sequence[Transvection], r: int,
     """
     if r < 0:
         raise BadParameters("need a radius r >= 0")
-    F, n, steps, dist, parents, _ = _explore([t.matrix() for t in T], cap,
-                                             "ball exploration", radius=r)
-    return {t: _word(parents, steps, key) for key, t in _transvections(F, n, dist)}
+    search, steps, dist, parents, _ = _explore([t.matrix() for t in T], cap,
+                                               "ball exploration", radius=r)
+    return {t: _word(search, parents, steps, key)
+            for key, t in _transvections(search.F, search.n, dist)}
 
 
 def transvection_length_profile(G_elements, T_all,
@@ -512,11 +566,11 @@ def transvection_length_profile(G_elements, T_all,
     elements.  `T_all` lists its transvections, as Transvection or matrix.
     T_all lies in the group, so it generates the group exactly when its
     exploration has the group's order, and the maximum is then that
-    exploration's diameter.  Raises BadParameters when T_all fails to
-    generate.
+    exploration's diameter; it keeps no words.  Raises BadParameters when
+    T_all fails to generate.
     """
     mats = [t.matrix() if isinstance(t, Transvection) else t for t in T_all]
-    ex = bfs_explore(mats, cap)
+    ex = bfs_explore(mats, cap, words=False)
     order = getattr(G_elements, "order", None)
     if order is None:
         order = sum(1 for _ in G_elements)
@@ -526,17 +580,19 @@ def transvection_length_profile(G_elements, T_all,
 
 
 def layering_audit(exploration: CayleyExploration,
-                   sample: Iterable[str] | None = None) -> bool:
+                   sample: Iterable[str | bytes] | None = None) -> bool:
     """Check the BFS layering invariant: every element at distance d > 0
-    has a neighbor at distance d - 1 (its recorded parent)."""
+    has a neighbor at distance d - 1 (its recorded parent).  Raises
+    BadParameters when the exploration kept no words."""
+    parents = _parents(exploration)
     keys = sample if sample is not None else exploration.dist.keys()
     for key in keys:
         d = exploration.dist[key]
-        p = exploration.parents[key]
+        p = parents[key]
         if d == 0:
             if p is not None:
                 return False
             continue
-        if p is None or exploration.dist[p[1]] != d - 1:
+        if p is None or exploration.dist[p] != d - 1:
             return False
     return True

@@ -309,11 +309,11 @@ class Certificate:
 class GroupEnumeration:
     """The element set of a desk-scale matrix group, stored packed.
 
-    `codes` holds the string keys of the elements in the row packing of
-    the `cayley` search engine: a row packs as sum(x_j q^j) (entry 0 least
-    significant) and a matrix as the string of its row codes, one
-    character each, last row first, so keys sort as the integers
-    sum(r_i D^i), D = q^n.
+    `codes` holds the keys of the elements in the row packing of the
+    `cayley` search engine: a row packs as sum(x_j q^j) (entry 0 least
+    significant) and a matrix as its row codes, last row first, as bytes
+    when q^n <= 256 and as a string of one character per code otherwise,
+    so keys sort as the integers sum(r_i D^i), D = q^n.
     """
 
     __slots__ = ("F", "n", "codes")
@@ -330,11 +330,11 @@ class GroupEnumeration:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def encode(self, M: Mat) -> str | None:
+    def encode(self, M: Mat) -> str | bytes | None:
         """The key of M, or None when M is not an n x n matrix over F."""
         return _encode(self.F, self.n, M)
 
-    def decode(self, key: str) -> Mat:
+    def decode(self, key: str | bytes) -> Mat:
         return _unpack(self.F, self.n, key)
 
     def __contains__(self, M: Mat) -> bool:

@@ -240,7 +240,8 @@ def _analyze_forms(job: JobConfig, F: Field, G) -> dict:
 
 
 def _run_diameter(job: JobConfig, F: Field, T: list[Transvection]) -> dict:
-    ex = bfs_explore([t.matrix() for t in T], job.cap)
+    target = job.options.get("witness")
+    ex = bfs_explore([t.matrix() for t in T], job.cap, words=target is not None)
     if job.options.get("profile", "full") == "transvections":
         T_all = ex.transvections()
         best, hist = transvection_length_profile(ex, T_all, job.cap)
@@ -250,7 +251,6 @@ def _run_diameter(job: JobConfig, F: Field, T: list[Transvection]) -> dict:
     else:
         result = {"profile": "full", "order": ex.order,
                   "diameter": ex.diameter, "histogram": list(ex.histogram)}
-    target = job.options.get("witness")
     if target is not None:
         # witness words always index the input generator list
         M = _parse_matrix(F, target)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from transvect.errors import (
     CapExceeded,
     DimensionMismatch,
     FieldMismatch,
+    InternalError,
     NotExplored,
     NotFound,
     NotTransvection,
@@ -516,7 +518,13 @@ def test_exploration_transvections_match_enumeration(gens):
     assert bfs_explore(mats(gens)).transvections() == group_transvections(gens)
 
 
-# -- string keys --------------------------------------------------------------
+# -- search keys --------------------------------------------------------------
+
+
+def key_codes(key):
+    """The row codes of a key, last row first: its bytes, or the code points
+    of its characters."""
+    return list(key) if isinstance(key, bytes) else [ord(c) for c in key]
 
 
 def int_key(M):
@@ -545,8 +553,33 @@ def test_string_keys_round_trip_and_sort_as_integer_keys(name):
     assert decoded == sorted(decoded, key=int_key)
     assert len(set(map(int_key, decoded))) == ex.order
     # some row takes the top digit in its last coordinate, so the keys use
-    # the widest character kind that q^n allows
-    assert max(ord(c) for k in ex.dist for c in k) >= (F.q - 1) * F.q**(n - 1)
+    # the widest code that q^n allows
+    assert max(c for k in ex.dist for c in key_codes(k)) >= (F.q - 1) * F.q**(n - 1)
+
+
+@pytest.mark.parametrize("name", sorted(KEY_GROUPS))
+def test_keys_are_bytes_exactly_when_every_row_code_fits_a_byte(name):
+    X = mats(KEY_GROUPS[name])
+    F, n = X[0].F, X[0].nrows
+    ex = bfs_explore(X)
+    kinds = {type(k) for k in ex.dist} | {type(k) for k in enumerate_group(X).codes}
+    assert kinds == ({bytes} if F.q**n <= 256 else {str})
+    assert all(len(k) == n for k in ex.dist)
+
+
+@pytest.mark.parametrize("gens", [SL23_PAIR, KEY_GROUPS["gf17^2"]],
+                         ids=["bytes", "str"])
+def test_bfs_without_words_keeps_no_parents(gens):
+    X = mats(gens)
+    full = bfs_explore(X)
+    bare = bfs_explore(X, words=False)
+    assert bare.parents is None
+    assert list(bare.dist.items()) == list(full.dist.items())
+    assert bare.to_json() == full.to_json()
+    with pytest.raises(BadParameters, match="kept no words"):
+        word_recover(bare, X[0])
+    with pytest.raises(BadParameters, match="kept no words"):
+        layering_audit(bare)
 
 
 def test_string_keys_with_lone_surrogates():
@@ -562,6 +595,80 @@ def test_string_keys_with_lone_surrogates():
     decoded = [_unpack(F2, n, k) for k in sorted(ex.dist)]
     assert decoded == sorted(decoded, key=int_key)
     assert ex.transvections() == group_transvections(X)
+
+
+# -- recorded words -----------------------------------------------------------
+
+
+def reference_words(X):
+    """A shortest word of every element of <X> by plain BFS over hashable
+    matrices that records (step index, parent) at first discovery, over X
+    then the inverses that are new matrices, in frontier order then step
+    order: the words a search records."""
+    steps = [(M, i, 1) for i, M in enumerate(X)]
+    for i, M in enumerate(X):
+        Minv = M.inv()
+        if all(Minv != S for S, _, _ in steps):
+            steps.append((Minv, i, -1))
+    ident = Mat.identity(X[0].F, X[0].nrows)
+    parents = {ident: None}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for M in frontier:
+            for si, (S, _, _) in enumerate(steps):
+                P = M.mul(S)
+                if P not in parents:
+                    parents[P] = (si, M)
+                    nxt.append(P)
+        frontier = nxt
+    words = {ident: ()}
+    for M in parents:  # parents come before their children
+        if M != ident:
+            si, P = parents[M]
+            _, i, e = steps[si]
+            words[M] = words[P] + ((i, e),)
+    return words
+
+
+WORD_GROUPS = {
+    "sl3-3": KEY_GROUPS["gf3^3"],  # q^n = 27, byte keys
+    "sp4-2": build_symmetric_rep(6),  # q^n = 16, byte keys
+    "gf17^2": KEY_GROUPS["gf17^2"],  # q^n = 289, string keys
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_GROUPS))
+def test_recorded_words_match_the_reference(name):
+    # a parent is stored as its key and the step is recovered as the first
+    # one reaching the key from it, which is the step that reached it first
+    T = WORD_GROUPS[name]
+    X = mats(T)
+    ref = reference_words(X)
+    ex = bfs_explore(X)
+    assert ex.order == len(ref)
+    assert all(word_recover(ex, M) == w for M, w in ref.items())
+    # each `shortest_word` is its own search, about 4 ms in the larger two
+    # groups, so those check the last element of every layer and a sample
+    sample = list(ref)
+    if len(ref) > 1000:
+        ends = [k for k, nk in zip(sample, sample[1:]) if len(ref[k]) < len(ref[nk])]
+        sample = ends + sample[-1:] + random.Random(name).sample(sample, 100)
+    assert all(shortest_word(X, M) == ref[M] for M in sample)
+    assert layering_audit(ex)
+    for r in range(ex.diameter + 1):
+        ball = transvection_ball(T, r)
+        assert ball == {t: ref[t.matrix()] for t in ball}
+        assert all(len(w) <= r for w in ball.values())
+
+
+def test_a_parent_that_is_no_neighbour_is_an_internal_error():
+    ex = bfs_explore(mats(SL23_PAIR))
+    ident, *_, far = ex.dist
+    assert ex.dist[far] > 1
+    forged = dataclasses.replace(ex, parents={**ex.parents, far: ident})
+    with pytest.raises(InternalError, match="not a neighbour"):
+        word_recover(forged, _unpack(ex.F, ex.n, far))
 
 
 # a set whose row codes run past sys.maxunicode: 21 x 21 over GF(2)
