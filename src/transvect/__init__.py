@@ -26,11 +26,9 @@ from .tgraph import (
     build_graph,
     connect_up,
     cycle_weight,
-    cycles_up_to,
     defect,
     defining_field,
     densify,
-    directed_diameter,
     is_dense,
     is_irreducible,
     is_strongly_connected,
@@ -45,13 +43,11 @@ from .forms import (
     detect_invariant_form,
     is_transvective,
     recover_quadratic,
-    relation_check,
     transvective_split,
 )
 from .classify import (
     Certificate,
     ClassificationReport,
-    GroupEnumeration,
     GroupTypeTag,
     build_monomial_group,
     build_symmetric_rep,
@@ -59,7 +55,6 @@ from .classify import (
     classify,
     detect_monomial_structure,
     detect_symmetric_type,
-    enumerate_group,
     group_order,
     order_formula,
     quadratic_type,
@@ -89,11 +84,9 @@ __all__ = [
     "build_graph",
     "connect_up",
     "cycle_weight",
-    "cycles_up_to",
     "defect",
     "defining_field",
     "densify",
-    "directed_diameter",
     "is_dense",
     "is_irreducible",
     "is_strongly_connected",
@@ -106,11 +99,9 @@ __all__ = [
     "detect_invariant_form",
     "is_transvective",
     "recover_quadratic",
-    "relation_check",
     "transvective_split",
     "Certificate",
     "ClassificationReport",
-    "GroupEnumeration",
     "GroupTypeTag",
     "build_monomial_group",
     "build_symmetric_rep",
@@ -118,7 +109,6 @@ __all__ = [
     "classify",
     "detect_monomial_structure",
     "detect_symmetric_type",
-    "enumerate_group",
     "group_order",
     "order_formula",
     "quadratic_type",

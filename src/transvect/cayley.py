@@ -6,7 +6,7 @@ inverses), yielding the diameter, per-distance histograms, shortest-word
 witnesses, transvection balls, and the maximal transvection-length of a
 group containing transvections.
 
-Every group search in the package, `classify.enumerate_group` included,
+Every group search in the package
 runs on one packed-row engine.  A row packs as its code sum(x_j q^j) (the
 `linalg` vector codec) and a matrix as the sequence of its row codes, last
 row first: the `bytes` of the codes when q^n <= 256, so every code fits a
@@ -33,7 +33,7 @@ search over X and one over every transvection.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -91,10 +91,6 @@ def _encode(F: Field, n: int, M: Mat) -> str | bytes | None:
     except FieldMismatch:
         return None
     return _pack(M)
-
-
-def _unpack(F: Field, n: int, key: str | bytes) -> Mat:
-    return Mat(F, [_digits(F.q, n, c) for c in _row_codes(key)])
 
 
 def _transvections(F: Field, n: int, keys: Iterable[str | bytes]
@@ -366,7 +362,9 @@ class CayleyExploration:
     `steps` lists the symmetrized generators as (matrix, index into X,
     exponent).  The step from a parent to its key is the first one in step
     order whose product with the parent is the key.  The histogram counts
-    elements per distance, so the diameter is len(histogram) - 1."""
+    elements per distance, so the diameter is len(histogram) - 1.  When
+    `parents` is kept, so is the search that recorded it, and words are
+    read back through its step tables."""
 
     F: Field
     n: int
@@ -376,6 +374,7 @@ class CayleyExploration:
     parents: Mapping[str | bytes, str | bytes | None] | None
     diameter: int
     histogram: tuple[int, ...]
+    _search: _Search | None = field(default=None, compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -386,7 +385,10 @@ class CayleyExploration:
         return _encode(self.F, self.n, M)
 
     def distance(self, g: Mat) -> int:
-        key = self.encode(g)
+        """The distance of g; raises DimensionMismatch or FieldMismatch when
+        g is not an n x n matrix over F, NotExplored when g is not reached."""
+        _check_element(self.F, self.n, g)
+        key = _pack(g)
         if key not in self.dist:
             raise NotExplored("element not reached by the exploration")
         return self.dist[key]
@@ -443,7 +445,8 @@ def bfs_explore(X: Sequence[Mat], cap: int = DEFAULT_CAP,
     search, steps, dist, parents, histogram = _explore(X, cap, "exploration",
                                                        words=words)
     return CayleyExploration(search.F, search.n, tuple(X), tuple(steps), dist,
-                             parents, len(histogram) - 1, tuple(histogram))
+                             parents, len(histogram) - 1, tuple(histogram),
+                             search if words else None)
 
 
 def _word(search: _Search, parents: Mapping,
@@ -462,23 +465,19 @@ def _word(search: _Search, parents: Mapping,
     return tuple(out)
 
 
-def _parents(exploration: CayleyExploration) -> Mapping:
-    if exploration.parents is None:
-        raise BadParameters("the exploration kept no words")
-    return exploration.parents
-
-
 def word_recover(exploration: CayleyExploration, g: Mat) -> Word:
     """A shortest word over X evaluating to g, as (index, exponent) pairs
     read left to right; the empty word at the identity.  Raises
-    BadParameters when the exploration kept no words."""
-    parents = _parents(exploration)
-    key = exploration.encode(g)
+    BadParameters when the exploration kept no words, DimensionMismatch or
+    FieldMismatch when g is not an n x n matrix over F, and NotExplored
+    when g is not reached."""
+    if exploration.parents is None:
+        raise BadParameters("the exploration kept no words")
+    _check_element(exploration.F, exploration.n, g)
+    key = _pack(g)
     if key not in exploration.dist:
         raise NotExplored("element not reached by the exploration")
-    steps = exploration.steps
-    search = _Search(exploration.F, exploration.n, [S for S, _, _ in steps])
-    return _word(search, parents, steps, key)
+    return _word(exploration._search, exploration.parents, exploration.steps, key)
 
 
 def shortest_word(X: Sequence[Mat], g: Mat, cap: int = DEFAULT_CAP) -> Word:
@@ -561,9 +560,9 @@ def transvection_length_profile(G_elements, T_all,
     """The maximum and histogram of word lengths over the given group when
     every transvection of the group is a generator.
 
-    `G_elements` is the group: anything with an `.order` (a
-    `GroupEnumeration` or a `CayleyExploration`) or an iterable of its
-    elements.  `T_all` lists its transvections, as Transvection or matrix.
+    `G_elements` is the group: anything with an `.order` (such as a
+    `CayleyExploration`) or an iterable of its elements.  `T_all` lists
+    its transvections, as Transvection or matrix.
     T_all lies in the group, so it generates the group exactly when its
     exploration has the group's order, and the maximum is then that
     exploration's diameter; it keeps no words.  Raises BadParameters when
@@ -577,22 +576,3 @@ def transvection_length_profile(G_elements, T_all,
     if ex.order != order:
         raise BadParameters("the transvections do not generate the group")
     return ex.diameter, ex.histogram
-
-
-def layering_audit(exploration: CayleyExploration,
-                   sample: Iterable[str | bytes] | None = None) -> bool:
-    """Check the BFS layering invariant: every element at distance d > 0
-    has a neighbor at distance d - 1 (its recorded parent).  Raises
-    BadParameters when the exploration kept no words."""
-    parents = _parents(exploration)
-    keys = sample if sample is not None else exploration.dist.keys()
-    for key in keys:
-        d = exploration.dist[key]
-        p = parents[key]
-        if d == 0:
-            if p is not None:
-                return False
-            continue
-        if p is None or exploration.dist[p] != d - 1:
-            return False
-    return True

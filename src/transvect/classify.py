@@ -19,10 +19,9 @@ strongly connected superset drawn from the same group, together with a
 word map expressing each element of T0 over the input set.
 
 Everything here is deterministic: detectors use first-found order over
-canonical enumerations, the stabilizer chain behind `group_order` is
-built in generator order, and `enumerate_group` is the breadth-first
-closure under right multiplication of the packed-row search engine in
-`cayley`, reproducible from the generator order.
+canonical enumerations, and the stabilizer chain behind `group_order` is
+built in generator order on the packed-row tables of `cayley`,
+reproducible from the generator order.
 """
 
 from __future__ import annotations
@@ -32,14 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .cayley import (
-    _check_generators,
-    _encode,
-    _rows,
-    _RowTable,
-    _Search,
-    _unpack,
-)
+from .cayley import _check_generators, _rows, _RowTable
 from .errors import (
     BadParameters,
     CapExceeded,
@@ -99,8 +91,6 @@ __all__ = [
     "MonomialStructure",
     "ClassificationReport",
     "Certificate",
-    "GroupEnumeration",
-    "enumerate_group",
     "group_order",
     "order_formula",
     "build_monomial_group",
@@ -115,9 +105,9 @@ __all__ = [
 ]
 
 ELEMENT_BUDGET = 10**7
-# `enumerate_group` runs, and `classify` computes the exact order, only while
-# q^n, the number of row codes, is at most this; past it `classify` notes
-# the order cross-check as skipped.
+# `classify` computes the exact order only while q^n, the number of row
+# codes, is at most this; past it `classify` notes the order cross-check as
+# skipped.
 VECTOR_TABLE_BUDGET = 2**16
 # Certificate budgets: obstruction cycles stay short because dense graphs
 # have diameter <= 2, exclusion subsets and the whole certificate stay small.
@@ -301,67 +291,6 @@ class Certificate:
             "words": [[[i, e] for i, e in w] for w in self.words],
             "properties": [dict(p) for p in self.properties],
         }
-
-
-# -- exact enumeration -------------------------------------------------------
-
-
-class GroupEnumeration:
-    """The element set of a desk-scale matrix group, stored packed.
-
-    `codes` holds the keys of the elements in the row packing of the
-    `cayley` search engine: a row packs as sum(x_j q^j) (entry 0 least
-    significant) and a matrix as its row codes, last row first, as bytes
-    when q^n <= 256 and as a string of one character per code otherwise,
-    so keys sort as the integers sum(r_i D^i), D = q^n.
-    """
-
-    __slots__ = ("F", "n", "codes")
-
-    def __init__(self, F: Field, n: int, codes: frozenset):
-        self.F = F
-        self.n = n
-        self.codes = codes
-
-    @property
-    def order(self) -> int:
-        return len(self.codes)
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def encode(self, M: Mat) -> str | bytes | None:
-        """The key of M, or None when M is not an n x n matrix over F."""
-        return _encode(self.F, self.n, M)
-
-    def decode(self, key: str | bytes) -> Mat:
-        return _unpack(self.F, self.n, key)
-
-    def __contains__(self, M: Mat) -> bool:
-        return self.encode(M) in self.codes
-
-    def matrices(self) -> Iterator[Mat]:
-        for key in sorted(self.codes):
-            yield self.decode(key)
-
-
-def enumerate_group(gens: Sequence[Mat], cap: int = ELEMENT_BUDGET) -> GroupEnumeration:
-    """BFS closure of invertible generators under right multiplication.
-
-    A finite group is the multiplicative closure of any generating set, so
-    no inverses are needed.  Raises CapExceeded beyond `cap` elements, or
-    immediately when q^n, the number of row codes, exceeds the vector
-    budget.
-    """
-    gens = list(gens)
-    F, n = _check_generators(gens)
-    D = F.q**n
-    if D > VECTOR_TABLE_BUDGET:
-        raise CapExceeded("column table q^n exceeds the vector budget", count=D)
-    seen, _ = _Search(F, n, gens).explore(cap)
-    if len(seen) > cap:
-        raise CapExceeded("group enumeration element budget exhausted", count=cap)
-    return GroupEnumeration(F, n, frozenset(seen))
 
 
 # -- exact order -------------------------------------------------------------

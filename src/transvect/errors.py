@@ -112,10 +112,6 @@ class NotInvariantForm(TransvectError):
     pass
 
 
-class IndexMismatch(TransvectError):
-    pass
-
-
 class MissingForm(TransvectError):
     pass
 

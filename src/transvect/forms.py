@@ -2,9 +2,9 @@
 
 Detection and reconstruction of an invariant sesquilinear form from the
 transvection graph alone (symplectic for the identity twist, unitary for the
-field involution), recovery of the quadratic form in characteristic 2, the
-coefficient relation form Q-tilde, and the transvective-vector toolkit used
-to decompose vectors into short transvective sums.
+field involution), recovery of the quadratic form in characteristic 2, and
+the transvective-vector toolkit used to decompose vectors into short
+transvective sums.
 
 Conventions.  A form is f(x, y) = x^T gram theta(y) where theta is applied
 entrywise to y.  It is twisted-antisymmetric: gram + theta(gram^T) = 0, so
@@ -15,7 +15,6 @@ scalar tying phi to the f-dual of v.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,11 +22,9 @@ from .errors import (
     BadParameters,
     DimensionMismatch,
     FieldMismatch,
-    IndexMismatch,
     InternalError,
     MissingForm,
     NoInvolution,
-    NotFound,
     NotInvariantForm,
     NotIrreducible,
     NoWitness,
@@ -53,22 +50,13 @@ __all__ = [
     "QuadraticForm",
     "ObstructionCycle",
     "QuadraticObstruction",
-    "RelationForm",
     "detect_invariant_form",
     "recover_quadratic",
-    "tilde_q",
-    "tilde_f",
-    "relation_check",
     "is_transvective",
     "transvective_fixup",
     "transvective_split",
-    "solve_q_on_affine",
-    "POINT_BUDGET",
-    "TRIAL_BUDGET",
 ]
 
-POINT_BUDGET = 2**20
-TRIAL_BUDGET = 10**6
 
 KINDS = ("linear", "symplectic", "unitary", "orthogonal")
 
@@ -119,9 +107,6 @@ class SesquiForm:
         """The covector f(., v)."""
         tv = tuple(self._theta(a) for a in v)
         return self.gram.matvec(tv)
-
-    def is_isotropic(self, v: Sequence[int]) -> bool:
-        return self.evaluate(v, v) == 0
 
     def invariant_under(self, M: Mat) -> bool:
         tm = M.map_entries(self._theta)
@@ -384,71 +369,6 @@ def recover_quadratic(G: TransvectionGraph, f: SesquiForm):
     return Q
 
 
-# -- the coefficient relation form --------------------------------------------
-
-
-@dataclass(frozen=True)
-class RelationForm:
-    """Evaluation context for Q-tilde over a transvection vector list."""
-
-    f: SesquiForm
-    vectors: tuple[Vec, ...]
-
-    def __post_init__(self):
-        if self.f.F.p != 2:
-            raise WrongCharacteristic("the relation form lives in characteristic 2")
-        for v in self.vectors:
-            if len(v) != self.f.n:
-                raise DimensionMismatch("vector length does not match the form")
-
-
-def _check_len(lam: Sequence[int], ctx: RelationForm) -> None:
-    if len(lam) != len(ctx.vectors):
-        raise IndexMismatch(
-            f"coefficient vector of length {len(lam)} over {len(ctx.vectors)} vectors")
-
-
-def tilde_q(lam: Sequence[int], ctx: RelationForm) -> int:
-    """Q-tilde(lam) = sum lam_t^2 + sum_{t<s} lam_t lam_s f(v_t, v_s)."""
-    _check_len(lam, ctx)
-    F = ctx.f.F
-    acc = 0
-    for t in range(len(lam)):
-        acc = F.add(acc, F.mul(lam[t], lam[t]))
-        for s in range(t + 1, len(lam)):
-            acc = F.add(acc, F.mul(F.mul(lam[t], lam[s]),
-                                   ctx.f.evaluate(ctx.vectors[t], ctx.vectors[s])))
-    return acc
-
-
-def tilde_f(lam: Sequence[int], mu: Sequence[int], ctx: RelationForm) -> int:
-    """f-tilde(lam, mu) = sum_{t != s} lam_t mu_s f(v_t, v_s); polarizes
-    Q-tilde."""
-    _check_len(lam, ctx)
-    _check_len(mu, ctx)
-    F = ctx.f.F
-    acc = 0
-    for t in range(len(lam)):
-        for s in range(len(mu)):
-            if t == s:
-                continue
-            acc = F.add(acc, F.mul(F.mul(lam[t], mu[s]),
-                                   ctx.f.evaluate(ctx.vectors[t], ctx.vectors[s])))
-    return acc
-
-
-def relation_check(lam: Sequence[int], ctx: RelationForm) -> bool:
-    """(sum lam_t v_t = 0) implies (Q-tilde(lam) = 0), for this lam."""
-    _check_len(lam, ctx)
-    F = ctx.f.F
-    total = tuple([0] * ctx.f.n)
-    for c, v in zip(lam, ctx.vectors):
-        total = vec_add(F, total, vec_scale(F, c, v))
-    if not is_zero_vec(total):
-        return True
-    return tilde_q(lam, ctx) == 0
-
-
 # -- transvective vectors -----------------------------------------------------
 
 
@@ -626,38 +546,3 @@ def transvective_split(v: Sequence[int], basis: Sequence[Vec], kind: str,
         _require(2 * sx <= k + 4, f"a part of the split has support {sx} "
                                   f"> (k + 4) / 2 with k = {k}")
     return out
-
-
-# -- solving Q on an affine subspace ------------------------------------------
-
-
-def solve_q_on_affine(Q: QuadraticForm, w: Sequence[int], H: Subspace, c: int,
-                      budget_points: int = POINT_BUDGET,
-                      budget_trials: int = TRIAL_BUDGET,
-                      rng: random.Random | None = None) -> Vec:
-    """A point x in w + H with Q(x) = c.
-
-    Exhaustive when the coset is small enough, otherwise randomized trials.
-    Existence is guaranteed only from dimension 10 up (codimension-2 H), so
-    NotFound is a legitimate answer below that.
-    """
-    F = Q.F
-    w = tuple(w)
-    if H.n != Q.n or len(w) != Q.n:
-        raise DimensionMismatch("ambient dimensions do not match")
-    if F.q ** H.dim <= budget_points:
-        for h in H.elements():
-            x = vec_add(F, w, h)
-            if Q.evaluate(x) == c:
-                return x
-        raise NotFound("no point of the coset attains the value")
-    if rng is None:
-        rng = random.Random(0)
-    basis = H.basis
-    for _ in range(budget_trials):
-        x = w
-        for b in basis:
-            x = vec_add(F, x, vec_scale(F, rng.randrange(F.q), b))
-        if Q.evaluate(x) == c:
-            return x
-    raise NotFound("randomized search exhausted its trial budget")

@@ -358,16 +358,8 @@ class Field:
             self._frob_table = t
         return t[x]
 
-    def trace_to_index2_subfield(self, x: int) -> int:
-        """x + x^theta; lands in the fixed subfield of the involution."""
-        return self.add(x, self.involution(x))
-
     def norm_to_index2_subfield(self, x: int) -> int:
         return self.mul(x, self.involution(x))
-
-    def fixed_subfield(self) -> list[int]:
-        """Elements of the index-2 subfield (fixed points of the involution)."""
-        return [x for x in range(self.q) if self.involution(x) == x]
 
     def element_degree(self, x: int) -> int:
         """Degree over F_p of the subfield generated by x."""

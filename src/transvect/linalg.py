@@ -20,7 +20,7 @@ from .gf import Field
 
 Vec = tuple[int, ...]
 
-__all__ = ["Mat", "Subspace", "dot", "vec_add", "vec_sub", "vec_scale", "vec_neg",
+__all__ = ["Mat", "Subspace", "dot", "vec_add", "vec_sub", "vec_scale",
            "outer", "is_zero_vec"]
 
 
@@ -42,10 +42,6 @@ def vec_add(F: Field, u: Sequence[int], v: Sequence[int]) -> Vec:
 
 def vec_sub(F: Field, u: Sequence[int], v: Sequence[int]) -> Vec:
     return tuple(F.sub(a, b) for a, b in zip(u, v))
-
-
-def vec_neg(F: Field, v: Sequence[int]) -> Vec:
-    return tuple(F.neg(a) for a in v)
 
 
 def vec_scale(F: Field, c: int, v: Sequence[int]) -> Vec:
@@ -303,10 +299,6 @@ class Mat:
         red, piv = t.rref()
         return [red.rows[i] for i in range(len(piv))]
 
-    def row_space(self) -> list[Vec]:
-        red, piv = self.rref()
-        return [red.rows[i] for i in range(len(piv))]
-
     def solve(self, b: Sequence[int]) -> Vec:
         """One solution of M x = b (free variables set to 0); NoSolution if none."""
         if len(b) != self.nrows:
@@ -399,9 +391,6 @@ class Subspace:
                 span = Subspace(self.F, self.n, span.basis + (tuple(v),))
         return picked
 
-    def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis)
-
     def sum(self, other: "Subspace") -> "Subspace":
         self._compat(other)
         return Subspace(self.F, self.n, self.basis + other.basis)
@@ -423,28 +412,6 @@ class Subspace:
             raise NoSolution("zero subspace has no nonzero member")
         # with an RREF basis this is the row whose pivot is furthest right
         return self.basis[-1]
-
-    def elements(self):
-        """Iterate all q^dim members (small subspaces only)."""
-        F = self.F
-        n = self.n
-        d = self.dim
-        idx = [0] * d
-        while True:
-            v = (0,) * n
-            for c, row in zip(idx, self.basis):
-                if c:
-                    v = vec_add(F, v, vec_scale(F, c, row))
-            yield v
-            i = 0
-            while i < d:
-                idx[i] += 1
-                if idx[i] < F.q:
-                    break
-                idx[i] = 0
-                i += 1
-            if i == d:
-                return
 
     def _compat(self, other: "Subspace") -> None:
         if self.F != other.F:

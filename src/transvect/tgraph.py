@@ -42,10 +42,8 @@ __all__ = [
     "build_graph",
     "scc",
     "is_strongly_connected",
-    "directed_diameter",
     "is_irreducible",
     "cycle_weight",
-    "cycles_up_to",
     "cycle_symplectic_defect",
     "cycle_unitary_defect",
     "defining_field",
@@ -196,16 +194,6 @@ def _distances(G: TransvectionGraph, s: int) -> list[int]:
     return dist
 
 
-def directed_diameter(G: TransvectionGraph) -> int:
-    best = 0
-    for s in range(len(G.verts)):
-        dist = _distances(G, s)
-        if min(dist) < 0:
-            raise NotStronglyConnected("diameter undefined: graph not strongly connected")
-        best = max(best, max(dist))
-    return best
-
-
 @dataclass(frozen=True)
 class IrreducibilityReport:
     irreducible: bool
@@ -282,18 +270,6 @@ def cycle_weight(G: TransvectionGraph, verts: Sequence[int]) -> int:
         if w == 0:
             return 0
     return w
-
-
-def cycles_up_to(G: TransvectionGraph, L: int,
-                 budget_walks: int = WALK_BUDGET) -> list[CycleRecord]:
-    """All closed walks of length 2..L with nonzero weight, one record per
-    rotation class (canonical rotation = lexicographically least), sorted by
-    (length, vertex tuple): the whole `_closed_walks` stream."""
-    if L > MAX_CYCLE_LEN:
-        raise BadParameters(f"cycle length cap is {MAX_CYCLE_LEN}, got {L}")
-    if L < 1:
-        raise BadParameters(f"need a cycle length bound L >= 1, got {L}")
-    return [r for _, r in _closed_walks(G, L, budget_walks) if r is not None]
 
 
 def _closed_walks(G: TransvectionGraph, L: int, budget_walks: int
@@ -387,7 +363,7 @@ def defining_field(G: TransvectionGraph, dense_hint: bool = False,
     there ("dense").  Otherwise it runs until the degree holds for 3
     consecutive bounds ("stabilized") or hits the cap ("cap-limited").
     Either way history has one (length, degree) pair per level read, and
-    the walk budget is spent as by `cycles_up_to` at the last length read.
+    the walk budget counts every path made through the last level read.
     """
     F = G.F
     history: list[tuple[int, int]] = []

@@ -27,7 +27,6 @@ from transvect.classify import (
     build_symmetric_rep,
     certify,
     classify,
-    enumerate_group,
     group_order,
     monomial_tag,
     order_formula,
@@ -61,6 +60,8 @@ from transvect.transvections import (
     standard_full_field_set,
     tv_from_matrix,
 )
+
+from oracles import enumerate_group
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)

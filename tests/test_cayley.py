@@ -12,21 +12,14 @@ from transvect.cayley import (
     _digits,
     _pack,
     _RowTable,
-    _unpack,
     bfs_explore,
     bidirectional_distance,
-    layering_audit,
     shortest_word,
     transvection_ball,
     transvection_length_profile,
     word_recover,
 )
-from transvect.classify import (
-    VECTOR_TABLE_BUDGET,
-    build_symmetric_rep,
-    enumerate_group,
-    group_order,
-)
+from transvect.classify import VECTOR_TABLE_BUDGET, build_symmetric_rep, group_order
 from transvect.errors import (
     BadParameters,
     CapExceeded,
@@ -46,6 +39,8 @@ from transvect.transvections import (
     standard_full_field_set,
     tv_from_matrix,
 )
+
+from oracles import _unpack, enumerate_group, layering_audit
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -816,9 +811,49 @@ def test_exploration_does_not_encode_entries_outside_the_field():
     rogue = Mat(F2, [[1, 2], [0, 1]])
     assert ex.encode(rogue) is None
     assert rogue not in ex
-    with pytest.raises(NotExplored):
+    with pytest.raises(FieldMismatch, match="is not an element of"):
         ex.distance(rogue)
-    with pytest.raises(NotExplored):
+    with pytest.raises(FieldMismatch, match="is not an element of"):
         word_recover(ex, rogue)
     # -1 written as 2 gives the true order of SL2(3)
     assert group_order([Mat(F3, [[1, 2], [0, 1]]), NEG_GF3[1]]) == 24
+
+
+@pytest.mark.parametrize("M", [
+    Mat(F3, [[1, 1], [0, 1]]),
+    Mat.identity(F2, 2),
+    Mat(F2, [[1, 1, 0], [0, 1, 0]]),
+], ids=["wrong-field", "wrong-size", "not-square"])
+def test_a_foreign_matrix_is_a_dimension_mismatch_not_an_unexplored_element(M):
+    # the `diameter --witness` route: a 2 x 2 witness for a 3 x 3 set is an
+    # input error, as it is for `shortest_word`, not an element the search
+    # failed to reach
+    X = mats(SL32_TRIANGLE)
+    ex = bfs_explore(X)
+    assert M not in ex
+    with pytest.raises(DimensionMismatch):
+        ex.distance(M)
+    with pytest.raises(DimensionMismatch):
+        word_recover(ex, M)
+    with pytest.raises(DimensionMismatch):
+        shortest_word(X, M)
+
+
+def test_words_are_read_through_the_exploration_s_own_search(monkeypatch):
+    # an exploration builds one search, and every word recovered from it is
+    # read back through that search's step tables
+    from transvect import cayley
+
+    builds = []
+    init = cayley._Search.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cayley._Search, "__init__", counting_init)
+    ex = bfs_explore(mats(KEY_GROUPS["gf3^3"]))
+    elements = [_unpack(ex.F, ex.n, k) for k in ex.dist]
+    assert len(elements) == 5616
+    assert all(len(word_recover(ex, M)) == ex.distance(M) for M in elements)
+    assert len(builds) == 1

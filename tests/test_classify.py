@@ -31,7 +31,6 @@ from transvect.classify import (
     classify,
     detect_monomial_structure,
     detect_symmetric_type,
-    enumerate_group,
     exceptional_tag,
     group_order,
     monomial_tag,
@@ -66,6 +65,8 @@ from transvect.tgraph import (
     restrict_to_section,
 )
 from transvect.transvections import Transvection, standard_full_field_set, tv_from_matrix
+
+from oracles import enumerate_group
 
 # the module, which the package's `classify` function shadows as an attribute
 classify_mod = importlib.import_module("transvect.classify")

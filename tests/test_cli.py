@@ -398,6 +398,15 @@ def test_diameter_profile_witness_runs_two_searches(tmp_path, monkeypatch):
     assert calls == [3, 21]
 
 
+def test_diameter_witness_of_another_size_is_an_input_error(tmp_path, capsys):
+    # a 2 x 2 witness for a 3 x 3 set is rejected as such, not reported as
+    # an element the exploration did not reach
+    path = sl3_triangle_file(tmp_path)
+    assert main(["diameter", "--gens", path, "--witness", "[[1,0],[0,1]]"]) == 1
+    err = capsys.readouterr().err
+    assert err == "transvect: error: element does not match the generators\n"
+
+
 def test_diameter_csv(tmp_path):
     path = sl22_file(tmp_path)
     out = tmp_path / "hist.csv"

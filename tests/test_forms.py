@@ -13,11 +13,9 @@ from transvect.classify import build_monomial_group, build_symmetric_rep
 from transvect.errors import (
     BadParameters,
     CapExceeded,
-    IndexMismatch,
     InternalError,
     MissingForm,
     NoInvolution,
-    NotFound,
     NotInvariantForm,
     NotIrreducible,
     NoWitness,
@@ -29,15 +27,10 @@ from transvect.forms import (
     ObstructionCycle,
     QuadraticForm,
     QuadraticObstruction,
-    RelationForm,
     SesquiForm,
     detect_invariant_form,
     is_transvective,
     recover_quadratic,
-    relation_check,
-    solve_q_on_affine,
-    tilde_f,
-    tilde_q,
     transvective_fixup,
     transvective_split,
 )
@@ -48,11 +41,11 @@ from transvect.tgraph import (
     cycle_symplectic_defect,
     cycle_unitary_defect,
     cycle_weight,
-    cycles_up_to,
-    directed_diameter,
     is_irreducible,
 )
 from transvect.transvections import Transvection, standard_full_field_set
+
+from oracles import cycles_up_to, directed_diameter
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -192,7 +185,7 @@ def test_sesquiform_examples():
     assert f.evaluate(e(4, 0), e(4, 2)) == 0
     assert f.evaluate((1, 1, 0, 0), (1, 1, 0, 0)) == 0
     assert f.dual_covector(e(4, 0)) == (0, 1, 0, 0)
-    assert f.is_isotropic((1, 0, 1, 0))
+    assert f.evaluate((1, 0, 1, 0), (1, 0, 1, 0)) == 0
     t = Transvection(F2, (1, 0, 0, 0), f.dual_covector((1, 0, 0, 0)))
     assert f.invariant_under(t.matrix())
 
@@ -238,6 +231,13 @@ def test_quadratic_form_examples():
         QuadraticForm(F2, Mat(F2, ((0, 1), (1, 0))))
     with pytest.raises(Singular):
         QuadraticForm(F2, Mat(F2, ((1, 0), (0, 1))))  # polarization zero
+
+
+def hyperbolic_q(F, n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(0, n, 2):
+        rows[i][i + 1] = 1
+    return QuadraticForm(F, Mat(F, tuple(tuple(r) for r in rows)))
 
 
 def test_polarization_identity():
@@ -792,54 +792,6 @@ def test_recover_quadratic_guards():
         recover_quadratic(G, other)
 
 
-# -- relation form -------------------------------------------------------------
-
-
-def test_tilde_q_examples():
-    T, f = orthogonal_transvections(Q_PLUS4)
-    ctx = RelationForm(f, tuple(t.v for t in T))
-    assert tilde_q((0,) * 6, ctx) == 0
-    assert tilde_q(e(6, 2), ctx) == 1
-    with pytest.raises(IndexMismatch):
-        tilde_q((1, 0), ctx)
-    with pytest.raises(WrongCharacteristic):
-        RelationForm(SesquiForm(F3, Mat(F3, ((0, 1), (2, 0))), "identity"),
-                     ((1, 0), (0, 1)))
-
-    # kernel relations of the O4+ transvection vectors all satisfy Q~ = 0
-    cols = Mat(F2, tuple(t.v for t in T)).transpose()
-    kernel = Subspace.span(F2, 6, cols.kernel())
-    assert kernel.dim == 2
-    count = 0
-    for lam in kernel.elements():
-        assert tilde_q(lam, ctx) == 0
-        assert relation_check(lam, ctx)
-        count += 1
-    assert count == 4
-    # a non-relation lam passes relation_check vacuously
-    assert relation_check(e(6, 0), ctx)
-
-
-def test_tilde_parallelogram_fuzz():
-    rng = random.Random(99)
-    T6, f6 = orthogonal_transvections(Q_PLUS6)
-    vecs = tuple(t.v for t in T6[:9])
-    ctx = RelationForm(f6, vecs)
-    om = F4.primitive_element()
-    ctx4 = RelationForm(hyperbolic_q(F4, 4).polarization(),
-                        (e(4, 0), e(4, 1), (1, om, 0, 1), (0, om, 1, 1)))
-    for ctx_i in (ctx, ctx4):
-        F = ctx_i.f.F
-        m = len(ctx_i.vectors)
-        for _ in range(60):
-            lam = tuple(rng.randrange(F.q) for _ in range(m))
-            mu = tuple(rng.randrange(F.q) for _ in range(m))
-            lhs = tilde_q(vec_add(F, lam, mu), ctx_i)
-            rhs = F.add(F.add(tilde_q(lam, ctx_i), tilde_q(mu, ctx_i)),
-                        tilde_f(lam, mu, ctx_i))
-            assert lhs == rhs
-
-
 # -- transvective vectors ------------------------------------------------------
 
 
@@ -1008,66 +960,3 @@ def test_transvective_split_fuzz():
             assert 2 * sum(1 for c in x if c != 0) <= k + 4
             total = vec_add(F5, total, x)
         assert total == v
-
-
-# -- solve_q_on_affine ---------------------------------------------------------
-
-
-def hyperbolic_q(F, n):
-    rows = [[0] * n for _ in range(n)]
-    for i in range(0, n, 2):
-        rows[i][i + 1] = 1
-    return QuadraticForm(F, Mat(F, tuple(tuple(r) for r in rows)))
-
-
-def test_solve_q_on_affine_examples():
-    Q10 = hyperbolic_q(F2, 10)
-    rng = random.Random(3)
-    # random codimension-2 subspace
-    while True:
-        vecs = [tuple(rng.randrange(2) for _ in range(10)) for _ in range(8)]
-        H = Subspace.span(F2, 10, vecs)
-        if H.dim == 8:
-            break
-    w = tuple(rng.randrange(2) for _ in range(10))
-    # c = Q(w) returns w itself
-    assert solve_q_on_affine(Q10, w, H, Q10.evaluate(w)) == w
-    for c in (0, 1):
-        x = solve_q_on_affine(Q10, w, H, c)
-        assert Q10.evaluate(x) == c
-        diff = vec_add(F2, x, w)
-        assert H.contains(diff)
-
-    # dimension 4 sits below the guarantee: some cosets miss a value
-    Q4 = hyperbolic_q(F2, 4)
-    found = False
-    for basis in combinations([v for v in product(range(2), repeat=4) if any(v)], 2):
-        H = Subspace.span(F2, 4, basis)
-        if H.dim != 2:
-            continue
-        for w in product(range(2), repeat=4):
-            vals = {Q4.evaluate(vec_add(F2, w, h)) for h in H.elements()}
-            if len(vals) == 1:
-                missing = 1 - next(iter(vals))
-                with pytest.raises(NotFound):
-                    solve_q_on_affine(Q4, w, H, missing)
-                found = True
-                break
-        if found:
-            break
-    assert found
-
-
-def test_solve_q_on_affine_randomized_path():
-    # force the randomized branch with a tiny point budget
-    Q10 = hyperbolic_q(F2, 10)
-    H = Subspace.span(F2, 10, [e(10, i) for i in range(8)])
-    w = e(10, 9)
-    x = solve_q_on_affine(Q10, w, H, 1, budget_points=4)
-    assert Q10.evaluate(x) == 1
-    assert H.contains(vec_add(F2, x, w))
-    # Q vanishes identically on a span of first-of-pair coordinates, so the
-    # randomized search exhausts its trials
-    H0 = Subspace.span(F2, 10, [e(10, 0), e(10, 2), e(10, 4)])
-    with pytest.raises(NotFound):
-        solve_q_on_affine(Q10, (0,) * 10, H0, 1, budget_points=4, budget_trials=50)

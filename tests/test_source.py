@@ -153,3 +153,54 @@ def test_only_word_matrix_multiplies_transvection_matrices():
                 found.append(f"{where}:{node.lineno}")
     assert allowed == 1
     assert found == []
+
+
+# Public names that neither `cli` nor what it reaches refers to, each with
+# the reason it stays public; any other name in `transvect.__all__` that
+# nothing reaches is dead, or an oracle that belongs in tests/oracles.py
+UNREACHED_PUBLIC = {
+    "group_order": "the exact order of <X> by Schreier-Sims, as a library call",
+    "stability_check": "a library route: the benchmark's stability entries call it",
+    "bidirectional_distance": "a library route: the benchmark's distance entries call it",
+    "transvection_ball": "the transvections within distance r, each with a word, "
+                         "as a library call",
+}
+
+
+def test_every_public_name_is_reached_from_the_cli():
+    # a reachability pass over module-level definitions: the roots are `cli`
+    # and the bodies of the allow-listed routes, and a definition reaches
+    # every name its body loads or reads as an attribute, through private
+    # helpers too
+    defs: dict[str, list[ast.AST]] = {}
+    trees = {}
+    for path in sorted(SRC.glob("*.py")):
+        trees[path.stem] = tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+    todo = list(names(trees["cli"]))
+    for route in UNREACHED_PUBLIC:
+        for node in defs[route]:
+            todo.extend(names(node))
+    reached: set[str] = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for node in defs.get(name, ()):
+                todo.extend(names(node))
+    public = set(transvect.__all__)
+    assert len(public) >= 40
+    assert sorted(public - reached - set(UNREACHED_PUBLIC)) == []
+    # an entry that something reaches, or that is no longer public, is stale
+    assert sorted(set(UNREACHED_PUBLIC) & reached) == []
+    assert sorted(set(UNREACHED_PUBLIC) - public) == []

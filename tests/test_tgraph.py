@@ -42,11 +42,9 @@ from transvect.tgraph import (
     cycle_symplectic_defect,
     cycle_unitary_defect,
     cycle_weight,
-    cycles_up_to,
     defect,
     defining_field,
     densify,
-    directed_diameter,
     is_dense,
     is_irreducible,
     is_strongly_connected,
@@ -57,6 +55,8 @@ from transvect.tgraph import (
     winkle,
     word_matrix,
 )
+
+from oracles import cycles_up_to, directed_diameter
 
 
 def e(n: int, i: int) -> tuple[int, ...]:
