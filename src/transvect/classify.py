@@ -49,7 +49,17 @@ from .forms import (
     recover_quadratic,
 )
 from .gf import Field, field_create
-from .linalg import Mat, Subspace, Vec, _code, _digits, dot, vec_add, vec_scale
+from .linalg import (
+    Mat,
+    Subspace,
+    Vec,
+    _code,
+    _digits,
+    _inverse_codes,
+    dot,
+    vec_add,
+    vec_scale,
+)
 from .tgraph import (
     PROJECTIVE_BUDGET,
     WALK_BUDGET,
@@ -303,13 +313,16 @@ class _Chain:
     search engine.  The group acts on row vectors by right multiplication,
     so the image of the base point e_i under g is row i of g, and the
     product g h maps the rows of g through the row table of h.  Level i
-    holds the strong generators fixing e_0..e_(i-1), each as (rows, row
-    table, inverse rows), and the basic orbit of e_i: the orbit points in
-    discovery order, and for each point p the transversal entry
-    [u, u^-1, row table of u^-1 or None] with e_i u = p (None at e_i).
-    Row tables are built from row codes: only a strong generator is ever
-    decoded into a `Mat`, to invert it, and a transversal inverse gets its
-    table from the inverse rows the entry already stores.
+    holds the strong generators fixing e_0..e_(i-1), each a record (rows,
+    row table, inverse rows), and the basic orbit of e_i: the orbit points
+    in discovery order, and for each point p the transversal entry
+    [u, s, parent, inverse table] with e_i u = p (None at e_i), where the
+    record s took the parent to p, so u = u_parent s.  No `Mat` is built:
+    a strong generator is inverted by Gauss-Jordan on its row codes, and
+    the row table of u^-1 = s^-1 u_parent^-1 is built only when a sift
+    first strips through p, from the inverse rows of s mapped through the
+    parent's table, itself built the same way and kept.  A chain stopped
+    early by its bound never builds the inverses of most points.
 
     Orbits only grow, so the product of the orbit lengths is a lower bound
     on the order throughout; `_close` checks it against the cap and
@@ -327,22 +340,31 @@ class _Chain:
         self.checked = [[0] for _ in range(n)]
         self.records: dict[tuple, tuple] = {}
 
-    def strong(self, rows: tuple, M: Mat | None = None) -> tuple:
+    def strong(self, rows: tuple) -> tuple:
         """The strong generator record (rows, row table, inverse rows), one
         per element: a residue equal to an earlier strong generator shares
         its record."""
         s = self.records.get(rows)
         if s is None:
-            if M is None:
-                q, n = self.F.q, self.n
-                M = Mat(self.F, [_digits(q, n, c) for c in rows])
-            s = self.records[rows] = rows, _RowTable(self.F, rows), _rows(M.inv())
+            s = self.records[rows] = (rows, _RowTable(self.F, rows),
+                                      _inverse_codes(self.F, rows))
         return s
 
-    def _inverse_table(self, entry: list) -> _RowTable:
-        if entry[2] is None:
-            entry[2] = _RowTable(self.F, entry[1])
-        return entry[2]
+    def _transversal_inverse(self, orbit: dict, entry: list) -> _RowTable:
+        """The row table of u^-1 for an orbit entry, built on first use
+        together with those of its ancestors that still lack one."""
+        if entry[3] is None:
+            path = []
+            while entry is not None and entry[3] is None:
+                path.append(entry)
+                entry = orbit[entry[2]]
+            for e in reversed(path):
+                inv = e[1][2]  # the inverse rows of s
+                if entry is not None:  # the parent is not the base point
+                    inv = tuple(map(entry[3].__getitem__, inv))
+                e[3] = _RowTable(self.F, inv)
+                entry = e
+        return entry[3]
 
     def order(self) -> int:
         return math.prod(map(len, self.points))
@@ -366,16 +388,13 @@ class _Chain:
         while k < len(pts):
             p = pts[k]
             u = orbit[p]
-            for rows, tbl, inv in gens[first if k < old else 0:]:
+            for s in gens[first if k < old else 0:]:
+                tbl = s[1]
                 r = tbl[p]
                 if r in orbit:
                     continue
-                if u is None:
-                    orbit[r] = [rows, inv, None]
-                else:
-                    orbit[r] = [tuple(map(tbl.__getitem__, u[0])),
-                                tuple(map(self._inverse_table(u).__getitem__, inv)),
-                                None]
+                rows = s[0] if u is None else tuple(map(tbl.__getitem__, u[0]))
+                orbit[r] = [rows, s, p, None]
                 pts.append(r)
                 self.checked[level].append(0)
                 lower = len(pts) * others
@@ -395,10 +414,11 @@ class _Chain:
             p = h[level]
             if p == base[level]:
                 continue
-            entry = self.orbits[level].get(p)
+            orbit = self.orbits[level]
+            entry = orbit.get(p)
             if entry is None:
                 return h, level
-            h = tuple(map(self._inverse_table(entry).__getitem__, h))
+            h = tuple(map(self._transversal_inverse(orbit, entry).__getitem__, h))
             if h[level] != base[level]:
                 raise InternalError(f"a transversal inverse at level {level} "
                                     f"does not return its point to the base")
@@ -417,17 +437,17 @@ class _Chain:
         for k, p in enumerate(pts):
             u = orbit[p]
             while checked[k] < len(gens):
-                rows, tbl, _ = gens[checked[k]]
+                s = gens[checked[k]]
                 checked[k] += 1
-                r = tbl[p]
-                a = rows if u is None else tuple(map(tbl.__getitem__, u[0]))
-                w = orbit[r]
+                tbl = s[1]
+                a = s[0] if u is None else tuple(map(tbl.__getitem__, u[0]))
+                w = orbit[tbl[p]]
                 if w is None:
                     h = a
                 elif a == w[0]:
-                    continue  # the edge that defined u_r
+                    continue  # the edge that defined u_(p s)
                 else:
-                    h = tuple(map(self._inverse_table(w).__getitem__, a))
+                    h = tuple(map(self._transversal_inverse(orbit, w).__getitem__, a))
                 res, drop = self.sift(h, level + 1)
                 if res is not None:
                     self.add(self.strong(res), level + 1, drop)
@@ -444,7 +464,10 @@ def group_order(gens: Sequence[Mat], cap: int = ELEMENT_BUDGET) -> int:
     base.  Every Schreier generator is sifted, so the order, the product of
     the basic orbit lengths, is exact.  Orbits only grow while the chain is
     built, so their product is a lower bound on the order throughout:
-    raises CapExceeded as soon as it exceeds `cap`.
+    raises CapExceeded as soon as it exceeds `cap`.  The chain runs on
+    packed row codes and builds no `Mat` (see `_Chain`): a strong generator
+    is inverted by Gauss-Jordan on its codes, and a transversal inverse is
+    made only when a sift first strips through its point.
     """
     return _group_order(gens, cap, math.inf)
 
@@ -469,7 +492,7 @@ def _group_order(gens: Sequence[Mat], cap: int, bound: int | float) -> int:
     for M in gens:
         rows = _rows(M)
         if rows != chain.base and rows not in chain.records:
-            chain.add(chain.strong(rows, M), 0, 0)
+            chain.add(chain.strong(rows), 0, 0)
     level = 0
     while level >= 0 and chain.order() < bound:
         drop = chain.complete_level(level)

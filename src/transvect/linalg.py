@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, FieldMismatch, NoSolution, Singular
+from .errors import DimensionMismatch, FieldMismatch, NoSolution, Singular, _require
 from .gf import Field
 
 Vec = tuple[int, ...]
@@ -63,6 +63,46 @@ def _digits(base: int, n: int, code: int) -> tuple[int, ...]:
         code, x = divmod(code, base)
         out.append(x)
     return tuple(out)
+
+
+def _inverse_codes(F: Field, rows: Sequence[int]) -> tuple[int, ...]:
+    """The row codes of M^-1, for the square matrix M over F given by its
+    row codes: Gauss-Jordan on [M | I] without building a `Mat`.  Over
+    GF(2) a row of [M | I] is one integer, the code of its M part in the
+    low n bits and the code of its I part above, and rows combine by XOR;
+    otherwise rows are digit lists combined through the field operations.
+    A singular M raises InternalError: callers pass invertible matrices."""
+    n = len(rows)
+    if F.q == 2:
+        aug = [r | 1 << (n + i) for i, r in enumerate(rows)]
+        for c in range(n):
+            bit = 1 << c
+            r = next((i for i in range(c, n) if aug[i] & bit), None)
+            _require(r is not None, "Gauss-Jordan found no pivot: singular matrix")
+            aug[r], aug[c] = aug[c], aug[r]
+            pivot = aug[c]
+            for i in range(n):
+                if i != c and aug[i] & bit:
+                    aug[i] ^= pivot
+        return tuple(a >> n for a in aug)
+    q, mul, sub, inv = F.q, F.mul, F.sub, F.inv
+    aug = [list(_digits(q, n, r)) + [0] * n for r in rows]
+    for i, row in enumerate(aug):
+        row[n + i] = 1
+    for c in range(n):
+        r = next((i for i in range(c, n) if aug[i][c]), None)
+        _require(r is not None, "Gauss-Jordan found no pivot: singular matrix")
+        # columns before c are zero in the pivot row: only the tail changes
+        aug[r], aug[c] = aug[c], aug[r]
+        pivot = aug[c][c:]
+        x = inv(pivot[0])
+        if x != 1:
+            pivot = aug[c][c:] = [mul(x, a) for a in pivot]
+        for i, row in enumerate(aug):
+            m = row[c]
+            if m and i != c:
+                row[c:] = [sub(a, mul(m, b)) for a, b in zip(row[c:], pivot)]
+    return tuple(_code(q, row[n:]) for row in aug)
 
 
 def _check_entries(M: "Mat") -> None:

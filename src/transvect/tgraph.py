@@ -11,6 +11,7 @@ a generating set while staying inside a bounded power of T.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -284,34 +285,65 @@ def _closed_walks(G: TransvectionGraph, L: int, budget_walks: int
     (k, None) ends level k before any longer path is made.  Steps count the
     N roots, then each path as it is made: a full read raises CapExceeded
     exactly when they pass budget_walks, and a reader that stops early pays
-    only for the paths made so far."""
+    only for the paths made so far.
+
+    Levels are kept in `array`s, not as tuples: each path of a level past
+    the first is the index of the path of the level before that it extends
+    and its last vertex (path j of level 1 is (j,)), and a path's vertex
+    tuple is built only when it closes."""
     pair, succ = G.pair, G.succ
-    frontier = [(s,) for s in range(len(G.verts))]
-    steps = len(frontier)
+    N = len(G.verts)
+    steps = N
     if steps > budget_walks:
         raise CapExceeded("closed-walk enumeration budget exhausted",
                           count=budget_walks)
+    # a level's paths that start at s are its paths starts[s]..starts[s+1]-1
+    starts = range(N + 1)
+    last = range(N)
+    ups: list[array] = []
+    lasts: list[array] = []
+
+    def walk(j: int) -> tuple[int, ...]:
+        """The vertices of path j of the newest level."""
+        out = []
+        for up, verts in zip(reversed(ups), reversed(lasts)):
+            out.append(verts[j])
+            j = up[j]
+        out.append(j)
+        out.reverse()
+        return tuple(out)
+
     for k in range(2, L + 1):
-        nxt = []
-        for path in frontier:
-            s = path[0]
-            for t in succ[path[-1]]:
-                if t < s:
-                    continue
-                steps += 1
-                if steps > budget_walks:
-                    raise CapExceeded("closed-walk enumeration budget exhausted",
-                                      count=budget_walks)
-                p = path + (t,)
-                if k < L:
-                    nxt.append(p)
-                # a closed walk is a record when no rotation starting at
-                # another visit to its least vertex s is smaller
-                if pair[t][s] and (p.count(s) == 1 or all(
-                        p[i:] + p[:i] >= p for i in range(2, k) if p[i] == s)):
-                    yield k, CycleRecord(p, cycle_weight(G, p))
+        up, nlast, nstarts = array("q"), array("i"), [0]
+        grow = k < L
+        for s in range(N):
+            for j in range(starts[s], starts[s + 1]):
+                head = None
+                for t in succ[last[j]]:
+                    if t < s:
+                        continue
+                    steps += 1
+                    if steps > budget_walks:
+                        raise CapExceeded("closed-walk enumeration budget "
+                                          "exhausted", count=budget_walks)
+                    if grow:
+                        up.append(j)
+                        nlast.append(t)
+                    if not pair[t][s]:
+                        continue
+                    if head is None:
+                        head = walk(j)
+                    p = head + (t,)
+                    # a closed walk is a record when no rotation starting at
+                    # another visit to its least vertex s is smaller
+                    if p.count(s) == 1 or all(
+                            p[i:] + p[:i] >= p for i in range(2, k) if p[i] == s):
+                        yield k, CycleRecord(p, cycle_weight(G, p))
+            nstarts.append(len(nlast))
         yield k, None
-        frontier = nxt
+        ups.append(up)
+        lasts.append(nlast)
+        starts, last = nstarts, nlast
 
 
 def _cycle_defect(G: TransvectionGraph, verts: Sequence[int],

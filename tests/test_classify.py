@@ -371,6 +371,10 @@ def test_group_order_errors_and_cap():
         group_order([])
     with pytest.raises(Singular):
         group_order([Mat.zero(F2, 2, 2)])
+    # a singular generator is rejected at the boundary, before the chain
+    # inverts anything on row codes
+    with pytest.raises(Singular):
+        group_order([Mat.identity(F3, 2), Mat(F3, [[1, 2], [2, 1]])])
     with pytest.raises(FieldMismatch):
         group_order([Mat.identity(F2, 2), Mat.identity(F3, 2)])
     mats = [t.matrix() for t in build_symmetric_rep(6)]
@@ -450,14 +454,14 @@ def test_group_order_past_the_bound_raises_internal_error():
 
 
 @pytest.mark.parametrize("T,strong,tables,bounded_tables", [
-    (sl3_generators(F3), 4, 60, 42),
-    (sl_generators(F16), 8, 277, 151),
+    (sl3_generators(F3), 4, 60, 15),
+    (sl_generators(F16), 8, 277, 11),
 ], ids=["SL3(3)", "SL2(16)"])
 def test_group_order_builds_no_matrix_per_orbit_point(monkeypatch, T, strong,
                                                       tables, bounded_tables):
-    # only a strong generator found as a sift residue is decoded into a Mat
-    # (to invert it); a transversal entry gets its inverse table from its
-    # stored rows, and the bound saves the tables of the skipped sifts
+    # the chain builds no Mat: strong generators are inverted on their row
+    # codes, a transversal entry gets its inverse table when a sift first
+    # strips through it, and the bound saves the tables of the skipped sifts
     mats = [t.matrix() for t in T]
     N = order_formula(LINEAR, T[0].n, T[0].F.q)
     counts = {}
@@ -481,9 +485,33 @@ def test_group_order_builds_no_matrix_per_orbit_point(monkeypatch, T, strong,
         chain = chains.pop()
         n_strong = len({s[0] for level in chain.gens for s in level})
         n_points = sum(map(len, chain.points))
-        assert counts["Mat"] == n_strong - len(T)
+        assert counts["Mat"] == 0
         assert counts["_RowTable"] == want_tables <= n_strong + n_points
         assert n_strong == strong
+
+
+def inverse_tables(chain):
+    """How many transversal entries of the chain have their inverse table."""
+    return sum(entry is not None and entry[3] is not None
+               for orbit in chain.orbits for entry in orbit.values())
+
+
+def test_bounded_chain_builds_fewer_inverse_tables_than_points(monkeypatch):
+    chains = []
+
+    class Recording(classify_mod._Chain):
+        def __init__(self, *args):
+            super().__init__(*args)
+            chains.append(self)
+
+    monkeypatch.setattr(classify_mod, "_Chain", Recording)
+    for T, tag in [(sl3_generators(F3), LINEAR), (sl_generators(F16), LINEAR),
+                   (sp6_generators(), SYMPLECTIC), (su4_generators(), UNITARY)]:
+        rep = classify(T)
+        assert rep.tag == tag and rep.order_enumerated == rep.order_predicted
+        chain = chains.pop()
+        assert chain.order() == rep.order_predicted
+        assert inverse_tables(chain) < sum(map(len, chain.points)) - T[0].n
 
 
 def test_classify_sl38_budget_stops_early(monkeypatch):
@@ -513,10 +541,10 @@ def test_group_order_invariant_failure_raises_internal_error(monkeypatch):
     # point to the base: the sift check catches it, also under python -O
     identity_tables = {}
 
-    def broken(self, entry):
+    def broken(self, orbit, entry):
         return identity_tables.setdefault(self.n, _RowTable(self.F, self.base))
 
-    monkeypatch.setattr(classify_mod._Chain, "_inverse_table", broken)
+    monkeypatch.setattr(classify_mod._Chain, "_transversal_inverse", broken)
     with pytest.raises(InternalError, match="does not return its point"):
         group_order([t.matrix() for t in build_symmetric_rep(6)])
 

@@ -1,12 +1,29 @@
 """Linear algebra: elimination identities, subspace lattice, fuzzing."""
 
+import itertools
 import random
 
 import pytest
 
 from transvect import gf
-from transvect.errors import DimensionMismatch, FieldMismatch, NoSolution, Singular
-from transvect.linalg import Mat, Subspace, dot, is_zero_vec, outer, vec_add, vec_scale
+from transvect.errors import (
+    DimensionMismatch,
+    FieldMismatch,
+    InternalError,
+    NoSolution,
+    Singular,
+)
+from transvect.linalg import (
+    Mat,
+    Subspace,
+    _code,
+    _inverse_codes,
+    dot,
+    is_zero_vec,
+    outer,
+    vec_add,
+    vec_scale,
+)
 
 from oracles import contains_space, elements
 
@@ -42,6 +59,44 @@ def test_det_rank_inverse_fuzz():
                 assert M.rank() < n
                 with pytest.raises(Singular):
                     M.inv()
+
+
+def codes(M):
+    return tuple(_code(M.F.q, r) for r in M.rows)
+
+
+@pytest.mark.parametrize("p,f,n,gl_order", [
+    (2, 1, 2, 6), (2, 1, 3, 168), (3, 1, 2, 48), (2, 2, 2, 180),
+])
+def test_inverse_codes_on_every_matrix(p, f, n, gl_order):
+    # Gauss-Jordan on row codes agrees with Mat.inv on every invertible
+    # matrix and raises InternalError (not StopIteration) on every other
+    F = gf.field_create(p, f)
+    invertible = 0
+    for entries in itertools.product(range(F.q), repeat=n * n):
+        M = Mat(F, [entries[i * n:(i + 1) * n] for i in range(n)])
+        if M.det():
+            assert _inverse_codes(F, codes(M)) == codes(M.inv())
+            invertible += 1
+        else:
+            with pytest.raises(InternalError, match="no pivot"):
+                _inverse_codes(F, codes(M))
+    assert invertible == gl_order
+
+
+def test_inverse_codes_on_seeded_matrices():
+    rng = random.Random(20)
+    for p, f in [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (5, 2)]:
+        F = gf.field_create(p, f)
+        for n in range(1, 9):
+            M = rand_mat(F, n, n, rng)
+            while not M.det():
+                M = rand_mat(F, n, n, rng)
+            assert _inverse_codes(F, codes(M)) == codes(M.inv())
+            # the last row repeats the first (or is zero when n = 1)
+            singular = Mat(F, M.rows[:-1] + (M.rows[0] if n > 1 else (0,),))
+            with pytest.raises(InternalError, match="no pivot"):
+                _inverse_codes(F, codes(singular))
 
 
 def test_det_multiplicative():
