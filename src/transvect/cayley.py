@@ -21,9 +21,8 @@ adding packed rows is XOR of their codes, as the XOR of the images of the
 code's set bits; otherwise as a sum of digit images in wide lanes, reduced
 mod p once.  The byte tables are filled from the same row images.  The
 stabilizer chain behind `classify.group_order` multiplies with the memo
-tables, built for its strong generators and for the transversal inverses
-its sifts strip through, and the orbit scans of the monomial and
-symmetric detectors map point and vector codes through them.
+tables of its strong generators and of the transversal inverses its sifts
+strip through, and the structure detectors conjugate (v, phi) with them.
 
 Keys decode to transvections in one place, `_transvections`, which reads
 the row codes without building a matrix, for the transvection balls and

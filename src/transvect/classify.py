@@ -8,20 +8,20 @@ group C_a^(n-1) : S_n with a > 1 odd dividing q - 1 and q even; a
 symmetric group S_(n+1) or S_(n+2) over GF(2) with n even; or one of
 three small exceptional groups.  `classify` realizes that case analysis
 by detecting invariant structures (bilinear and hermitian forms,
-quadratic refinements, invariant line sets, invariant spanning sets),
-descending to the subfield generated by cycle weights, and cross-checking
-the tag against the exact group order, computed by deterministic
-Schreier-Sims, when the order fits the element budget.
+quadratic refinements, and line sets and spanning sets read off one
+transvection class), descending to the subfield generated by cycle
+weights, and cross-checking the tag against the exact group order,
+computed by deterministic Schreier-Sims, when it fits the element budget.
 
 `certify` assembles a small witness subset T0 whose cycle weights, form
 obstructions and exclusion subsets pin the classification of any
 strongly connected superset drawn from the same group, together with a
 word map expressing each element of T0 over the input set.
 
-Everything here is deterministic: detectors use first-found order over
-canonical enumerations, and the stabilizer chain behind `group_order` is
-built in generator order on the packed-row tables of `cayley`,
-reproducible from the generator order.
+Everything here is deterministic: detectors read the class of the first
+generator breadth-first and break ties by code, and the stabilizer chain
+behind `group_order` is built in generator order on the packed-row tables
+of `cayley`, reproducible from the generator order.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .cayley import _check_generators, _rows, _RowTable
 from .errors import (
@@ -75,7 +75,6 @@ from .tgraph import (
     defining_field,
     densify,
     is_strongly_connected,
-    projective_points,
     restrict_to_section,
     winkle,
     word_matrix,
@@ -638,137 +637,148 @@ def build_symmetric_rep(m: int) -> list[Transvection]:
 
 def _normalize_point(F: Field, v: Sequence[int]) -> Vec:
     c = next(a for a in v if a)
-    if c == 1:
-        return tuple(v)
-    return vec_scale(F, F.inv(c), tuple(v))
+    return tuple(v) if c == 1 else vec_scale(F, F.inv(c), v)
 
 
-def _point_orbits(gens: Sequence[Transvection], pts: tuple[Vec, ...],
-                  F: Field, limit: int | None = None) -> list[list[int]]:
-    """Orbits of the generated group on projective points, each sorted,
-    ordered by smallest point index (only those of <= `limit` points), by
-    the packed scan `_code_orbits` over every field.  Caller:
-    `detect_monomial_structure`, with limit n."""
-    return _code_orbits(gens, F, len(pts[0]), [_code(F.q, v) for v in pts],
-                        limit, True)
+def _class_orbit(G: TransvectionGraph, cap: int) -> list[tuple[Vec, Vec]] | None:
+    """The class of t = G.verts[0] under conjugation by the generators, as
+    (v, phi) with v scaled to first nonzero coordinate 1, t first, then
+    breadth-first; None past `cap` elements or once two share a v.
+    s t s^-1 = 1 + s(v) (phi o s^-1) maps the codes of v and phi through
+    the `_RowTable`s of s^T (rows e_k + phi_s,k v_s) and s^-1 (rows
+    e_k - v_s,k phi_s), then, if v has lowest nonzero digit d != 1, those
+    of d^-1 I and d I, built for each d on first use."""
+    F, n, q = G.F, G.n, G.F.q
+
+    def table(c: int, u: Vec, w: Vec) -> Callable[[int], int]:
+        # rows e_k + c u_k w: the code of (c u_k) w with digit k raised by 1
+        scaled: dict[int, int] = {}
+        rows = []
+        for k, x in enumerate(u):
+            a = F.mul(c, x)
+            if a not in scaled:
+                scaled[a] = _code(q, vec_scale(F, a, w))
+            d = scaled[a] // q**k % q
+            rows.append(scaled[a] + (F.add(d, 1) - d) * q**k)
+        return _RowTable(F, rows).image
+
+    steps = [(table(1, s.phi, s.v), table(F.neg(1), s.v, s.phi)) for s in G]
+    t, scales = G.verts[0], {}
+    orbit = {_code(q, t.v): _code(q, t.phi)}
+    queue = list(orbit.items())
+    for v, phi in queue:
+        for image_v, image_phi in steps:
+            w, psi = image_v(v), image_phi(phi)
+            d = next(x for x in _digits(q, n, w) if x) if q > 2 else 1
+            if d != 1:
+                if d not in scales:
+                    scales[d] = [_RowTable(F, [c * q**k for k in range(n)]).image
+                                 for c in (F.inv(d), d)]
+                w, psi = scales[d][0](w), scales[d][1](psi)
+            known = orbit.get(w)
+            if known is None:
+                if len(queue) == cap:
+                    return None
+                orbit[w] = psi
+                queue.append((w, psi))
+            elif known != psi:
+                return None
+    return [(_digits(q, n, v), _digits(q, n, phi)) for v, phi in queue]
 
 
-def _spanning_orbit(G: TransvectionGraph) -> tuple[Vec, ...] | None:
-    """The first vector orbit of n + 1 vectors that spans F^n, in order of
-    least code, as vectors sorted by code, or None: in characteristic 2
-    the criterion for odd symmetric type.  The scan runs over the nonzero
-    vectors, with index code - 1, over GF(2) the projective point index."""
+def _capped_orbit(G: TransvectionGraph, start: Vec, cap: int,
+                  canon: Callable[[Vec], Vec] = tuple) -> list[Vec] | None:
+    """The orbit of `start` under the generators through `canon`, breadth
+    first, or None once it passes `cap` points."""
+    orbit, seen = [start], {start}
+    for u in orbit:
+        for t in G:
+            w = canon(t.apply(u))
+            if w not in seen:
+                if len(orbit) == cap:
+                    return None
+                seen.add(w)
+                orbit.append(w)
+    return orbit
+
+
+def _spanning_set(G: TransvectionGraph) -> tuple[Vec, ...] | None:
+    """The invariant set B of n + 1 vectors of rank n, sorted by code, or
+    None (see `detect_symmetric_type`): b in B spans the common kernel of
+    phi_y, for y the first of the class C not commuting with x = C[0], and
+    of the other phi commuting with x; B is the orbit of b."""
     F, n = G.F, G.n
-    q = F.q
-    orbits = (tuple(_digits(q, n, i + 1) for i in orbit) for orbit
-              in _code_orbits(G, F, n, range(1, q**n), n + 1, False)
-              if len(orbit) == n + 1)
-    return next((vecs for vecs in orbits if Mat(F, vecs).rank() == n), None)
+    size = n * (n + 1) // 2
+    C = _class_orbit(G, size)
+    if C is None or len(C) != size:
+        return None
+    x, rest = C[0], C[1:]
+    meets = [s for s in rest if dot(F, x[1], s[0]) or dot(F, s[1], x[0])]
+    rows = [s[1] for s in rest if s not in meets]
+    kernel = Mat(F, [meets[0][1]] + rows).kernel() if meets else []
+    B = _capped_orbit(G, kernel[0], n + 1) if len(kernel) == 1 else None
+    if B is None or len(B) != n + 1 or Mat(F, B).rank() != n:
+        return None
+    return tuple(sorted(B, key=lambda u: u[::-1]))
 
 
-def _code_orbits(gens: Sequence[Transvection], F: Field, n: int,
-                 codes: Sequence[int], limit: int | None,
-                 projective: bool) -> list[list[int]]:
-    """`_orbit_scan` over the vectors of F^n with the given codes, or, when
-    `projective`, over the points they are the canonical representatives
-    (first nonzero coordinate 1) of.  t maps codes through the `_RowTable`
-    with rows t(e_j); a point's image is made canonical through scale[d],
-    the table of d^-1 I, d its lowest nonzero digit (always 1 over GF(2)).
-    Images are not stored."""
-    q = F.q
-    maps = [_RowTable(F, _rows(t.matrix().transpose())).image for t in gens]
-    scale = [_RowTable(F, [F.inv(d) * q**k for k in range(n)]) if d else None
-             for d in range(q)] if projective and q > 2 else None
-    index = {c: i for i, c in enumerate(codes)}
-
-    def images(i: int) -> Iterator[int | None]:
-        c = codes[i]
-        for image in maps:
-            u = image(c)
-            if scale:
-                s = u
-                while s and not s % q:
-                    s //= q
-                if s % q > 1:
-                    u = scale[s % q].image(u)
-            yield index.get(u)
-
-    return _orbit_scan(len(codes), images, limit)
+def _artin_schreier_root(F: Field, z: int) -> int | None:
+    """A root mu of mu^2 + mu = z in GF(2^f), or None: the map is GF(2)-linear,
+    so z is reduced against an echelon basis of the images of the f bits."""
+    mu, basis = 0, []
+    for k in range(F.f):
+        image, pre = F.mul(1 << k, 1 << k) ^ 1 << k, 1 << k
+        for b, m in basis:
+            if image ^ b < image:
+                image, pre = image ^ b, pre ^ m
+        if image:
+            basis.append((image, pre))
+            if z ^ image < z:
+                z, mu = z ^ image, mu ^ pre
+    return None if z else mu
 
 
-def _orbit_scan(count: int,
-                neighbours: Callable[[int], Iterable[int | None]],
-                limit: int | None = None) -> list[list[int]]:
-    """Connected components of 0..count-1 under `neighbours`, each sorted,
-    ordered by least element; a neighbour None is an image outside the
-    point index.  With `limit`, only the components of at most `limit`
-    points: a search stops once its component would pass `limit` or meets a
-    point known to lie in a larger one, and marks all it visited as such."""
-    orbit_of = [-1] * count  # -2: in an orbit of more than `limit` points
-    orbits: list[list[int]] = []
-    for s in range(count):
-        if orbit_of[s] != -1:
-            continue
-        oid = len(orbits)
-        orbit_of[s] = oid
-        comp = [s]
-        large = False
-        for i in comp:
-            for j in neighbours(i):
-                if j is None:
-                    raise InternalError("a generator maps a point outside the "
-                                        "projective point index")
-                if orbit_of[j] == -1 and len(comp) != limit:
-                    orbit_of[j] = oid
-                    comp.append(j)
-                elif orbit_of[j] < 0:
-                    large = True
-                    break
-            if large:
-                for j in comp:
-                    orbit_of[j] = -2
-                break
-        else:
-            orbits.append(sorted(comp))
-    return orbits
-
-
-def detect_monomial_structure(gens: Sequence[Transvection],
-                              budget_projective: int = PROJECTIVE_BUDGET):
+def detect_monomial_structure(gens: Sequence[Transvection]):
     """The invariant monomial structure of an irreducible set, or None.
 
-    Any invariant line set is a union of orbits on projective points, so
-    the search enumerates orbit unions of total size n (orbits ordered by
-    least point, unions lexicographically) and returns the first whose
-    representatives are linearly independent.
+    If an irreducible G keeps a line set, each of its transvections swaps
+    two lines and fixes the rest pointwise: it is fixed by its v, G has at
+    most C(n, 2) (q - 1) of them, and it squares to 1, so p = 2.  So the
+    class C of the first generator x is read with that cap and the stop on
+    a shared v (`_class_orbit`).  G is transitive on its lines and its
+    diagonal part is not scalar, so for each line structure some s in C
+    swaps x's two lines, which are then the eigenlines alpha v_x + v_s of
+    s x: alpha = a mu, mu^2 + mu = 1/(a b), a = phi_x(v_s), b = phi_s(v_x).
+    One root gives one line, whose orbit is the structure: a candidate whose
+    point orbit, capped at n, holds n independent points.  The one returned
+    has the least point of smallest code, its lines sorted by code, as a
+    scan of all point orbits would choose.
     """
     G = build_graph(gens)
     _require_irreducible(G, "monomial detection needs an irreducible action")
     F, n = G.F, G.n
-    if F.q**n > budget_projective:
-        raise CapExceeded("projective orbit scan over budget", count=budget_projective)
-    pts = projective_points(F, n)
-    small = _point_orbits(G, pts, F, n)
-
-    def unions(start: int, room: int) -> Iterator[tuple[Vec, ...]]:
-        """Unions of the orbits from `start` on with exactly `room` points,
-        lexicographically by orbit index."""
-        if room == 0:
-            yield ()
-        for k in range(start, len(small)):
-            if len(small[k]) <= room:
-                for rest in unions(k + 1, room - len(small[k])):
-                    yield tuple(pts[i] for i in small[k]) + rest
-
-    found = next((vecs for vecs in unions(0, n) if Mat(F, vecs).rank() == n), None)
-    if found is None:
+    C = _class_orbit(G, math.comb(n, 2) * (F.q - 1)) if F.p == 2 else None
+    if C is None:
         return None
-    lineset = set(found)
-    for t in G:  # invariance holds because unions of orbits are invariant
-        _require({_normalize_point(F, t.apply(v)) for v in found} == lineset,
-                 "a union of point orbits is not invariant")
-    index = {p: i for i, p in enumerate(pts)}
-    return MonomialStructure(lines=tuple(sorted(found, key=index.__getitem__)))
+    x, tried, found = C[0], set(), []
+    for s in C[1:]:
+        a, b = dot(F, x[1], s[0]), dot(F, s[1], x[0])
+        mu = _artin_schreier_root(F, F.inv(F.mul(a, b))) if a and b else None
+        if mu is None:
+            continue
+        line = _normalize_point(F, vec_add(F, vec_scale(F, F.mul(a, mu), x[0]), s[0]))
+        if line not in tried:
+            orbit = _capped_orbit(G, line, n, lambda w: _normalize_point(F, w))
+            tried.update(orbit or (line,))
+            if orbit and len(orbit) == n and Mat(F, orbit).rank() == n:
+                found.append(tuple(sorted(orbit, key=lambda u: u[::-1])))
+    if not found:
+        return None
+    lines = min(found, key=lambda ls: ls[0][::-1])
+    for t in G:  # invariance holds because point orbits are invariant
+        _require({_normalize_point(F, t.apply(v)) for v in lines} == set(lines),
+                 "a point orbit is not invariant")
+    return MonomialStructure(lines=lines)
 
 
 def _monomial_parameter(gens: Sequence[Transvection],
@@ -788,40 +798,25 @@ def _monomial_parameter(gens: Sequence[Transvection],
     return a
 
 
-def detect_symmetric_type(gens: Sequence[Transvection],
-                          budget_vectors: int = PROJECTIVE_BUDGET):
+def detect_symmetric_type(gens: Sequence[Transvection]):
     """The invariant spanning set of size n+1 over GF(2), or None.
 
     An irreducible transvection group over GF(2) has odd symmetric type
     (it is S_(n+1) permuting B) exactly when such an invariant spanning
-    set exists, and B is then the unique spanning orbit of that size:
-    the first spanning orbit of size n+1 (`_spanning_orbit`), as vectors
-    sorted by code.
+    set exists; B is then its unique orbit of that size (the orbits of S_m
+    on its natural module have sizes C(m, 2k)).  If an irreducible G keeps
+    B, each of its transvections is a transposition on B: for n + 1 >= 5
+    one moving two pairs would give a relation among four elements of B,
+    whose only relation involves all of them; n + 1 = 4 has no irreducible
+    example (S4 or D8 on K^4/<1> keeps H/<1>); n + 1 = 3 is S3.  So the
+    class of the first generator is the C(n+1, 2) transpositions, no two
+    sharing a v; `_spanning_set` reads B off it, up to a scalar over GF(2^f).
     """
     G = build_graph(gens)
     if G.F.q != 2:
         raise WrongField("symmetric type detection applies over GF(2)")
     _require_irreducible(G, "symmetric type detection needs an irreducible action")
-    if 2**G.n > budget_vectors:
-        raise CapExceeded("vector orbit scan over budget", count=budget_vectors)
-    return _spanning_orbit(G)
-
-
-def _acts_by_transpositions(gens: Sequence[Transvection],
-                            B: Sequence[Vec]) -> bool:
-    """Every generator swaps exactly two elements of B and fixes the rest.
-    Together with B being a single orbit this proves the group is the full
-    symmetric group on B (connected transposition graphs generate it), so
-    the order is |B|! with no enumeration needed."""
-    bset = set(B)
-    for t in gens:
-        moved = [b for b in B if t.apply(b) != b]
-        if len(moved) != 2:
-            return False
-        img = t.apply(moved[0])
-        if img not in bset or img != tuple(moved[1]):
-            return False
-    return True
+    return _spanning_set(G)
 
 
 def quadratic_type(Q: QuadraticForm) -> str:
@@ -963,17 +958,18 @@ def classify(T: Sequence[Transvection],
     conjugated set; symplectic form detection; quadratic refinement and
     its type in characteristic 2; hermitian detection when no symplectic
     form exists and the field carries an involution; invariant spanning
-    set over GF(2) under a symplectic form; invariant line structure when
-    no symplectic form exists; the exact group order from a stabilizer
-    chain (`group_order`) within the element budget.  The tag is
-    the most special verified structure: full linear order first, then
-    monomial lines, then a spanning set acted on by transpositions, then
-    the detected classical form cross-checked against its order formula,
-    then the even symmetric and exceptional orders.  When the order
-    cross-check is skipped, the classical guess is returned only once every
-    candidate that would refine it is ruled out (by its structure check, by
-    its order, or by a chain that passed the element budget); otherwise the
-    tag is Undetermined and a note names the candidates left open.
+    set over GF(2) under a symplectic form and invariant line structure
+    when no symplectic form exists, both read off one transvection class
+    with no budget; the exact group order from a stabilizer chain
+    (`group_order`) within the element budget.  The tag is the most
+    special verified structure: full linear order first, then monomial
+    lines, then a spanning set acted on by transpositions, then the
+    detected classical form cross-checked against its order formula, then
+    the even symmetric and exceptional orders.  When the order cross-check
+    is skipped, the classical guess is returned only once every candidate
+    that would refine it is ruled out (by its order, or by a chain that
+    passed the element budget); otherwise the tag is Undetermined and a
+    note names the candidates left open.
 
     The stabilizer chain stops as soon as the product of its orbit lengths
     reaches U, the order of the classical guess of step 4, because U is
@@ -1057,33 +1053,13 @@ def classify(T: Sequence[Transvection],
         else:
             witnesses["non_unitary_cycle"] = res
 
-    # candidates that would refine the classical guess, with their orders:
-    # here those whose structure check was skipped, in step 4 those with none
-    unchecked: list[tuple[GroupTypeTag, int]] = []
-    B = None
-    b_swaps = False
-    if q == 2 and has_symp:
-        try:
-            B = detect_symmetric_type(G, budget_projective)
-        except CapExceeded:
-            notes.append("spanning set detection skipped: vector budget")
-            unchecked.append((SYMMETRIC_ODD, math.factorial(n + 1)))
-        if B is not None:
-            witnesses["spanning_set"] = B
-            b_swaps = _acts_by_transpositions(T, B)
-            if not b_swaps:
-                notes.append("invariant spanning set found but some generator "
-                             "is not a transposition on it")
+    B = detect_symmetric_type(G) if q == 2 and has_symp else None
+    if B is not None:
+        witnesses["spanning_set"] = B
 
-    mono = None
     mono_a: int | None = None
     if not has_symp:
-        try:
-            mono = detect_monomial_structure(G, budget_projective)
-        except CapExceeded:
-            notes.append("line structure detection skipped: projective budget")
-            unchecked += [(monomial_tag(a), order_formula(monomial_tag(a), n, q))
-                          for a in range(3, q) if F.p == 2 and (q - 1) % a == 0]
+        mono = detect_monomial_structure(G)
         if mono is not None:
             mono_a = _monomial_parameter(T, mono)
             witnesses["monomial_lines"] = mono
@@ -1141,8 +1117,8 @@ def classify(T: Sequence[Transvection],
         notes.append(f"invariant line structure found but the order {N} is not "
                      f"{predicted}")
 
-    # 3. invariant spanning set with transposition generators
-    if B is not None and b_swaps:
+    # 3. invariant spanning set, on which every transvection is a transposition
+    if B is not None:
         predicted = math.factorial(n + 1)
         if N is None or N == predicted:
             if quad is not None:
@@ -1158,6 +1134,7 @@ def classify(T: Sequence[Transvection],
     # chain.  S_(n+2) keeps a quadratic form exactly when 4 divides n + 2.
     if N is None:
         notes.append("order cross-check skipped")
+        unchecked: list[tuple[GroupTypeTag, int]] = []
         if q == 2 and has_symp and (quad is not None) == ((n + 2) % 4 == 0):
             unchecked.append((SYMMETRIC_EVEN, math.factorial(n + 2)))
         if ctag == LINEAR and (n, q) in _EXCEPTIONAL_ORDERS:
@@ -1206,22 +1183,18 @@ def _admissible_section(sub: Sequence[Transvection]):
     return restrict_to_section(Gs)
 
 
-def _find_symmetric_exclusion(T_dense: Sequence[Transvection],
-                              budget_projective: int):
+def _find_symmetric_exclusion(T_dense: Sequence[Transvection]):
     """First prefix of the dense set that acts irreducibly on the span of
     its vectors without an invariant spanning set of size dim+1."""
     cap = min(len(T_dense), CERT_MAX_SUBSET)
     for k in range(2, cap + 1):
         sec = _admissible_section(T_dense[:k])
-        if sec is None:
-            continue
-        if detect_symmetric_type(sec.graph, budget_projective) is None:
+        if sec is not None and detect_symmetric_type(sec.graph) is None:
             return list(range(k))
     return None
 
 
-def _find_monomial_exclusion(T_dense: Sequence[Transvection],
-                             budget_projective: int):
+def _find_monomial_exclusion(T_dense: Sequence[Transvection]):
     """First prefix violating the monomial subset criteria: either weakly
     nondegenerate but degenerate, or acting irreducibly on the span of its
     vectors with neither an invariant line structure nor an invariant
@@ -1236,11 +1209,9 @@ def _find_monomial_exclusion(T_dense: Sequence[Transvection],
         if k1 != 0 or not is_strongly_connected(Gs):
             continue
         sec = restrict_to_section(Gs)
-        if detect_monomial_structure(sec.graph, budget_projective) is not None:
-            continue
-        if _spanning_orbit(sec.graph) is not None:
-            continue
-        return "section", list(range(k))
+        if (detect_monomial_structure(sec.graph) is None
+                and _spanning_set(sec.graph) is None):
+            return "section", list(range(k))
     return None
 
 
@@ -1394,7 +1365,7 @@ def certify(T: Sequence[Transvection],
 
     # symmetric-type exclusion over GF(2)
     if F.q == 2 and form is not None:
-        found = _find_symmetric_exclusion(Gd, budget_projective)
+        found = _find_symmetric_exclusion(Gd)
         if found is not None:
             idxs = [add(Gd[i]) for i in found]
             excludes = "odd+even" if len(found) < (n + 2) // 2 else "odd"
@@ -1407,7 +1378,7 @@ def certify(T: Sequence[Transvection],
 
     # monomial-type exclusion in characteristic 2 without a symplectic form
     if F.p == 2 and form is None:
-        found = _find_monomial_exclusion(Gd, budget_projective)
+        found = _find_monomial_exclusion(Gd)
         if found is not None:
             mode, sub = found
             idxs = [add(Gd[i]) for i in sub]

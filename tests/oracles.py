@@ -10,13 +10,17 @@ answer that a faster or more specialised routine must reproduce.
   `defining_field` and form detection stop reading early.
 - `directed_diameter` bounds the walk lengths form detection hunts to.
 - `layering_audit` checks the parents a Cayley exploration records.
+- `tuple_point_orbits`, `monomial_lines` and `spanning_vector_orbits`
+  scan every projective point or vector for the structures that the
+  detectors of `classify` read off one transvection class, and
+  `transvection_class` conjugates by `Transvection.conjugate_by`.
 - `contains_space`, `elements` and `fixed_subfield` enumerate small
   subspaces and subfields outright.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from transvect.cayley import (
     CayleyExploration,
@@ -26,7 +30,12 @@ from transvect.cayley import (
     _Search,
 )
 from transvect.classify import ELEMENT_BUDGET, VECTOR_TABLE_BUDGET
-from transvect.errors import BadParameters, CapExceeded, NotStronglyConnected
+from transvect.errors import (
+    BadParameters,
+    CapExceeded,
+    InternalError,
+    NotStronglyConnected,
+)
 from transvect.gf import Field
 from transvect.linalg import Mat, Subspace, _digits, vec_add, vec_scale
 from transvect.tgraph import (
@@ -36,7 +45,9 @@ from transvect.tgraph import (
     TransvectionGraph,
     _closed_walks,
     _distances,
+    projective_points,
 )
+from transvect.transvections import Transvection
 
 
 # -- exact enumeration -------------------------------------------------------
@@ -151,6 +162,121 @@ def layering_audit(exploration: CayleyExploration,
         if p is None or exploration.dist[p] != d - 1:
             return False
     return True
+
+
+# -- structure scans ---------------------------------------------------------
+
+
+def orbit_scan(count: int, neighbours: Callable[[int], Iterable[int | None]],
+               limit: int | None = None) -> list[list[int]]:
+    """Connected components of 0..count-1 under `neighbours`, each sorted,
+    ordered by least element; a neighbour None is an image outside the
+    point index and raises InternalError.  With `limit`, only the
+    components of at most `limit` points: a search stops once its
+    component would pass `limit` or meets a point known to lie in a larger
+    one, and marks all it visited as such."""
+    orbit_of = [-1] * count  # -2: in an orbit of more than `limit` points
+    orbits: list[list[int]] = []
+    for s in range(count):
+        if orbit_of[s] != -1:
+            continue
+        oid = len(orbits)
+        orbit_of[s] = oid
+        comp = [s]
+        large = False
+        for i in comp:
+            for j in neighbours(i):
+                if j is None:
+                    raise InternalError("a generator maps a point outside the "
+                                        "projective point index")
+                if orbit_of[j] == -1 and len(comp) != limit:
+                    orbit_of[j] = oid
+                    comp.append(j)
+                elif orbit_of[j] < 0:
+                    large = True
+                    break
+            if large:
+                for j in comp:
+                    orbit_of[j] = -2
+                break
+        else:
+            orbits.append(sorted(comp))
+    return orbits
+
+
+def tuple_point_orbits(T: Sequence[Transvection], pts: Sequence[tuple],
+                       F: Field, limit: int | None = None) -> list[list[int]]:
+    """The orbits on the given projective points (indices into `pts`), by
+    `Transvection.apply` on the point tuples, each image scaled to first
+    nonzero coordinate 1, through the capped scan `orbit_scan`."""
+    index = {p: i for i, p in enumerate(pts)}
+
+    def canonical(v: tuple) -> tuple:
+        c = next(a for a in v if a)
+        return v if c == 1 else vec_scale(F, F.inv(c), v)
+
+    return orbit_scan(len(pts), lambda i: (index.get(canonical(t.apply(pts[i])))
+                                           for t in T), limit)
+
+
+def monomial_lines(T: Sequence[Transvection]) -> tuple[tuple, ...] | None:
+    """The invariant line set of an irreducible set by the full point scan,
+    or None: the first union of point orbits of total size n (orbits
+    ordered by least point, unions lexicographically) whose points are
+    independent, its points sorted by code."""
+    F, n = T[0].F, T[0].n
+    pts = projective_points(F, n)
+    small = tuple_point_orbits(T, pts, F, n)
+
+    def unions(start: int, room: int) -> Iterator[list[int]]:
+        if room == 0:
+            yield []
+        for k in range(start, len(small)):
+            if len(small[k]) <= room:
+                for rest in unions(k + 1, room - len(small[k])):
+                    yield small[k] + rest
+
+    found = next((u for u in unions(0, n)
+                  if Mat(F, [pts[i] for i in u]).rank() == n), None)
+    return None if found is None else tuple(pts[i] for i in sorted(found))
+
+
+def spanning_vector_orbits(T: Sequence[Transvection]) -> Iterator[tuple]:
+    """The spanning vector orbits of size n+1 over T's field, by BFS from
+    each nonzero vector in code order, each sorted by code (last
+    coordinate most significant)."""
+    F, n = T[0].F, T[0].n
+    seen: set = set()
+    for code in range(1, F.q**n):
+        start = _digits(F.q, n, code)
+        if start in seen:
+            continue
+        orbit = {start}
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            for t in T:
+                w = t.apply(v)
+                if w not in orbit:
+                    orbit.add(w)
+                    queue.append(w)
+        seen |= orbit
+        if len(orbit) == n + 1 and Mat(F, tuple(orbit)).rank() == n:
+            yield tuple(sorted(orbit, key=lambda v: v[::-1]))
+
+
+def transvection_class(T: Sequence[Transvection]) -> set[Transvection]:
+    """The class of T[0] under conjugation by T, closed by
+    `Transvection.conjugate_by` one letter at a time."""
+    found = {T[0]}
+    queue = [T[0]]
+    for t in queue:
+        for s in T:
+            u = t.conjugate_by([s])
+            if u not in found:
+                found.add(u)
+                queue.append(u)
+    return found
 
 
 # -- subspaces and subfields -------------------------------------------------

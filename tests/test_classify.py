@@ -3,6 +3,7 @@ constructors and detectors, classification, and certificates."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import itertools
 import json
@@ -54,7 +55,6 @@ from transvect.forms import QuadraticForm, SesquiForm, detect_invariant_form
 from transvect.gf import field_create
 from transvect.linalg import Mat
 from transvect.tgraph import (
-    PROJECTIVE_BUDGET,
     TransvectionGraph,
     build_graph,
     connect_up,
@@ -66,7 +66,13 @@ from transvect.tgraph import (
 )
 from transvect.transvections import Transvection, standard_full_field_set, tv_from_matrix
 
-from oracles import enumerate_group
+from oracles import (
+    enumerate_group,
+    monomial_lines,
+    spanning_vector_orbits,
+    transvection_class,
+    tuple_point_orbits,
+)
 
 # the module, which the package's `classify` function shadows as an attribute
 classify_mod = importlib.import_module("transvect.classify")
@@ -806,26 +812,6 @@ def test_detect_monomial_structure_none_on_sl24():
 def test_detect_monomial_structure_errors():
     with pytest.raises(NotIrreducible):
         detect_monomial_structure([Transvection(F4, (1, 0), (0, 1))])
-    with pytest.raises(CapExceeded):
-        detect_monomial_structure(build_monomial_group(3, 3, F4),
-                                  budget_projective=4)
-
-
-def tuple_point_orbits(T, pts, F, limit=None):
-    """Oracle: the point orbits by `Transvection.apply` on the point tuples,
-    each image made canonical by scaling, through the same capped scan."""
-    index = {p: i for i, p in enumerate(pts)}
-    return classify_mod._orbit_scan(len(pts), lambda i: (
-        index.get(classify_mod._normalize_point(F, t.apply(pts[i])))
-        for t in T), limit)
-
-
-def orbits_both_ways(T):
-    """The packed orbit scan and the tuple oracle, on the projective points
-    of T's space."""
-    F, n = T[0].F, T[0].n
-    pts = projective_points(F, n)
-    return (classify_mod._point_orbits(T, pts, F), tuple_point_orbits(T, pts, F))
 
 
 def odd_orbit_cases():
@@ -841,63 +827,24 @@ def odd_orbit_cases():
     return cases
 
 
-def test_point_orbits_packed_scan_matches_tuple_path():
-    cases = [build_monomial_group(3, 3, F4), build_monomial_group(4, 5, F16),
-             build_monomial_group(4, 7, F8), su4_generators(), sp4_full()]
-    for T in cases:
-        packed, tuples = orbits_both_ways(T)
-        assert packed == tuples
-    assert len(orbits_both_ways(sp4_full())[0]) == 1
-
-
-def test_point_orbits_packed_scan_matches_tuple_path_over_odd_fields():
-    sizes = set()
-    for T in odd_orbit_cases():
-        packed, tuples = orbits_both_ways(T)
-        assert packed == tuples
-        sizes |= {len(o) for o in packed}
-    assert {1, 3, 5, 10, 13, 26, 31, 91} <= sizes
-
-
-def test_point_orbits_packed_scan_matches_tuple_path_on_fuzz_sets():
-    for F, n, T in fuzz_sets():
-        packed, tuples = orbits_both_ways(T)
-        assert packed == tuples
-
-
-def test_point_orbits_packed_scan_matches_tuple_path_on_random_conjugates():
-    rng = random.Random(4)
-    T = sl3_generators(F4)
-    for _ in range(5):
-        packed, tuples = orbits_both_ways(random_conjugate(T, rng))
-        assert packed == tuples == [list(range(21))]
-    # one transvection alone: its fixed points are orbits of size 1
-    packed, tuples = orbits_both_ways(T[:1])
-    assert packed == tuples
-    assert sum(len(o) == 1 for o in packed) == 5
-
-
 def test_point_orbits_corrupted_point_index_raises_internal_error():
     for F, T in [(F16, build_monomial_group(4, 5, F16)), (F3, sl3_triangle(F3))]:
         pts = projective_points(F, T[0].n)
         corrupted = pts[:-1] + ((0,) * (T[0].n - 1) + (2,),)
         with pytest.raises(InternalError, match="outside the projective point index"):
-            classify_mod._point_orbits(T, corrupted, F)
+            tuple_point_orbits(T, corrupted, F)
 
 
 def capped_orbits_agree(T):
-    """On the packed scan and the oracle, the orbits a capped scan returns
-    for the limits n and n + 1 are the uncapped orbits of at most that many
-    points, and both scans agree."""
+    """The orbits that the capped point scan of the oracle `monomial_lines`
+    returns for the limits n and n + 1 are the uncapped orbits of at most
+    that many points."""
     F, n = T[0].F, T[0].n
     pts = projective_points(F, n)
-    for scan in (classify_mod._point_orbits, tuple_point_orbits):
-        full = scan(T, pts, F)
-        for limit in (n, n + 1):
-            assert scan(T, pts, F, limit) == [o for o in full if len(o) <= limit]
+    full = tuple_point_orbits(T, pts, F)
     for limit in (n, n + 1):
-        assert (classify_mod._point_orbits(T, pts, F, limit)
-                == tuple_point_orbits(T, pts, F, limit))
+        assert tuple_point_orbits(T, pts, F, limit) == [o for o in full
+                                                        if len(o) <= limit]
 
 
 def test_point_orbits_capped_scan_keeps_exactly_the_small_orbits():
@@ -927,9 +874,8 @@ def test_point_orbits_capped_scan_checks_images_in_a_small_orbit():
     pts = projective_points(F4, 3)
     i = pts.index((1, 0, 0))
     corrupted = pts[:i] + ((2, 0, 0),) + pts[i + 1:]
-    for scan in (classify_mod._point_orbits, tuple_point_orbits):
-        with pytest.raises(InternalError, match="outside the projective point index"):
-            scan(T, corrupted, F4, 3)
+    with pytest.raises(InternalError, match="outside the projective point index"):
+        tuple_point_orbits(T, corrupted, F4, 3)
 
 
 def test_detect_symmetric_type_rep5():
@@ -945,46 +891,30 @@ def test_detect_symmetric_type_none_on_sp4():
     assert detect_symmetric_type(sp4_full()) is None
 
 
-def spanning_vector_orbits(T):
-    """Oracle: the spanning vector orbits of size n+1 over T's field, by
-    BFS from each nonzero vector in code order, each sorted by code (last
-    coordinate most significant)."""
-    F, n = T[0].F, T[0].n
-    seen = set()
-    for code in range(1, F.q**n):
-        start = tuple(code // F.q**i % F.q for i in range(n))
-        if start in seen:
-            continue
-        orbit = {start}
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for t in T:
-                w = t.apply(v)
-                if w not in orbit:
-                    orbit.add(w)
-                    queue.append(w)
-        seen |= orbit
-        if len(orbit) == n + 1 and Mat(F, tuple(orbit)).rank() == n:
-            yield tuple(sorted(orbit, key=lambda v: v[::-1]))
-
-
 def symmetric_type_oracle(T):
     """The first spanning orbit of size n+1 in code order, or None."""
     return next(spanning_vector_orbits(T), None)
 
 
 def test_spanning_orbit_matches_vector_orbit_oracle():
+    # the spanning set read off the class, against the first spanning
+    # vector orbit of size n + 1, on irreducible sets, the only ones its
+    # callers pass; over GF(4) B is only defined up to a scalar, so there
+    # the answers are compared as yes/no
     cases = [build_symmetric_rep(m) for m in range(5, 10)]
     cases += [build_monomial_group(3, 3, F4), build_monomial_group(2, 3, F4),
               su4_generators(), sp4_full(), sl3_generators(F4), A6_TRIPLE]
-    cases += [T for F, n, T in fuzz_sets() if F.p == 2]
+    cases += [T for F, n, T in fuzz_sets()
+              if F.p == 2 and is_irreducible(build_graph(T)).irreducible]
     rng = random.Random(6)
     cases += [random_conjugate(sl3_generators(F4), rng) for _ in range(3)]
     found = {False: 0, True: 0}
     for T in cases:
         want = next(spanning_vector_orbits(T), None)
-        assert classify_mod._spanning_orbit(build_graph(T)) == want
+        got = classify_mod._spanning_set(build_graph(T))
+        assert (got is None) == (want is None)
+        if T[0].F.q == 2:
+            assert got == want
         found[want is not None] += 1
     assert min(found.values()) > 0
 
@@ -1011,14 +941,14 @@ def test_detect_symmetric_type_matches_vector_orbit_oracle(monkeypatch):
     sections = []
     real = classify_mod.detect_symmetric_type
 
-    def recording(gens, budget):
+    def recording(gens):
         sections.append(list(gens))
-        return real(gens, budget)
+        return real(gens)
 
     monkeypatch.setattr(classify_mod, "detect_symmetric_type", recording)
     for T in (sp4_full(), build_symmetric_rep(8)):
         T_dense, _ = densify(T)
-        classify_mod._find_symmetric_exclusion(T_dense, PROJECTIVE_BUDGET)
+        classify_mod._find_symmetric_exclusion(T_dense)
     monkeypatch.undo()
     assert len(sections) >= 4
     cases += sections
@@ -1035,8 +965,127 @@ def test_detect_symmetric_type_errors():
         detect_symmetric_type(sl24_full())
     with pytest.raises(NotIrreducible):
         detect_symmetric_type([Transvection(F2, (1, 0), (0, 1))])
-    with pytest.raises(CapExceeded):
-        detect_symmetric_type(build_symmetric_rep(5), budget_vectors=8)
+
+
+def grid_sets():
+    """The 25 generator sets of the classification grid (criterion 4 of
+    the acceptance tests)."""
+    sets = [sl_generators(F) for F in (F2, F3, F4, F5, F7, F8, F9)]
+    sets += [sl3_triangle(F2), sl3_triangle(F3), sp4_full(), sp6_generators()]
+    sets += [build_monomial_group(n, a, F) for a, F in ((3, F4), (5, F16), (7, F8))
+             for n in (2, 3, 4)]
+    return sets + [build_symmetric_rep(m) for m in range(5, 10)]
+
+
+def detector_sections(monkeypatch):
+    """Every set that certify's two exclusion searches and `stability_check`
+    hand the detectors, recorded by monkeypatch."""
+    sections = []
+    for name in ("detect_symmetric_type", "detect_monomial_structure",
+                 "_spanning_set"):
+        def recording(gens, real=getattr(classify_mod, name)):
+            sections.append(list(gens))
+            return real(gens)
+
+        monkeypatch.setattr(classify_mod, name, recording)
+    for T in (sp4_full(), build_symmetric_rep(8)):
+        classify_mod._find_symmetric_exclusion(densify(T)[0])
+    for T in (sl3_triangle(F2), sl3_generators(F4), su4_generators()):
+        classify_mod._find_monomial_exclusion(densify(T)[0])
+    for T in (sl3_triangle(F2), sp4_full()):
+        stability_check(T, certify(T).T0, samples=5, seed=2)
+    monkeypatch.undo()
+    return sections
+
+
+def detectors_match_oracles(T):
+    """Both detectors against the scan oracles of `oracles` on an
+    irreducible set: the line set by the point scan, and, in
+    characteristic 2 where q^n <= 2^12, the spanning set by the vector
+    scan, compared as yes/no over fields larger than GF(2).  Returns which
+    of the two structures exist."""
+    F, n = T[0].F, T[0].n
+    st = detect_monomial_structure(T)
+    assert (None if st is None else st.lines) == monomial_lines(T)
+    found = None
+    if F.p == 2 and F.q**n <= 2**12:
+        want = next(spanning_vector_orbits(T), None)
+        found = want is not None
+        assert (classify_mod._spanning_set(build_graph(T)) is not None) == found
+        if F.q == 2:
+            assert detect_symmetric_type(T) == want
+    return st is not None, found
+
+
+def test_detectors_match_the_scan_oracles(monkeypatch):
+    rng = random.Random(4)
+    cases = grid_sets() + [T for _, _, T in fuzz_sets()]
+    cases += [random_conjugate(sl3_generators(F4), rng) for _ in range(5)]
+    cases += [build_symmetric_rep(m) for m in range(5, 14)]
+    cases += [build_monomial_group(n, a, F)
+              for n, a, F in ((5, 3, F4), (5, 7, F8), (2, 15, F16), (3, 15, F16))]
+    cases += detector_sections(monkeypatch)
+    answers = set()
+    for T in cases:
+        if is_irreducible(build_graph(T)).irreducible:
+            answers.add(detectors_match_oracles(T))
+    assert {(True, None), (False, True), (False, False)} <= answers
+    # in odd characteristic no irreducible set keeps a line set
+    odd = [T for T in odd_orbit_cases() if is_irreducible(build_graph(T)).irreducible]
+    assert len(odd) >= 5
+    for T in odd:
+        assert detectors_match_oracles(T) == (False, None)
+
+
+def test_class_orbit_is_the_conjugacy_class():
+    # the packed orbit against conjugation by `Transvection.conjugate_by`;
+    # the class sizes are C(m, 2) for rep(m) and C(n, 2) a for M_n(a)
+    rng = random.Random(5)
+    cases = grid_sets() + [random_conjugate(build_monomial_group(3, 5, F16), rng)]
+    cases += [T for _, _, T in fuzz_sets()]
+    for T in cases:
+        C = classify_mod._class_orbit(build_graph(T), 10**4)
+        if C is None:  # two class elements share a v
+            vs = [t.v for t in transvection_class(T)]
+            assert len(set(vs)) < len(vs)
+            continue
+        assert C[0] == (T[0].v, T[0].phi)
+        assert {Transvection(T[0].F, v, phi) for v, phi in C} == transvection_class(T)
+    for m in range(5, 10):
+        R = build_symmetric_rep(m)
+        assert len(classify_mod._class_orbit(build_graph(R), 10**4)) == math.comb(m, 2)
+    for n, a, F in ((3, 3, F4), (4, 3, F4), (3, 5, F16), (4, 5, F16), (4, 7, F8)):
+        C = classify_mod._class_orbit(build_graph(build_monomial_group(n, a, F)), 10**4)
+        assert len(C) == math.comb(n, 2) * a
+    # the cap: rep(9) has 36 transpositions
+    assert classify_mod._class_orbit(build_graph(build_symmetric_rep(9)), 35) is None
+
+
+def test_detectors_stop_early_on_a_large_field(monkeypatch):
+    # SL3(2^16) shares a v between two class elements within a few
+    # conjugations, and the tables of d^-1 I and d I are built only for the
+    # digits met: a handful of row tables, not one pair per digit
+    F = field_create(2, 16)
+    T = sl3_generators(F)
+    built = []
+
+    class Counted(_RowTable):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(classify_mod, "_RowTable", Counted)
+    assert detect_monomial_structure(T) is None
+    assert len(built) <= 2 * len(T) + 20
+
+
+def test_classify_rep22_report_is_unchanged():
+    # the report that the 2^20-vector scan used to reach in seconds, pinned
+    # by the SHA-256 of its sorted JSON
+    rep = classify(build_symmetric_rep(22))
+    blob = json.dumps(rep.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "82f05694b46278b11a0acf8c4afa6cf0c9082f561bb01bcb812564a272d80818")
 
 
 def test_quadratic_type():
@@ -1304,23 +1353,32 @@ STEP4_CASES = {
         {}, ORTHOGONAL_PLUS, None),
     "O22+(2) sample": (
         lambda: orthogonal_sample(standard_quadratic_form(F2, 22, "plus"), 26, 1),
-        {}, UNDETERMINED,
-        undetermined_note(ORTHOGONAL_PLUS, "SymmetricOdd, SymmetricEven")),
+        {}, UNDETERMINED, undetermined_note(ORTHOGONAL_PLUS, "SymmetricEven")),
+    # the structure checks take no budget, so tiny budgets skip only the
+    # order cross-check
     "rep(7), tiny budgets": (
         lambda: build_symmetric_rep(7),
-        {"budget_projective": 8, "budget_elements": 100}, UNDETERMINED,
-        undetermined_note(ORTHOGONAL_PLUS, "SymmetricOdd")),
+        {"budget_projective": 8, "budget_elements": 100}, SYMMETRIC_ODD, None),
     "M4(5) over GF(16), tiny budgets": (
         lambda: build_monomial_group(4, 5, F16),
-        {"budget_projective": 100, "budget_elements": 100}, UNDETERMINED,
-        undetermined_note(UNITARY, "Monomial(3), Monomial(5), Monomial(15)")),
+        {"budget_projective": 100, "budget_elements": 100}, monomial_tag(5), None),
     "M4(7) over GF(8), tiny budgets": (
         lambda: build_monomial_group(4, 7, F8),
-        {"budget_projective": 100, "budget_elements": 100}, UNDETERMINED,
-        undetermined_note(LINEAR, "Monomial(7)")),
+        {"budget_projective": 100, "budget_elements": 100}, monomial_tag(7), None),
     "rep(18)": (
         lambda: build_symmetric_rep(18), {}, UNDETERMINED,
         undetermined_note(SYMPLECTIC, "SymmetricEven")),
+    # decided since the structure checks read one transvection class: a
+    # spanning set of 23 vectors over GF(2)^22, and line sets over GF(16)^6
+    # and GF(8)^8, where q^n is past every budget; S24 keeps no spanning
+    # set, so only S24 itself stays open
+    "rep(23)": (lambda: build_symmetric_rep(23), {}, SYMMETRIC_ODD, None),
+    "M6(5) over GF(16)": (lambda: build_monomial_group(6, 5, F16), {},
+                          monomial_tag(5), None),
+    "M8(7) over GF(8)": (lambda: build_monomial_group(8, 7, F8), {},
+                         monomial_tag(7), None),
+    "rep(24)": (lambda: build_symmetric_rep(24), {}, UNDETERMINED,
+                undetermined_note(ORTHOGONAL_PLUS, "SymmetricEven")),
     "rep(18), element budget 10^17": (
         lambda: build_symmetric_rep(18), {"budget_elements": 10**17},
         SYMMETRIC_EVEN, None),
@@ -1349,16 +1407,9 @@ def test_classify_step4_returns_no_classical_tag_while_a_refinement_is_open(name
         assert rep.order_enumerated == math.factorial(18)
 
 
-def test_classify_names_each_skipped_structure_check():
-    rep = classify(build_symmetric_rep(7), budget_projective=8)
-    assert "spanning set detection skipped: vector budget" in rep.notes
-    rep = classify(build_monomial_group(4, 7, F8), budget_projective=100)
-    assert "line structure detection skipped: projective budget" in rep.notes
-
-
 def test_classify_never_tags_a_quadratic_form_symplectic():
     # orthogonal inputs at the default budgets and at tiny ones, which skip
-    # the spanning set detection and the order cross-check
+    # the order cross-check
     inputs = [orthogonal_transvections(M, n) for M, n in
               ((Q_MINUS4, 4), (Q_PLUS6, 6), (Q_MINUS6, 6))]
     inputs += [build_symmetric_rep(m) for m in (7, 8, 10)]
