@@ -140,15 +140,17 @@ class _RowTable(dict):
     any q^n works.  A miss needs no `Mat` and, in characteristic 2, no
     field multiplication.
 
+    S has n rows and m = ncols columns (m = n unless given).
+
     p = 2: bit f k + b of a row code stands for x^b in coordinate k, whose
     image is x^b S_k, so a miss is the XOR of the images of the code's set
     bits.  The f n bit images are built on the first miss: over GF(2) they
     are the rows themselves, and over GF(2^f) the image of bit b + 1 is the
-    image of bit b times x in all n lanes at once, by shifting each lane
+    image of bit b times x in all m lanes at once, by shifting each lane
     left and adding x^f mod the field's modulus where its top bit fell
     out.
 
-    Odd p: the base-q code of a row is also the base-p code of its n f
+    Odd p: the base-q code of a row is also the base-p code of its m f
     coefficients over F_p.  A miss adds, with plain integer +, the image
     d S_k of each nonzero digit d in coordinate k, stored with one w-bit
     lane per base-p digit, w = bit_length(n (p - 1)), so no lane carries
@@ -156,12 +158,13 @@ class _RowTable(dict):
     code.  Each (coordinate, digit) image is built on its first use: a
     table sees few misses in a stabilizer chain."""
 
-    __slots__ = ("F", "rows", "images", "lanes")
+    __slots__ = ("F", "rows", "ncols", "images", "lanes")
 
-    def __init__(self, F: Field, rows: Sequence[int]):
+    def __init__(self, F: Field, rows: Sequence[int], ncols: int | None = None):
         super().__init__()
         self.F = F
         self.rows = rows
+        self.ncols = len(rows) if ncols is None else ncols
         self.images: list | None = None
 
     def __missing__(self, code: int) -> int:
@@ -185,7 +188,7 @@ class _RowTable(dict):
         if f == 1:
             bits = list(self.rows)
         else:
-            top = sum(1 << (f * j + f - 1) for j in range(len(self.rows)))
+            top = sum(1 << (f * j + f - 1) for j in range(self.ncols))
             r = self.F.from_digits(self.F.modulus[:f])  # x^f mod the modulus
             bits = []
             for c in self.rows:
@@ -204,7 +207,7 @@ class _RowTable(dict):
             n = len(self.rows)
             w = (n * (p - 1)).bit_length()
             images = self.images = [[None] * q for _ in range(n)]
-            self.lanes = (w, (1 << w) - 1, range(w * (n * F.f - 1), -1, -w))
+            self.lanes = (w, (1 << w) - 1, range(w * (self.ncols * F.f - 1), -1, -w))
         w, mask, shifts = self.lanes
         acc = 0
         k = 0

@@ -55,6 +55,7 @@ from .linalg import (
     Vec,
     _code,
     _digits,
+    _echelon,
     _inverse_codes,
     dot,
     vec_add,
@@ -67,6 +68,7 @@ from .tgraph import (
     TransvectionGraph,
     Word,
     _radicals,
+    _pairing,
     _require_irreducible,
     _tree_edges,
     build_graph,
@@ -468,12 +470,15 @@ def group_order(gens: Sequence[Mat], cap: int = ELEMENT_BUDGET) -> int:
     is inverted by Gauss-Jordan on its codes, and a transversal inverse is
     made only when a sift first strips through its point.
     """
-    return _group_order(gens, cap, math.inf)
+    F, n = _check_generators(gens)
+    return _group_order(F, n, [_rows(M) for M in gens], cap, math.inf)
 
 
-def _group_order(gens: Sequence[Mat], cap: int, bound: int | float) -> int:
-    """`group_order`, stopped as soon as the product of the orbit lengths
-    reaches `bound`, a proven upper bound on the order.
+def _group_order(F: Field, n: int, gens: Sequence[tuple[int, ...]], cap: int,
+                 bound: int | float) -> int:
+    """`group_order` of the invertible n x n matrices over F with these row
+    codes, stopped as soon as the product of the orbit lengths reaches
+    `bound`, a proven upper bound on the order.
 
     Each basic orbit of the chain lies in the orbit of the full point
     stabilizer, so the product is at most the order; once it equals an
@@ -483,13 +488,10 @@ def _group_order(gens: Sequence[Mat], cap: int, bound: int | float) -> int:
     bound before it can reach the bound: CapExceeded is raised exactly
     where `group_order` raises it.
     """
-    gens = list(gens)
-    F, n = _check_generators(gens)
     if cap < 1:
         raise CapExceeded("group order element budget exhausted", count=cap)
     chain = _Chain(F, n, cap, bound)
-    for M in gens:
-        rows = _rows(M)
+    for rows in gens:
         if rows != chain.base and rows not in chain.records:
             chain.add(chain.strong(rows), 0, 0)
     level = 0
@@ -640,6 +642,24 @@ def _normalize_point(F: Field, v: Sequence[int]) -> Vec:
     return tuple(v) if c == 1 else vec_scale(F, F.inv(c), v)
 
 
+def _transvection_rows(F: Field, c: int, u: Vec, w: Vec) -> tuple[int, ...]:
+    """The row codes e_k + c u_k w of 1 + c u (x) w: the code of (c u_k) w
+    with digit k raised by 1, so no matrix is built."""
+    q = F.q
+    if q == 2:  # c u_k is u_k, and raising a digit is XOR
+        code = _code(2, w)
+        return tuple(1 << k ^ (code if x else 0) for k, x in enumerate(u))
+    scaled: dict[int, int] = {}
+    rows = []
+    for k, x in enumerate(u):
+        a = F.mul(c, x)
+        if a not in scaled:
+            scaled[a] = _code(q, vec_scale(F, a, w))
+        d = scaled[a] // q**k % q
+        rows.append(scaled[a] + (F.add(d, 1) - d) * q**k)
+    return tuple(rows)
+
+
 def _class_orbit(G: TransvectionGraph, cap: int) -> list[tuple[Vec, Vec]] | None:
     """The class of t = G.verts[0] under conjugation by the generators, as
     (v, phi) with v scaled to first nonzero coordinate 1, t first, then
@@ -647,20 +667,13 @@ def _class_orbit(G: TransvectionGraph, cap: int) -> list[tuple[Vec, Vec]] | None
     s t s^-1 = 1 + s(v) (phi o s^-1) maps the codes of v and phi through
     the `_RowTable`s of s^T (rows e_k + phi_s,k v_s) and s^-1 (rows
     e_k - v_s,k phi_s), then, if v has lowest nonzero digit d != 1, those
-    of d^-1 I and d I, built for each d on first use."""
+    of d^-1 I and d I, built for each d on first use.  The digit d is read
+    at the lowest set bit of the code when q = 2^f, and by division by q
+    otherwise."""
     F, n, q = G.F, G.n, G.F.q
 
     def table(c: int, u: Vec, w: Vec) -> Callable[[int], int]:
-        # rows e_k + c u_k w: the code of (c u_k) w with digit k raised by 1
-        scaled: dict[int, int] = {}
-        rows = []
-        for k, x in enumerate(u):
-            a = F.mul(c, x)
-            if a not in scaled:
-                scaled[a] = _code(q, vec_scale(F, a, w))
-            d = scaled[a] // q**k % q
-            rows.append(scaled[a] + (F.add(d, 1) - d) * q**k)
-        return _RowTable(F, rows).image
+        return _RowTable(F, _transvection_rows(F, c, u, w)).image
 
     steps = [(table(1, s.phi, s.v), table(F.neg(1), s.v, s.phi)) for s in G]
     t, scales = G.verts[0], {}
@@ -669,7 +682,13 @@ def _class_orbit(G: TransvectionGraph, cap: int) -> list[tuple[Vec, Vec]] | None
     for v, phi in queue:
         for image_v, image_phi in steps:
             w, psi = image_v(v), image_phi(phi)
-            d = next(x for x in _digits(q, n, w) if x) if q > 2 else 1
+            if F.p == 2:  # the f bits at the lowest set bit's digit
+                d = (w >> (((w & -w).bit_length() - 1) // F.f * F.f)) & (q - 1)
+            else:
+                d = w
+                while not d % q:
+                    d //= q
+                d %= q
             if d != 1:
                 if d not in scales:
                     scales[d] = [_RowTable(F, [c * q**k for k in range(n)]).image
@@ -706,18 +725,27 @@ def _spanning_set(G: TransvectionGraph) -> tuple[Vec, ...] | None:
     """The invariant set B of n + 1 vectors of rank n, sorted by code, or
     None (see `detect_symmetric_type`): b in B spans the common kernel of
     phi_y, for y the first of the class C not commuting with x = C[0], and
-    of the other phi commuting with x; B is the orbit of b."""
-    F, n = G.F, G.n
+    of the other phi commuting with x; B is the orbit of b.  Pairings, the
+    kernel and the rank of B are read off codes (`_pairing`, `_echelon`),
+    over GF(2) by bit parities and XOR elimination."""
+    F, n, q = G.F, G.n, G.F.q
     size = n * (n + 1) // 2
     C = _class_orbit(G, size)
     if C is None or len(C) != size:
         return None
-    x, rest = C[0], C[1:]
-    meets = [s for s in rest if dot(F, x[1], s[0]) or dot(F, s[1], x[0])]
-    rows = [s[1] for s in rest if s not in meets]
-    kernel = Mat(F, [meets[0][1]] + rows).kernel() if meets else []
-    B = _capped_orbit(G, kernel[0], n + 1) if len(kernel) == 1 else None
-    if B is None or len(B) != n + 1 or Mat(F, B).rank() != n:
+    (xv, xphi), rest = C[0], [(_code(q, v), _code(q, phi)) for v, phi in C[1:]]
+    at_v, at_phi = _pairing(F, xphi), _pairing(F, xv)
+    meets = [bool(at_v(v) or at_phi(phi)) for v, phi in rest]
+    if True not in meets:
+        return None
+    rows = [rest[meets.index(True)][1]] + [s[1] for s, m in zip(rest, meets) if not m]
+    pivots = _echelon(F, rows, n, n)
+    if len(pivots) != n - 1:
+        return None
+    free = sum(range(n)) - sum(pivots)  # the one column without a pivot
+    b = q**free + sum(F.neg(r // q**free % q) * q**c for r, c in zip(rows, pivots))
+    B = _capped_orbit(G, _normalize_point(F, _digits(q, n, b)), n + 1)
+    if B is None or len(B) != n + 1 or len(_echelon(F, [_code(q, u) for u in B], n, n)) != n:
         return None
     return tuple(sorted(B, key=lambda u: u[::-1]))
 
@@ -1085,7 +1113,8 @@ def classify(T: Sequence[Transvection],
     exceeds = 0
     if q**n <= VECTOR_TABLE_BUDGET:
         try:
-            N = _group_order([t.matrix() for t in T], budget_elements, classical)
+            N = _group_order(F, n, [_transvection_rows(F, 1, t.v, t.phi) for t in T],
+                             budget_elements, classical)
         except CapExceeded:
             notes.append(f"enumeration exceeded the {budget_elements}-element budget")
             exceeds = budget_elements

@@ -44,6 +44,7 @@ from .tgraph import (
     _require_irreducible,
     _tree_edges,
 )
+from .transvections import Transvection
 
 __all__ = [
     "SesquiForm",
@@ -108,9 +109,13 @@ class SesquiForm:
         tv = tuple(self._theta(a) for a in v)
         return self.gram.matvec(tv)
 
-    def invariant_under(self, M: Mat) -> bool:
-        tm = M.map_entries(self._theta)
-        return M.transpose().mul(self.gram).mul(tm).rows == self.gram.rows
+    def kept_by(self, t: Transvection) -> bool:
+        """Whether t = 1 + v (x) phi keeps f: f(., v) = mu phi with
+        theta(mu) = mu, in O(n^2) (proof at `detect_invariant_form`)."""
+        w = self.dual_covector(t.v)
+        i = next(i for i, a in enumerate(t.phi) if a)
+        mu = self.F.div(w[i], t.phi[i])
+        return self._theta(mu) == mu and vec_scale(self.F, mu, t.phi) == w
 
     def __repr__(self) -> str:
         return f"SesquiForm(twist={self.twist}, gram={self.gram.rows})"
@@ -149,18 +154,10 @@ class QuadraticForm:
     def polarization(self) -> SesquiForm:
         return self.polar
 
-    def preserved_by(self, M: Mat) -> bool:
-        """Q(Mx) = Q(x) as polynomial identity."""
-        F = self.F
-        D = M.transpose().mul(self.coeffs).mul(M)
-        n = self.n
-        for i in range(n):
-            if D.rows[i][i] != self.coeffs.rows[i][i]:
-                return False
-            for j in range(i + 1, n):
-                if F.add(D.rows[i][j], D.rows[j][i]) != self.coeffs.rows[i][j]:
-                    return False
-        return True
+    def kept_by(self, t: Transvection) -> bool:
+        """Whether t = 1 + v (x) phi keeps Q: f(., v) = Q(v) phi for the
+        polarization f, in O(n^2) (proof at `recover_quadratic`)."""
+        return self.polar.dual_covector(t.v) == vec_scale(self.F, self.evaluate(t.v), t.phi)
 
     def __repr__(self) -> str:
         return f"QuadraticForm(coeffs={self.coeffs.rows})"
@@ -226,7 +223,14 @@ def detect_invariant_form(G: TransvectionGraph, twist: str = "identity",
 
     On success the Gram matrix is the unique solution of v_t^T gram =
     lam_t theta(phi_t) over a basis of v_t's; nondegeneracy and generator
-    invariance follow (and are verified before returning).
+    invariance follow, and both are verified before returning.  Invariance
+    is tested on (v, phi) with no matrix: t = 1 + v (x) phi keeps f exactly
+    when f(., v) = mu phi with theta(mu) = mu.  Proof: f(tx, ty) - f(x, y) =
+    phi(x) f(v, y) + theta(phi(y)) f(x, v) + phi(x) theta(phi(y)) f(v, v)
+    vanishes at every x in ker phi only if f(., v) kills ker phi, that is
+    f(., v) = mu phi; then f(v, .) = -theta(mu) theta(phi) by
+    antisymmetry and f(v, v) = mu phi(v) = 0, so the difference is
+    (mu - theta(mu)) phi(x) theta(phi(y)).
     """
     _require_irreducible(G, "form detection needs irreducibility")
     F = G.F
@@ -294,7 +298,7 @@ def detect_invariant_form(G: TransvectionGraph, twist: str = "identity",
                              f"relation at vertex {t}")
 
     form = SesquiForm(F, gram, twist)
-    _require(all(form.invariant_under(t.matrix()) for t in G.verts),
+    _require(all(map(form.kept_by, G.verts)),
              "constructed form rejected by a generator")
     return form
 
@@ -325,6 +329,11 @@ def recover_quadratic(G: TransvectionGraph, f: SesquiForm):
     basis reads Q off: with the basis u's as the rows of B, Q(e_k) is the
     value at row k of B^-1 of the form that is 1 on each u and has Gram
     matrix B gram B^T, and Q's off-diagonal coefficients are f's Gram entries.
+    Before returning, each generator is checked to keep Q on (v, phi) with
+    no matrix: t keeps Q exactly when f(., v) = Q(v) phi.  Proof:
+    Q(tx) - Q(x) = phi(x) (Q(v) phi(x) + f(x, v)) is zero for all x exactly
+    when the linear form Q(v) phi + f(., v) vanishes off the hyperplane
+    ker phi, whose complement spans.
 
     Only V(T) = V is required (the v_t must span), not full irreducibility:
     the recovery is local to the generator vectors, so it also serves
@@ -363,9 +372,8 @@ def recover_quadratic(G: TransvectionGraph, f: SesquiForm):
         val = Q.evaluate(u)
         if val != 1:
             return QuadraticObstruction(i, val)
-    for t in G.verts:  # the generator criterion implies invariance
-        _require(Q.preserved_by(t.matrix()),
-                 "a generator does not preserve the recovered quadratic form")
+    _require(all(map(Q.kept_by, G.verts)),  # implied by Q(u_t) = 1
+             "a generator does not preserve the recovered quadratic form")
     return Q
 
 

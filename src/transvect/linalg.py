@@ -7,8 +7,8 @@ makes equality structural.
 
 The package's one vector codec lives here: `_code` packs a vector x as the
 integer sum(x_j q^j), first coordinate least significant, and `_digits`
-unpacks it.  The Cayley searches, the projective orbit scans and the
-projective point list all use it.
+unpacks it.  The Cayley searches, the stabilizer chain, the graph
+pairings, the density scans and `Subspace` all use it.
 """
 
 from __future__ import annotations
@@ -65,44 +65,57 @@ def _digits(base: int, n: int, code: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _inverse_codes(F: Field, rows: Sequence[int]) -> tuple[int, ...]:
-    """The row codes of M^-1, for the square matrix M over F given by its
-    row codes: Gauss-Jordan on [M | I] without building a `Mat`.  Over
-    GF(2) a row of [M | I] is one integer, the code of its M part in the
-    low n bits and the code of its I part above, and rows combine by XOR;
-    otherwise rows are digit lists combined through the field operations.
-    A singular M raises InternalError: callers pass invertible matrices."""
-    n = len(rows)
+def _echelon(F: Field, rows: list[int], ncols: int, width: int) -> list[int]:
+    """Gauss-Jordan in place on the row codes of a matrix with `width`
+    columns, pivoting on columns 0..ncols-1; returns the pivot columns.
+    Row k ends as the k-th pivot row, 1 at its pivot, which is clear in
+    every other row.  Over GF(2) rows are bit masks combined by XOR;
+    otherwise digit lists combined through the field operations."""
+    pivots: list[int] = []
     if F.q == 2:
-        aug = [r | 1 << (n + i) for i, r in enumerate(rows)]
-        for c in range(n):
-            bit = 1 << c
-            r = next((i for i in range(c, n) if aug[i] & bit), None)
-            _require(r is not None, "Gauss-Jordan found no pivot: singular matrix")
-            aug[r], aug[c] = aug[c], aug[r]
-            pivot = aug[c]
-            for i in range(n):
-                if i != c and aug[i] & bit:
-                    aug[i] ^= pivot
-        return tuple(a >> n for a in aug)
+        for c in range(ncols):
+            bit, k = 1 << c, len(pivots)
+            r = next((i for i in range(k, len(rows)) if rows[i] & bit), None)
+            if r is not None:
+                rows[r], rows[k] = rows[k], rows[r]
+                pivot = rows[k]
+                for i, row in enumerate(rows):
+                    if row & bit and i != k:
+                        rows[i] = row ^ pivot
+                pivots.append(c)
+        return pivots
     q, mul, sub, inv = F.q, F.mul, F.sub, F.inv
-    aug = [list(_digits(q, n, r)) + [0] * n for r in rows]
-    for i, row in enumerate(aug):
-        row[n + i] = 1
-    for c in range(n):
-        r = next((i for i in range(c, n) if aug[i][c]), None)
-        _require(r is not None, "Gauss-Jordan found no pivot: singular matrix")
+    aug = [list(_digits(q, width, r)) for r in rows]
+    for c in range(ncols):
+        k = len(pivots)
+        r = next((i for i in range(k, len(aug)) if aug[i][c]), None)
+        if r is None:
+            continue
         # columns before c are zero in the pivot row: only the tail changes
-        aug[r], aug[c] = aug[c], aug[r]
-        pivot = aug[c][c:]
+        aug[r], aug[k] = aug[k], aug[r]
+        pivot = aug[k][c:]
         x = inv(pivot[0])
         if x != 1:
-            pivot = aug[c][c:] = [mul(x, a) for a in pivot]
+            pivot = aug[k][c:] = [mul(x, a) for a in pivot]
         for i, row in enumerate(aug):
             m = row[c]
-            if m and i != c:
+            if m and i != k:
                 row[c:] = [sub(a, mul(m, b)) for a, b in zip(row[c:], pivot)]
-    return tuple(_code(q, row[n:]) for row in aug)
+        pivots.append(c)
+    rows[:] = [_code(q, row) for row in aug]
+    return pivots
+
+
+def _inverse_codes(F: Field, rows: Sequence[int]) -> tuple[int, ...]:
+    """The row codes of M^-1, for the square matrix M over F given by its
+    row codes: Gauss-Jordan on [M | I] (`_echelon`) without building a
+    `Mat`.  A singular M raises InternalError: callers pass invertible
+    matrices."""
+    n, q = len(rows), F.q
+    aug = [r + q ** (n + i) for i, r in enumerate(rows)]
+    _require(len(_echelon(F, aug, n, 2 * n)) == n,
+             "Gauss-Jordan found no pivot: singular matrix")
+    return tuple(a // q**n for a in aug)
 
 
 def _check_entries(M: "Mat") -> None:
@@ -376,11 +389,9 @@ class Subspace:
         for r in rows:
             if len(r) != n:
                 raise DimensionMismatch("basis vector of wrong length")
-        if rows:
-            red, piv = Mat(F, rows).rref()
-            self.basis = tuple(red.rows[i] for i in range(len(piv)))
-        else:
-            self.basis = ()
+        codes = [_code(F.q, r) for r in rows]  # reduced by `_echelon`
+        rank = len(_echelon(F, codes, n, n))
+        self.basis = tuple(_digits(F.q, n, c) for c in codes[:rank])
 
     @staticmethod
     def span(F: Field, n: int, vectors: Iterable[Sequence[int]]) -> "Subspace":

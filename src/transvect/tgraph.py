@@ -27,8 +27,9 @@ from .errors import (
     NotStronglyConnected,
     _require,
 )
+from .cayley import _RowTable
 from .gf import Field
-from .linalg import Mat, Subspace, Vec, _digits, dot
+from .linalg import Mat, Subspace, Vec, _code, _digits, dot
 from .transvections import Transvection
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "cycle_symplectic_defect",
     "cycle_unitary_defect",
     "defining_field",
-    "projective_points",
     "is_dense",
     "shorten_path",
     "densify",
@@ -67,12 +67,23 @@ MAX_CYCLE_LEN = 8
 Word = tuple
 
 
+def _pairing(F: Field, phi: Vec) -> Callable[[int], int]:
+    """The covector phi as a map from the code of v (the `linalg` codec) to
+    phi(v): the image of the code under the one-column row table of phi,
+    over GF(2) the parity of the bits the two codes share."""
+    if F.q == 2:
+        c = _code(2, phi)
+        return lambda v: (c & v).bit_count() & 1
+    return _RowTable(F, phi, 1).image
+
+
 class TransvectionGraph(Sequence):
     """The graph of a transvection set, with pairing values cached.
 
-    pair[i][j] = phi_i(v_j); adj[i][j] = (pair[i][j] != 0).  No self-loops
-    (phi(v) = 0 by isotropy).  The graph is a Sequence of its vertices, so
-    it can stand wherever a transvection set is read.
+    pair[i][j] = phi_i(v_j), read off the codes of the v's (`_pairing`);
+    adj[i][j] = (pair[i][j] != 0).  No self-loops (phi(v) = 0 by isotropy).
+    The graph is a Sequence of its vertices, so it can stand wherever a
+    transvection set is read.
     """
 
     __slots__ = ("F", "n", "verts", "pair", "adj", "succ", "vspace", "dual_space")
@@ -92,7 +103,8 @@ class TransvectionGraph(Sequence):
         self.n = n
         self.verts = verts
         N = len(verts)
-        pair = tuple(tuple(dot(F, t.phi, s.v) for s in verts) for t in verts)
+        codes = [_code(F.q, s.v) for s in verts]
+        pair = tuple(tuple(map(_pairing(F, t.phi), codes)) for t in verts)
         self.pair = pair
         self.adj = tuple(tuple(bool(x) for x in row) for row in pair)
         self.succ = [[j for j in range(N) if pair[i][j]] for i in range(N)]
@@ -423,40 +435,30 @@ def defining_field(G: TransvectionGraph, dense_hint: bool = False,
 
 # -- density ---------------------------------------------------------------
 
-_POINT_CACHE: dict[tuple[int, int, int], tuple[Vec, ...]] = {}
+_POINT_CACHE: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
 
-def projective_points(F: Field, n: int) -> tuple[Vec, ...]:
-    """Canonical representatives (first nonzero entry 1) of the projective
-    points of F^n, ordered by integer encoding (first coordinate least
-    significant).
-
-    A point whose first nonzero coordinate is k has the code
-    q^k (1 + q m) for some m < q^(n-k-1), so the codes are generated
-    directly, sorted and decoded."""
+def _point_codes(F: Field, n: int) -> tuple[int, ...]:
+    """The sorted codes of the canonical projective points of F^n, those
+    with first nonzero coordinate 1.  A point whose first nonzero
+    coordinate is k has the code q^k (1 + q m) for some m < q^(n-k-1), so
+    the codes are generated directly."""
     key = (F.p, F.f, n)
-    cached = _POINT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    q = F.q
-    codes = sorted(c for k in range(n) for c in range(q**k, q**n, q ** (k + 1)))
-    pts = tuple(_digits(q, n, c) for c in codes)
-    _POINT_CACHE[key] = pts
-    return pts
+    codes = _POINT_CACHE.get(key)
+    if codes is None:
+        q = F.q
+        codes = _POINT_CACHE[key] = tuple(sorted(
+            c for k in range(n) for c in range(q**k, q**n, q ** (k + 1))))
+    return codes
 
 
-def _coverage_masks(F: Field, pts: tuple[Vec, ...],
+def _coverage_masks(F: Field, codes: tuple[int, ...],
                     t: Transvection) -> tuple[int, int]:
-    """(A, B): A marks points v with phi_t(v) != 0, B marks points phi with
-    phi(v_t) != 0."""
-    a = 0
-    b = 0
-    for i, x in enumerate(pts):
-        if dot(F, t.phi, x):
-            a |= 1 << i
-        if dot(F, x, t.v):
-            b |= 1 << i
-    return a, b
+    """(A, B) over the points with these codes: A marks points v with
+    phi_t(v) != 0, B marks points phi with phi(v_t) != 0 (`_pairing`)."""
+    at_phi, at_v = _pairing(F, t.phi), _pairing(F, t.v)
+    return (sum(1 << i for i, c in enumerate(codes) if at_phi(c)),
+            sum(1 << i for i, c in enumerate(codes) if at_v(c)))
 
 
 def is_dense(G: TransvectionGraph,
@@ -467,10 +469,10 @@ def is_dense(G: TransvectionGraph,
     F, n = G.F, G.n
     if F.q**n > budget_projective:
         raise CapExceeded("projective scan budget exhausted", count=budget_projective)
-    pts = projective_points(F, n)
-    P = len(pts)
+    codes = _point_codes(F, n)
+    P = len(codes)
     full = (1 << P) - 1
-    masks = [_coverage_masks(F, pts, t) for t in G.verts]
+    masks = [_coverage_masks(F, codes, t) for t in G.verts]
     for j in range(P):
         covered = 0
         for a, b in masks:
@@ -478,7 +480,7 @@ def is_dense(G: TransvectionGraph,
                 covered |= a
         if covered != full:
             i = next(i for i in range(P) if not ((covered >> i) & 1))
-            return False, (pts[i], pts[j])
+            return False, (_digits(F.q, n, codes[i]), _digits(F.q, n, codes[j]))
     return True, None
 
 
@@ -560,27 +562,29 @@ def densify(T: Sequence[Transvection],
     F, n = G.F, G.n
     if F.q**n > budget_projective:
         raise CapExceeded("projective scan budget exhausted", count=budget_projective)
-    pts = projective_points(F, n)
-    P = len(pts)
+    codes = _point_codes(F, n)
+    P = len(codes)
     full = (1 << P) - 1
     out = list(T)
     words: list[Word] = [((i, 1),) for i in range(len(T))]
-    masks = [_coverage_masks(F, pts, t) for t in out]
+    masks = [_coverage_masks(F, codes, t) for t in out]
     for j in range(P):
-        phi = pts[j]
         covered = 0
         for a, b in masks:
             if (b >> j) & 1:
                 covered |= a
+        if covered == full:
+            continue
         for i in range(P):
             if (covered >> i) & 1:
                 continue
-            tprime, word = shorten_path(G, phi, pts[i])
+            tprime, word = shorten_path(G, _digits(F.q, n, codes[j]),
+                                        _digits(F.q, n, codes[i]))
             _require(len(word) <= 2 * n - 1,
                      f"a density witness word has length {len(word)} > 2n - 1")
             out.append(tprime)
             words.append(word)
-            a, b = _coverage_masks(F, pts, tprime)
+            a, b = _coverage_masks(F, codes, tprime)
             masks.append((a, b))
             _require((b >> j) & 1 and (a >> i) & 1,
                      f"a density witness does not cover the pair ({i}, {j})")

@@ -14,8 +14,12 @@ answer that a faster or more specialised routine must reproduce.
   scan every projective point or vector for the structures that the
   detectors of `classify` read off one transvection class, and
   `transvection_class` conjugates by `Transvection.conjugate_by`.
+- `projective_points` decodes the point codes the density scans read.
 - `contains_space`, `elements` and `fixed_subfield` enumerate small
   subspaces and subfields outright.
+- `invariant_under` and `preserved_by` test a form against a matrix by
+  matrix products, the identities that `SesquiForm.kept_by` and
+  `QuadraticForm.kept_by` test on a transvection's (v, phi).
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from transvect.errors import (
     InternalError,
     NotStronglyConnected,
 )
+from transvect.forms import QuadraticForm, SesquiForm
 from transvect.gf import Field
 from transvect.linalg import Mat, Subspace, _digits, vec_add, vec_scale
 from transvect.tgraph import (
@@ -45,7 +50,7 @@ from transvect.tgraph import (
     TransvectionGraph,
     _closed_walks,
     _distances,
-    projective_points,
+    _point_codes,
 )
 from transvect.transvections import Transvection
 
@@ -53,8 +58,13 @@ from transvect.transvections import Transvection
 # -- exact enumeration -------------------------------------------------------
 
 
+def row_matrices(F: Field, n: int, gens: Iterable[Sequence[int]]) -> list[Mat]:
+    """The n x n matrices over F with these row codes, first row first."""
+    return [Mat(F, [_digits(F.q, n, c) for c in rows]) for rows in gens]
+
+
 def _unpack(F: Field, n: int, key: str | bytes) -> Mat:
-    return Mat(F, [_digits(F.q, n, c) for c in _row_codes(key)])
+    return row_matrices(F, n, [_row_codes(key)])[0]
 
 
 class GroupEnumeration:
@@ -116,6 +126,13 @@ def enumerate_group(gens: Sequence[Mat], cap: int = ELEMENT_BUDGET) -> GroupEnum
 
 
 # -- transvection graphs -----------------------------------------------------
+
+
+def projective_points(F: Field, n: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical representatives (first nonzero entry 1) of the projective
+    points of F^n, ordered by integer encoding (first coordinate least
+    significant): the decoded codes that the density scans read."""
+    return tuple(_digits(F.q, n, c) for c in _point_codes(F, n))
 
 
 def cycles_up_to(G: TransvectionGraph, L: int,
@@ -312,3 +329,21 @@ def elements(S: Subspace):
 def fixed_subfield(F: Field) -> list[int]:
     """Elements of the index-2 subfield (fixed points of the involution)."""
     return [x for x in range(F.q) if F.involution(x) == x]
+
+
+# -- invariant forms -----------------------------------------------------------
+
+
+def invariant_under(f: SesquiForm, M: Mat) -> bool:
+    """M^T gram theta(M) = gram: f(Mx, My) = f(x, y) for all x, y."""
+    return M.transpose().mul(f.gram).mul(M.map_entries(f.theta)).rows == f.gram.rows
+
+
+def preserved_by(Q: QuadraticForm, M: Mat) -> bool:
+    """Q(Mx) = Q(x) as a polynomial identity: the upper-triangular part of
+    M^T coeffs M, folded, equals Q's coefficients."""
+    F, n, c = Q.F, Q.n, Q.coeffs.rows
+    D = M.transpose().mul(Q.coeffs).mul(M).rows
+    return all(D[i][i] == c[i][i] and all(F.add(D[i][j], D[j][i]) == c[i][j]
+                                          for j in range(i + 1, n))
+               for i in range(n))

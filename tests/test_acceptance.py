@@ -50,7 +50,6 @@ from transvect.tgraph import (
     is_dense,
     is_irreducible,
     is_strongly_connected,
-    projective_points,
     scc,
     winkle,
     word_matrix,
@@ -61,7 +60,7 @@ from transvect.transvections import (
     tv_from_matrix,
 )
 
-from oracles import enumerate_group
+from oracles import enumerate_group, invariant_under, projective_points, row_matrices
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -321,7 +320,7 @@ def test_criterion_2_form_reconstruction(capsys):
         f = detect_invariant_form(build_graph(T), twist)
         assert isinstance(f, SesquiForm), label
         for t in T:
-            assert f.invariant_under(t.matrix()), label
+            assert invariant_under(f, t.matrix()), label
 
     rng = random.Random(202)
     sets = 0
@@ -501,15 +500,16 @@ def test_group_order_with_the_classical_bound_on_grid(monkeypatch):
     chain_order = classify_mod._group_order
     calls = []
 
-    def record(gens, cap, bound):
-        calls.append((gens, cap, bound))
-        return chain_order(gens, cap, bound)
+    def record(F, n, gens, cap, bound):
+        calls.append((F, n, gens, cap, bound))
+        return chain_order(F, n, gens, cap, bound)
 
     monkeypatch.setattr(classify_mod, "_group_order", record)
     for label, T, _, order, _, _ in classification_grid():
         classify(T)
-        gens, cap, bound = calls.pop()
-        assert chain_order(gens, cap, bound) == group_order(gens, cap) == order, label
+        F, n, gens, cap, bound = calls.pop()
+        assert (chain_order(F, n, gens, cap, bound)
+                == group_order(row_matrices(F, n, gens), cap) == order), label
         assert order <= bound, label
 
 

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from transvect.cayley import _RowTable
+from transvect.cayley import _RowTable, _rows
 from transvect.classify import (
     CERT_MAX_SIZE,
     Certificate,
@@ -53,7 +53,7 @@ from transvect.errors import (
 )
 from transvect.forms import QuadraticForm, SesquiForm, detect_invariant_form
 from transvect.gf import field_create
-from transvect.linalg import Mat
+from transvect.linalg import Mat, dot
 from transvect.tgraph import (
     TransvectionGraph,
     build_graph,
@@ -61,7 +61,6 @@ from transvect.tgraph import (
     densify,
     is_irreducible,
     is_strongly_connected,
-    projective_points,
     restrict_to_section,
 )
 from transvect.transvections import Transvection, standard_full_field_set, tv_from_matrix
@@ -69,6 +68,8 @@ from transvect.transvections import Transvection, standard_full_field_set, tv_fr
 from oracles import (
     enumerate_group,
     monomial_lines,
+    projective_points,
+    row_matrices,
     spanning_vector_orbits,
     transvection_class,
     tuple_point_orbits,
@@ -76,6 +77,7 @@ from oracles import (
 
 # the module, which the package's `classify` function shadows as an attribute
 classify_mod = importlib.import_module("transvect.classify")
+tgraph_mod = importlib.import_module("transvect.tgraph")
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -395,7 +397,8 @@ def enumeration_route(monkeypatch):
     """Make classify take its exact order from enumerate_group, as before
     the stabilizer chain, ignoring the classical bound."""
     monkeypatch.setattr(classify_mod, "_group_order",
-                        lambda gens, cap, bound: enumerate_group(gens, cap).order)
+                        lambda F, n, gens, cap, bound:
+                        enumerate_group(row_matrices(F, n, gens), cap).order)
 
 
 def bound_agrees(T, monkeypatch):
@@ -405,9 +408,9 @@ def bound_agrees(T, monkeypatch):
     calls = []
     chain_order = classify_mod._group_order
 
-    def record(gens, cap, bound):
-        calls.append((list(gens), cap, bound))
-        return chain_order(gens, cap, bound)
+    def record(F, n, gens, cap, bound):
+        calls.append((F, n, list(gens), cap, bound))
+        return chain_order(F, n, gens, cap, bound)
 
     with monkeypatch.context() as m:
         m.setattr(classify_mod, "_group_order", record)
@@ -415,9 +418,9 @@ def bound_agrees(T, monkeypatch):
             classify(T)
         except NotIrreducible:
             return False
-    ((gens, cap, bound),) = calls
-    N = group_order(gens, cap)
-    assert chain_order(gens, cap, bound) == N <= bound
+    ((F, n, gens, cap, bound),) = calls
+    N = group_order(row_matrices(F, n, gens), cap)
+    assert chain_order(F, n, gens, cap, bound) == N <= bound
     return N == bound
 
 
@@ -450,13 +453,13 @@ def test_group_order_with_the_classical_bound_on_random_sl3_conjugates(monkeypat
 
 def test_group_order_past_the_bound_raises_internal_error():
     # SL2(2) has orbit lengths 3 and 2: the product jumps from 3 to 6
-    mats = [t.matrix() for t in sl_generators(F2)]
-    assert classify_mod._group_order(mats, 10**7, 6) == 6
+    rows = [_rows(t.matrix()) for t in sl_generators(F2)]
+    assert classify_mod._group_order(F2, 2, rows, 10**7, 6) == 6
     with pytest.raises(InternalError, match="order bound 5"):
-        classify_mod._group_order(mats, 10**7, 5)
+        classify_mod._group_order(F2, 2, rows, 10**7, 5)
     # the cap is checked first, as without a bound
     with pytest.raises(CapExceeded):
-        classify_mod._group_order(mats, 4, 5)
+        classify_mod._group_order(F2, 2, rows, 4, 5)
 
 
 @pytest.mark.parametrize("T,strong,tables,bounded_tables", [
@@ -468,7 +471,7 @@ def test_group_order_builds_no_matrix_per_orbit_point(monkeypatch, T, strong,
     # the chain builds no Mat: strong generators are inverted on their row
     # codes, a transversal entry gets its inverse table when a sift first
     # strips through it, and the bound saves the tables of the skipped sifts
-    mats = [t.matrix() for t in T]
+    rows = [_rows(t.matrix()) for t in T]
     N = order_formula(LINEAR, T[0].n, T[0].F.q)
     counts = {}
     chains = []
@@ -487,7 +490,7 @@ def test_group_order_builds_no_matrix_per_orbit_point(monkeypatch, T, strong,
     monkeypatch.setattr(classify_mod, "_Chain", counting(classify_mod._Chain))
     for bound, want_tables in ((math.inf, tables), (N, bounded_tables)):
         counts.update(Mat=0, _RowTable=0, _Chain=0)
-        assert classify_mod._group_order(mats, 10**7, bound) == N
+        assert classify_mod._group_order(T[0].F, T[0].n, rows, 10**7, bound) == N
         chain = chains.pop()
         n_strong = len({s[0] for level in chain.gens for s in level})
         n_points = sum(map(len, chain.points))
@@ -1541,6 +1544,54 @@ def test_classify_random_inputs_fuzz():
             continue
         if rep.order_enumerated is not None:
             assert order_formula(LINEAR, n, F.q) % rep.order_enumerated == 0
+
+
+def test_packed_pairings_match_dot_on_grid_and_fuzz_sets():
+    # the graph's pairings and the density masks are read off packed codes
+    # (`tgraph._pairing`); against the generic dot product
+    sets = grid_sets() + [T for _, _, T in fuzz_sets()]
+    assert len(sets) == 85
+    for T in sets:
+        F, n = T[0].F, T[0].n
+        G = TransvectionGraph(T)
+        assert G.pair == tuple(tuple(dot(F, t.phi, s.v) for s in T) for t in T)
+        if F.q**n > 2**12:
+            continue
+        pts = projective_points(F, n)
+        for t in T[:4]:
+            a, b = tgraph_mod._coverage_masks(F, tgraph_mod._point_codes(F, n), t)
+            assert a == sum(1 << i for i, x in enumerate(pts) if dot(F, t.phi, x))
+            assert b == sum(1 << i for i, x in enumerate(pts) if dot(F, x, t.v))
+
+
+def test_classify_makes_no_matrix_call_per_generator(monkeypatch):
+    # invariance is tested on (v, phi) and the chain reads the generators'
+    # row codes off (v, phi): no Transvection.matrix, and the Mat.mul and
+    # Mat.det calls of the one-off changes of basis do not grow with the
+    # number of generators
+    counts = dict(mul=0, det=0, matrix=0)
+
+    def counting(cls, name):
+        real = getattr(cls, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls, name in ((Mat, "mul"), (Mat, "det"), (Transvection, "matrix")):
+        counting(cls, name)
+    rng = random.Random(24)
+    cases = [build_symmetric_rep(9), orthogonal_transvections(Q_PLUS6, 6)]
+    cases += [random_conjugate(sl3_generators(F5), rng) for _ in range(3)]
+    for T in cases:
+        seen = []
+        for S in (T, T + [T[-1].conjugate_by(T[:1]), T[0].conjugate_by(T[1:3])]):
+            counts.update(mul=0, det=0, matrix=0)
+            classify(S)
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert seen[0]["matrix"] == 0 and seen[0]["mul"] <= 3 and seen[0]["det"] <= 3
 
 
 # -- certify ------------------------------------------------------------------

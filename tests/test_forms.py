@@ -45,7 +45,13 @@ from transvect.tgraph import (
 )
 from transvect.transvections import Transvection, standard_full_field_set
 
-from oracles import cycles_up_to, directed_diameter
+from oracles import (
+    cycles_up_to,
+    directed_diameter,
+    invariant_under,
+    preserved_by,
+    projective_points,
+)
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -187,7 +193,7 @@ def test_sesquiform_examples():
     assert f.dual_covector(e(4, 0)) == (0, 1, 0, 0)
     assert f.evaluate((1, 0, 1, 0), (1, 0, 1, 0)) == 0
     t = Transvection(F2, (1, 0, 0, 0), f.dual_covector((1, 0, 0, 0)))
-    assert f.invariant_under(t.matrix())
+    assert invariant_under(f, t.matrix())
 
     with pytest.raises(Singular):
         SesquiForm(F2, Mat.zero(F2, 2, 2), "identity")
@@ -219,11 +225,11 @@ def test_quadratic_form_examples():
     assert Q.evaluate((1, 0, 0, 0)) == 0
     assert Q.evaluate((1, 1, 1, 1)) == 0
     assert Q.polarization().gram.rows == SP4_GRAM.rows
-    assert Q.preserved_by(Mat.identity(F2, 4))
+    assert preserved_by(Q, Mat.identity(F2, 4))
     t = Transvection(F2, (1, 1, 0, 0), Q.polarization().dual_covector((1, 1, 0, 0)))
-    assert Q.preserved_by(t.matrix())
+    assert preserved_by(Q, t.matrix())
     s = Transvection(F2, (1, 0, 0, 0), Q.polarization().dual_covector((1, 0, 0, 0)))
-    assert not Q.preserved_by(s.matrix())  # Q(v) = 0 moves the form
+    assert not preserved_by(Q, s.matrix())  # Q(v) = 0 moves the form
 
     with pytest.raises(WrongCharacteristic):
         QuadraticForm(F3, Mat(F3, ((0, 1), (0, 0))))
@@ -289,14 +295,14 @@ def test_detect_sp4_gram():
     # over GF(2) the invariant form is unique, so the Gram matrix is exact
     assert res.gram.rows == SP4_GRAM.rows
     for t in T:
-        assert res.invariant_under(t.matrix())
+        assert invariant_under(res, t.matrix())
     assert form_exists_oracle(F2, 4, [t.matrix() for t in T], "identity")
 
 
 def test_detect_invariance_failure_raises_internal_error(monkeypatch):
     # the final invariance check survives python -O and raises InternalError
     T, _ = symplectic_transvections(F2, SP4_GRAM)
-    monkeypatch.setattr(SesquiForm, "invariant_under", lambda self, M: False)
+    monkeypatch.setattr(SesquiForm, "kept_by", lambda self, t: False)
     with pytest.raises(InternalError, match="rejected by a generator"):
         detect_invariant_form(build_graph(T), "identity")
 
@@ -346,7 +352,7 @@ def test_detect_su3_gram():
         assert isinstance(res, SesquiForm)
         assert res.twist == "theta"
         for t in T:
-            assert res.invariant_under(t.matrix())
+            assert invariant_under(res, t.matrix())
         assert form_exists_oracle(F, 3, [t.matrix() for t in T], "theta")
 
 
@@ -386,14 +392,14 @@ def test_detect_round_trip():
     g4 = Mat(F4, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
     fu = SesquiForm(F4, g4, "theta")
     Tu = [t for t in all_transvections(F4, 3)
-          if fu.invariant_under(t.matrix())]
+          if invariant_under(fu, t.matrix())]
     cases.append((F4, 3, Tu, fu, "theta"))
 
     for F, n, T, f, twist in cases:
         res = detect_invariant_form(build_graph(T), twist)
         assert isinstance(res, SesquiForm)
         for t in all_transvections(F, n):
-            assert f.invariant_under(t.matrix()) == res.invariant_under(t.matrix())
+            assert invariant_under(f, t.matrix()) == invariant_under(res, t.matrix())
 
 
 def test_detect_oracle_fuzz():
@@ -414,7 +420,7 @@ def test_detect_oracle_fuzz():
                 if isinstance(res, SesquiForm):
                     assert exists
                     for t in T:
-                        assert res.invariant_under(t.matrix())
+                        assert invariant_under(res, t.matrix())
                 else:
                     assert not exists
                     assert isinstance(res, ObstructionCycle)
@@ -581,7 +587,7 @@ def test_recover_quadratic_invariant_failure_raises_internal_error(monkeypatch):
     T, _ = orthogonal_transvections(Q_PLUS6)
     G = build_graph(T)
     f = detect_invariant_form(G, "identity")
-    monkeypatch.setattr(QuadraticForm, "preserved_by", lambda self, M: False)
+    monkeypatch.setattr(QuadraticForm, "kept_by", lambda self, t: False)
     with pytest.raises(InternalError, match="does not preserve"):
         recover_quadratic(G, f)
 
@@ -682,7 +688,7 @@ def test_recover_quadratic_matches_the_independent_rebuild():
         if bad is None:
             assert isinstance(res, QuadraticForm), name
             assert res.coeffs.rows == coeffs, name
-            assert all(res.preserved_by(t.matrix()) for t in T), name
+            assert all(preserved_by(res, t.matrix()) for t in T), name
         else:
             assert res == QuadraticObstruction(bad, q_val(us[bad])), name
         names.append(name)
@@ -717,7 +723,7 @@ def test_parallel_test_agrees_with_matrix_invariance():
                 a = rng.randrange(1, F.q) if F.q > 2 else 1
                 for t in (random_transvection(F, n, rng),
                           Transvection(F, v, vec_scale(F, a, f.dual_covector(v)))):
-                    invariant = f.invariant_under(t.matrix())
+                    invariant = invariant_under(f, t.matrix())
                     seen[invariant] += 1
                     G = build_graph(base + [t])
                     if invariant:
@@ -729,13 +735,82 @@ def test_parallel_test_agrees_with_matrix_invariance():
     assert min(seen.values()) >= 20
 
 
+def every_transvection(F, n):
+    """Every transvection of F^n once: v a canonical projective point and
+    phi any nonzero covector with phi(v) = 0."""
+    for v in projective_points(F, n):
+        for phi in product(range(F.q), repeat=n):
+            if any(phi) and dot(F, phi, v) == 0:
+                yield Transvection(F, v, phi)
+
+
+def random_form(F, n, twist, rng):
+    """A nondegenerate twisted-antisymmetric form: gram[j][i] =
+    -theta(gram[i][j]), with a zero diagonal for the identity twist."""
+    th = F.involution if twist == "theta" else (lambda x: x)
+    diag = [x for x in range(F.q) if twist == "theta" and F.add(x, th(x)) == 0]
+    while True:
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = rng.choice(diag or [0])
+            for j in range(i + 1, n):
+                g[i][j] = rng.randrange(F.q)
+                g[j][i] = F.neg(th(g[i][j]))
+        if Mat(F, g).det():
+            return SesquiForm(F, Mat(F, g), twist)
+
+
+def random_quadratic_form(F, n, rng):
+    """A quadratic form with random upper-triangular coefficients and a
+    nondegenerate polarization."""
+    while True:
+        coeffs = Mat(F, [[rng.randrange(F.q) if j >= i else 0 for j in range(n)]
+                         for i in range(n)])
+        try:
+            return QuadraticForm(F, coeffs)
+        except Singular:
+            continue
+
+
+# GF(3)^3 has no nondegenerate alternating or hermitian form (odd n, and 3
+# is not a square), so GF(3)^4 stands in for it
+@pytest.mark.parametrize("p,f,n", [(2, 1, 4), (3, 1, 4), (5, 1, 2), (2, 2, 2),
+                                   (2, 2, 3), (3, 2, 2)])
+def test_kept_by_agrees_with_the_matrix_identities(p, f, n):
+    # the (v, phi) tests of invariance against M^T gram theta(M) = gram and
+    # Q(Mx) = Q(x), on every transvection of F^n and seeded random
+    # alternating, theta-twisted and quadratic forms
+    F = field_create(p, f)
+    rng = random.Random(100 * p + 10 * f + n)
+    forms = []
+    if n % 2 == 0:
+        forms += [random_form(F, n, "identity", rng) for _ in range(3)]
+    if F.has_involution():
+        forms += [random_form(F, n, "theta", rng) for _ in range(3)]
+    quads = [random_quadratic_form(F, n, rng) for _ in range(3)] if p == 2 and n % 2 == 0 else []
+    seen = {True: 0, False: 0}
+    for t in every_transvection(F, n):
+        M = t.matrix()
+        for form in forms:
+            kept = form.kept_by(t)
+            assert kept == invariant_under(form, M), (form, t)
+            seen[kept] += 1
+        for Q in quads:
+            kept = Q.kept_by(t)
+            assert kept == preserved_by(Q, M), (Q, t)
+            seen[kept] += 1
+    # SL2 = Sp2: over a prime field in dimension 2 every transvection keeps
+    # every alternating form, and no other form is drawn
+    assert seen[True] and (seen[False] or (n, f) == (2, 1))
+
+
 def test_recover_quadratic_rejects_a_form_only_the_last_generator_breaks():
     for _, (T, f) in quadratic_recovery_inputs():
         F, n = f.F, f.n
         rng = random.Random(len(T))
         while True:
             t = random_transvection(F, n, rng)
-            if not f.invariant_under(t.matrix()):
+            if not invariant_under(f, t.matrix()):
                 break
         recover_quadratic(build_graph(T), f)  # every other generator keeps f
         with pytest.raises(NotInvariantForm):

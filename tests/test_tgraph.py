@@ -48,7 +48,6 @@ from transvect.tgraph import (
     is_dense,
     is_irreducible,
     is_strongly_connected,
-    projective_points,
     restrict_to_section,
     scc,
     shorten_path,
@@ -56,7 +55,7 @@ from transvect.tgraph import (
     word_matrix,
 )
 
-from oracles import cycles_up_to, directed_diameter
+from oracles import cycles_up_to, directed_diameter, projective_points
 
 
 def e(n: int, i: int) -> tuple[int, ...]:
