@@ -87,7 +87,7 @@ def _encode(F: Field, n: int, M: Mat) -> str | bytes | None:
     if M.F != F or M.nrows != n or M.ncols != n:
         return None
     try:
-        _check_entries(M)
+        _check_entries(F, M.rows)
     except FieldMismatch:
         return None
     return _pack(M)
@@ -328,8 +328,7 @@ def _check_generators(X: Sequence[Mat]) -> tuple[Field, int]:
             raise FieldMismatch("generators over different fields")
         if M.nrows != n or M.ncols != n:
             raise DimensionMismatch("generators of different sizes")
-        _check_entries(M)
-        if M.det() == 0:
+        if M.det() == 0:  # FieldMismatch first for an entry outside F
             raise Singular("generators must be invertible")
     return F, n
 
@@ -337,7 +336,7 @@ def _check_generators(X: Sequence[Mat]) -> tuple[Field, int]:
 def _check_element(F: Field, n: int, g: Mat) -> None:
     if g.F != F or g.nrows != n or g.ncols != n:
         raise DimensionMismatch("element does not match the generators")
-    _check_entries(g)
+    _check_entries(F, g.rows)
 
 
 def _symmetrize(X: Sequence[Mat]) -> list[tuple[Mat, int, int]]:

@@ -55,7 +55,6 @@ from .linalg import (
     Vec,
     _code,
     _digits,
-    _echelon,
     _inverse_codes,
     dot,
     vec_add,
@@ -347,8 +346,9 @@ class _Chain:
         its record."""
         s = self.records.get(rows)
         if s is None:
-            s = self.records[rows] = (rows, _RowTable(self.F, rows),
-                                      _inverse_codes(self.F, rows))
+            inverse = _inverse_codes(self.F, rows)
+            _require(inverse is not None, "a strong generator is singular")
+            s = self.records[rows] = (rows, _RowTable(self.F, rows), inverse)
         return s
 
     def _transversal_inverse(self, orbit: dict, entry: list) -> _RowTable:
@@ -725,27 +725,25 @@ def _spanning_set(G: TransvectionGraph) -> tuple[Vec, ...] | None:
     """The invariant set B of n + 1 vectors of rank n, sorted by code, or
     None (see `detect_symmetric_type`): b in B spans the common kernel of
     phi_y, for y the first of the class C not commuting with x = C[0], and
-    of the other phi commuting with x; B is the orbit of b.  Pairings, the
-    kernel and the rank of B are read off codes (`_pairing`, `_echelon`),
-    over GF(2) by bit parities and XOR elimination."""
+    of the other phi commuting with x; B is the orbit of b.  Pairings are
+    read off codes (`_pairing`), over GF(2) by bit parities; the kernel
+    and the rank of B come from `Subspace`."""
     F, n, q = G.F, G.n, G.F.q
     size = n * (n + 1) // 2
     C = _class_orbit(G, size)
     if C is None or len(C) != size:
         return None
-    (xv, xphi), rest = C[0], [(_code(q, v), _code(q, phi)) for v, phi in C[1:]]
+    (xv, xphi), rest = C[0], C[1:]
     at_v, at_phi = _pairing(F, xphi), _pairing(F, xv)
-    meets = [bool(at_v(v) or at_phi(phi)) for v, phi in rest]
+    meets = [bool(at_v(_code(q, v)) or at_phi(_code(q, phi))) for v, phi in rest]
     if True not in meets:
         return None
-    rows = [rest[meets.index(True)][1]] + [s[1] for s, m in zip(rest, meets) if not m]
-    pivots = _echelon(F, rows, n, n)
-    if len(pivots) != n - 1:
+    S = Subspace(F, n, [rest[meets.index(True)][1]]
+                 + [phi for (_, phi), m in zip(rest, meets) if not m])
+    if S.dim != n - 1:
         return None
-    free = sum(range(n)) - sum(pivots)  # the one column without a pivot
-    b = q**free + sum(F.neg(r // q**free % q) * q**c for r, c in zip(rows, pivots))
-    B = _capped_orbit(G, _normalize_point(F, _digits(q, n, b)), n + 1)
-    if B is None or len(B) != n + 1 or len(_echelon(F, [_code(q, u) for u in B], n, n)) != n:
+    B = _capped_orbit(G, S.perp().basis[0], n + 1)  # an RREF row is normalized
+    if B is None or len(B) != n + 1 or Subspace(F, n, B).dim != n:
         return None
     return tuple(sorted(B, key=lambda u: u[::-1]))
 

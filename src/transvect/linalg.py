@@ -5,17 +5,21 @@ standard dot product).  Matrices are immutable row-major tuples so they can
 be dict keys.  Subspaces are stored by their reduced-row-echelon basis, which
 makes equality structural.
 
-The package's one vector codec lives here: `_code` packs a vector x as the
-integer sum(x_j q^j), first coordinate least significant, and `_digits`
-unpacks it.  The Cayley searches, the stabilizer chain, the graph
-pairings, the density scans and `Subspace` all use it.
+The package has one codec and one elimination, both here.  `_code` packs
+a vector x as the integer sum(x_j q^j), first coordinate least
+significant, and `_digits` unpacks it; the Cayley searches, the
+stabilizer chain, the graph pairings, the density scans and `Subspace`
+all use it.  `_echelon`, Gauss-Jordan on row codes, is every reduction
+of `Mat` and `Subspace` and the chain's inverses; only `Mat.det` keeps a
+loop of its own.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, FieldMismatch, NoSolution, Singular, _require
+from .errors import DimensionMismatch, FieldMismatch, NoSolution, Singular
 from .gf import Field
 
 Vec = tuple[int, ...]
@@ -106,26 +110,41 @@ def _echelon(F: Field, rows: list[int], ncols: int, width: int) -> list[int]:
     return pivots
 
 
-def _inverse_codes(F: Field, rows: Sequence[int]) -> tuple[int, ...]:
+def _inverse_codes(F: Field, rows: Sequence[int]) -> tuple[int, ...] | None:
     """The row codes of M^-1, for the square matrix M over F given by its
-    row codes: Gauss-Jordan on [M | I] (`_echelon`) without building a
-    `Mat`.  A singular M raises InternalError: callers pass invertible
-    matrices."""
+    row codes, or None when M is singular: Gauss-Jordan on [M | I]."""
     n, q = len(rows), F.q
     aug = [r + q ** (n + i) for i, r in enumerate(rows)]
-    _require(len(_echelon(F, aug, n, 2 * n)) == n,
-             "Gauss-Jordan found no pivot: singular matrix")
+    if len(_echelon(F, aug, n, 2 * n)) < n:
+        return None
     return tuple(a // q**n for a in aug)
 
 
-def _check_entries(M: "Mat") -> None:
-    """Raise FieldMismatch unless every entry of M lies in M.F, which `Mat`
-    itself does not check."""
-    q = M.F.q
-    for row in M.rows:
-        for a in row:
-            if type(a) is not int or not 0 <= a < q:
-                M.F.check(a)  # raises, or accepts an int subclass
+def _null_vectors(F: Field, n: int, rows: Sequence[Vec]) -> list[Vec]:
+    """A basis of the x in F^n with r . x = 0 for every row r of a reduced
+    row echelon basis: for each column c without a pivot, 1 at c, -r[c] at
+    the pivot of each r and 0 elsewhere."""
+    pivots = [next(j for j, a in enumerate(r) if a) for r in rows]
+    out = []
+    for c in range(n):
+        if c not in pivots:
+            x = [0] * n
+            x[c] = 1
+            for r, j in zip(rows, pivots):
+                x[j] = F.neg(r[c])
+            out.append(tuple(x))
+    return out
+
+
+def _check_entries(F: Field, rows: Iterable[Sequence[int]]) -> None:
+    """Raise FieldMismatch unless every entry of the rows lies in F, which
+    `Mat` itself does not check.  Entries of type int in range pass three
+    C-level scans; otherwise each entry goes through `F.check`, which
+    raises, or accepts an int subclass."""
+    flat = list(chain.from_iterable(rows))
+    if flat and (set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= F.q):
+        for a in flat:
+            F.check(a)
 
 
 def is_zero_vec(v: Sequence[int]) -> bool:
@@ -191,10 +210,6 @@ class Mat:
         return Mat(F, tuple(tuple(F.sub(a, b) for a, b in zip(r1, r2))
                             for r1, r2 in zip(self.rows, other.rows)))
 
-    def scale(self, c: int) -> "Mat":
-        F = self.F
-        return Mat(F, tuple(tuple(F.mul(c, a) for a in r) for r in self.rows))
-
     def mul(self, other: "Mat") -> "Mat":
         self._samefield(other)
         if self.ncols != other.nrows:
@@ -241,61 +256,28 @@ class Mat:
     def map_entries(self, fn) -> "Mat":
         return Mat(self.F, tuple(tuple(fn(a) for a in r) for r in self.rows))
 
-    def is_identity(self) -> bool:
-        return self == Mat.identity(self.F, self.nrows)
-
-    def pow(self, e: int) -> "Mat":
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("pow: square matrices only")
-        if e < 0:
-            return self.inv().pow(-e)
-        r = Mat.identity(self.F, self.nrows)
-        b = self
-        while e:
-            if e & 1:
-                r = r.mul(b)
-            b = b.mul(b)
-            e >>= 1
-        return r
-
     # -- elimination ----------------------------------------------------------
 
     def rref(self) -> tuple["Mat", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices."""
-        F = self.F
-        rows = [list(r) for r in self.rows]
-        nr, nc = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for c in range(nc):
-            sel = None
-            for i in range(r, nr):
-                if rows[i][c]:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            rows[r], rows[sel] = rows[sel], rows[r]
-            inv = F.inv(rows[r][c])
-            if inv != 1:
-                rows[r] = [F.mul(inv, a) for a in rows[r]]
-            for i in range(nr):
-                if i != r and rows[i][c]:
-                    m = rows[i][c]
-                    rows[i] = [F.sub(a, F.mul(m, b)) for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == nr:
-                break
-        return Mat(F, tuple(tuple(row) for row in rows)), tuple(pivots)
+        """Reduced row echelon form and the pivot column indices, by
+        `_echelon` on the row codes."""
+        F, nc = self.F, self.ncols
+        _check_entries(F, self.rows)
+        codes = [_code(F.q, r) for r in self.rows]
+        pivots = _echelon(F, codes, nc, nc)
+        return Mat(F, (_digits(F.q, nc, c) for c in codes)), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def det(self) -> int:
+        """The product of the pivots of a forward elimination, negated per
+        row swap.  This is the one elimination loop besides `_echelon`,
+        which scales every pivot to 1 and so loses that product."""
         if self.nrows != self.ncols:
             raise DimensionMismatch("det: square matrices only")
         F = self.F
+        _check_entries(F, self.rows)
         rows = [list(r) for r in self.rows]
         n = self.nrows
         det = 1
@@ -321,36 +303,18 @@ class Mat:
     def inv(self) -> "Mat":
         if self.nrows != self.ncols:
             raise DimensionMismatch("inv: square matrices only")
-        F = self.F
-        n = self.nrows
-        aug = Mat(F, tuple(self.rows[i] + Mat.identity(F, n).rows[i] for i in range(n)))
-        red, piv = aug.rref()
-        if piv[:n] != tuple(range(n)):
+        F, n = self.F, self.nrows
+        _check_entries(F, self.rows)
+        codes = _inverse_codes(F, [_code(F.q, r) for r in self.rows])
+        if codes is None:
             raise Singular("matrix is not invertible")
-        return Mat(F, tuple(r[n:] for r in red.rows))
+        return Mat(F, (_digits(F.q, n, c) for c in codes))
 
     def kernel(self) -> list[Vec]:
         """Canonical basis of the right null space {x : M x = 0}."""
-        F = self.F
         red, piv = self.rref()
-        nc = self.ncols
-        free = [c for c in range(nc) if c not in piv]
-        basis = []
-        for fc in free:
-            v = [0] * nc
-            v[fc] = 1
-            for r, pc in enumerate(piv):
-                v[pc] = F.neg(red.rows[r][fc])
-            basis.append(tuple(v))
-        if not basis:
-            return []
-        return list(Mat(F, basis).rref()[0].rows[:len(basis)])
-
-    def image(self) -> list[Vec]:
-        """Canonical basis of the column space (as coordinate tuples)."""
-        t = self.transpose()
-        red, piv = t.rref()
-        return [red.rows[i] for i in range(len(piv))]
+        null = _null_vectors(self.F, self.ncols, red.rows[:len(piv)])
+        return list(Subspace(self.F, self.ncols, null).basis)
 
     def solve(self, b: Sequence[int]) -> Vec:
         """One solution of M x = b (free variables set to 0); NoSolution if none."""
@@ -389,21 +353,14 @@ class Subspace:
         for r in rows:
             if len(r) != n:
                 raise DimensionMismatch("basis vector of wrong length")
+        _check_entries(F, rows)
         codes = [_code(F.q, r) for r in rows]  # reduced by `_echelon`
         rank = len(_echelon(F, codes, n, n))
         self.basis = tuple(_digits(F.q, n, c) for c in codes[:rank])
 
     @staticmethod
-    def span(F: Field, n: int, vectors: Iterable[Sequence[int]]) -> "Subspace":
-        return Subspace(F, n, vectors)
-
-    @staticmethod
     def zero(F: Field, n: int) -> "Subspace":
         return Subspace(F, n, ())
-
-    @staticmethod
-    def full(F: Field, n: int) -> "Subspace":
-        return Subspace(F, n, Mat.identity(F, n).rows)
 
     @property
     def dim(self) -> int:
@@ -420,26 +377,26 @@ class Subspace:
         return f"Subspace(dim={self.dim}, n={self.n})"
 
     def contains(self, v: Sequence[int]) -> bool:
-        F = self.F
-        v = list(v)
-        if len(v) != self.n:
-            raise DimensionMismatch("vector of wrong length")
-        for row in self.basis:
-            lead = next(i for i, a in enumerate(row) if a)
-            if v[lead]:
-                c = v[lead]
-                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
-        return all(a == 0 for a in v)
+        return not self.extension([v])
 
     def extension(self, vectors: Iterable[Sequence[int]]) -> list[int]:
         """Indices of the vectors that, taken in order, each leave the span
         of this subspace and the vectors picked before them; the picked
-        vectors extend a basis of this subspace to one of the sum."""
-        span, picked = self, []
+        vectors extend a basis of this subspace to one of the sum.  Each
+        vector is appended to the reduced codes picked so far and reduced
+        with them in one `_echelon`; it is dropped again if the rank stays."""
+        F, n = self.F, self.n
+        codes = [_code(F.q, r) for r in self.basis]
+        picked = []
         for k, v in enumerate(vectors):
-            if not span.contains(v):
+            if len(v) != n:
+                raise DimensionMismatch("vector of wrong length")
+            _check_entries(F, (v,))
+            codes.append(_code(F.q, v))
+            if len(_echelon(F, codes, n, n)) < len(codes):
+                codes.pop()  # rows past the rank reduce to zero
+            else:
                 picked.append(k)
-                span = Subspace(self.F, self.n, span.basis + (tuple(v),))
         return picked
 
     def sum(self, other: "Subspace") -> "Subspace":
@@ -451,11 +408,9 @@ class Subspace:
         return self.perp().sum(other.perp()).perp()
 
     def perp(self) -> "Subspace":
-        """Annihilator under the standard dot pairing."""
-        if not self.basis:
-            return Subspace.full(self.F, self.n)
-        ker = Mat(self.F, self.basis).kernel()
-        return Subspace(self.F, self.n, ker)
+        """Annihilator under the standard dot pairing, read off the RREF
+        basis."""
+        return Subspace(self.F, self.n, _null_vectors(self.F, self.n, self.basis))
 
     def lex_least_nonzero(self) -> Vec:
         """Smallest nonzero member in tuple-lexicographic order."""

@@ -108,8 +108,8 @@ class TransvectionGraph(Sequence):
         self.pair = pair
         self.adj = tuple(tuple(bool(x) for x in row) for row in pair)
         self.succ = [[j for j in range(N) if pair[i][j]] for i in range(N)]
-        self.vspace = Subspace.span(F, n, [t.v for t in verts])
-        self.dual_space = Subspace.span(F, n, [t.phi for t in verts])
+        self.vspace = Subspace(F, n, [t.v for t in verts])
+        self.dual_space = Subspace(F, n, [t.phi for t in verts])
 
     def __len__(self) -> int:
         return len(self.verts)
@@ -241,7 +241,7 @@ def is_irreducible(G: TransvectionGraph) -> IrreducibilityReport:
                 if cid[i] != cid[j]:
                     incoming[cid[j]] = True
         source = next(comp for c, comp in enumerate(comps) if not incoming[c])
-        U = Subspace.span(F, n, [G.verts[i].v for i in source])
+        U = Subspace(F, n, [G.verts[i].v for i in source])
         return IrreducibilityReport(False, "connectivity", U)
     return IrreducibilityReport(True)
 
@@ -461,6 +461,28 @@ def _coverage_masks(F: Field, codes: tuple[int, ...],
             sum(1 << i for i, c in enumerate(codes) if at_v(c)))
 
 
+def _uncovered(masks: list[tuple[int, int]], P: int, j: int) -> int | None:
+    """The first of the P points i such that no vertex, given by its masks
+    (A, B) from `_coverage_masks`, witnesses the pair (point i, covector
+    j), or None."""
+    covered = 0
+    for a, b in masks:
+        if (b >> j) & 1:
+            covered |= a
+    i = (~covered & (covered + 1)).bit_length() - 1  # the lowest clear bit
+    return i if i < P else None
+
+
+def _first_hole(masks: list[tuple[int, int]], P: int) -> tuple[int, int] | None:
+    """The first pair (i, j), by covector j then point i, that no vertex
+    witnesses (`_uncovered`), or None when the set is dense."""
+    for j in range(P):
+        i = _uncovered(masks, P, j)
+        if i is not None:
+            return i, j
+    return None
+
+
 def is_dense(G: TransvectionGraph,
              budget_projective: int = PROJECTIVE_BUDGET) -> tuple[bool, tuple[Vec, Vec] | None]:
     """T is dense when every pair (v, phi) of nonzero vector and covector has
@@ -470,18 +492,11 @@ def is_dense(G: TransvectionGraph,
     if F.q**n > budget_projective:
         raise CapExceeded("projective scan budget exhausted", count=budget_projective)
     codes = _point_codes(F, n)
-    P = len(codes)
-    full = (1 << P) - 1
-    masks = [_coverage_masks(F, codes, t) for t in G.verts]
-    for j in range(P):
-        covered = 0
-        for a, b in masks:
-            if (b >> j) & 1:
-                covered |= a
-        if covered != full:
-            i = next(i for i in range(P) if not ((covered >> i) & 1))
-            return False, (_digits(F.q, n, codes[i]), _digits(F.q, n, codes[j]))
-    return True, None
+    hole = _first_hole([_coverage_masks(F, codes, t) for t in G.verts], len(codes))
+    if hole is None:
+        return True, None
+    i, j = hole
+    return False, (_digits(F.q, n, codes[i]), _digits(F.q, n, codes[j]))
 
 
 # -- constructive procedures -----------------------------------------------
@@ -564,20 +579,11 @@ def densify(T: Sequence[Transvection],
         raise CapExceeded("projective scan budget exhausted", count=budget_projective)
     codes = _point_codes(F, n)
     P = len(codes)
-    full = (1 << P) - 1
     out = list(T)
     words: list[Word] = [((i, 1),) for i in range(len(T))]
     masks = [_coverage_masks(F, codes, t) for t in out]
     for j in range(P):
-        covered = 0
-        for a, b in masks:
-            if (b >> j) & 1:
-                covered |= a
-        if covered == full:
-            continue
-        for i in range(P):
-            if (covered >> i) & 1:
-                continue
+        while (i := _uncovered(masks, P, j)) is not None:
             tprime, word = shorten_path(G, _digits(F.q, n, codes[j]),
                                         _digits(F.q, n, codes[i]))
             _require(len(word) <= 2 * n - 1,
@@ -588,11 +594,8 @@ def densify(T: Sequence[Transvection],
             masks.append((a, b))
             _require((b >> j) & 1 and (a >> i) & 1,
                      f"a density witness does not cover the pair ({i}, {j})")
-            covered |= a
-    Gd = build_graph(out) if len(out) > len(G) else G
-    ok, _ = is_dense(Gd, budget_projective)
-    _require(ok, "densify returned a set that is not dense")
-    return Gd, words
+    _require(_first_hole(masks, P) is None, "densify returned a set that is not dense")
+    return (build_graph(out) if len(out) > len(G) else G), words
 
 
 def connect_up(T_dense: Sequence[Transvection], T0: Sequence[Transvection],

@@ -125,7 +125,7 @@ def tv_from_matrix(M: Mat) -> Transvection:
     and det(M) = 1, FieldMismatch for an entry outside M.F."""
     if M.nrows != M.ncols:
         raise DimensionMismatch("transvection matrices are square")
-    _check_entries(M)
+    _check_entries(M.F, M.rows)
     F = M.F
     n = M.nrows
     D = M.sub(Mat.identity(F, n))

@@ -17,6 +17,8 @@ answer that a faster or more specialised routine must reproduce.
 - `projective_points` decodes the point codes the density scans read.
 - `contains_space`, `elements` and `fixed_subfield` enumerate small
   subspaces and subfields outright.
+- `rref_oracle` is Gauss-Jordan on digit tuples, the reference for
+  `linalg._echelon` on row codes behind `Mat` and `Subspace`.
 - `invariant_under` and `preserved_by` test a form against a matrix by
   matrix products, the identities that `SesquiForm.kept_by` and
   `QuadraticForm.kept_by` test on a transvection's (v, phi).
@@ -297,6 +299,37 @@ def transvection_class(T: Sequence[Transvection]) -> set[Transvection]:
 
 
 # -- subspaces and subfields -------------------------------------------------
+
+
+def rref_oracle(M: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns of M, by Gauss-Jordan on
+    the digit tuples through the field operations."""
+    F = M.F
+    rows = [list(r) for r in M.rows]
+    nr, nc = M.nrows, M.ncols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        sel = None
+        for i in range(r, nr):
+            if rows[i][c]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = F.inv(rows[r][c])
+        if inv != 1:
+            rows[r] = [F.mul(inv, a) for a in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c]:
+                m = rows[i][c]
+                rows[i] = [F.sub(a, F.mul(m, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return Mat(F, tuple(tuple(row) for row in rows)), tuple(pivots)
 
 
 def contains_space(S: Subspace, other: Subspace) -> bool:

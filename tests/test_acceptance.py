@@ -211,14 +211,14 @@ def oracle_irreducible(T):
     n = len(T[0].v)
     mats = [t.matrix() for t in T]
     for seed in projective_points(F, n):
-        W = Subspace.span(F, n, (seed,))
+        W = Subspace(F, n, (seed,))
         frontier = [seed]
         while frontier and W.dim < n:
             u = frontier.pop()
             for M in mats:
                 w = M.matvec(u)
                 if not W.contains(w):
-                    W = W.sum(Subspace.span(F, n, (w,)))
+                    W = W.sum(Subspace(F, n, (w,)))
                     frontier.append(w)
         if W.dim < n:
             return False

@@ -558,6 +558,14 @@ def test_group_order_invariant_failure_raises_internal_error(monkeypatch):
         group_order([t.matrix() for t in build_symmetric_rep(6)])
 
 
+def test_a_singular_strong_generator_raises_internal_error():
+    # the boundary rejects singular generators, so one inside the chain is
+    # a bug, and its inversion on row codes says so also under python -O
+    chain = classify_mod._Chain(F3, 2, 100, 100)
+    with pytest.raises(InternalError, match="strong generator is singular"):
+        chain.strong((4, 4))  # rows (1, 1) and (1, 1)
+
+
 def test_classify_invariant_failure_raises_internal_error(monkeypatch):
     monkeypatch.setattr(classify_mod, "_monomial_parameter", lambda T, mono: 2)
     with pytest.raises(InternalError, match="monomial parameter 2"):
@@ -739,7 +747,7 @@ def test_symmetric_rep_is_homomorphism():
                 else:
                     expected = 2
                 k, acc = 1, prod
-                while not acc.is_identity():
+                while acc != Mat.identity(acc.F, acc.nrows):
                     acc = acc.mul(prod)
                     k += 1
                 assert k == expected

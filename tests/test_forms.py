@@ -609,7 +609,7 @@ def rebuild_quadratic(T, f):
     for u in us:
         if not span.contains(u):
             basis.append(u)
-            span = span.sum(Subspace.span(F, n, [u]))
+            span = span.sum(Subspace(F, n, [u]))
     B = Mat(F, tuple(basis)).transpose()
 
     def q_val(x):

@@ -123,14 +123,14 @@ def reducible_by_closure(F, gens: list[Mat], n: int) -> bool:
     """Oracle: a proper nonzero invariant subspace exists iff the invariant
     closure of some projective point is proper."""
     for v in projective_points(F, n):
-        space = Subspace.span(F, n, [v])
+        space = Subspace(F, n, [v])
         while True:
             grown = space
             for b in space.basis:
                 for M in gens:
                     img = M.matvec(b)
                     if not grown.contains(img):
-                        grown = grown.sum(Subspace.span(F, n, [img]))
+                        grown = grown.sum(Subspace(F, n, [img]))
             if grown.dim == space.dim:
                 break
             space = grown
@@ -716,7 +716,7 @@ def test_densify_invariant_failure_raises_internal_error(monkeypatch):
 
     F = field_create(2, 1)
     pair = [Transvection(F, (1, 0), (0, 1)), Transvection(F, (0, 1), (1, 0))]
-    monkeypatch.setattr(tgraph_mod, "is_dense", lambda G, budget: (False, None))
+    monkeypatch.setattr(tgraph_mod, "_first_hole", lambda masks, P: (0, 0))
     with pytest.raises(InternalError, match="not dense"):
         densify(pair)
 
