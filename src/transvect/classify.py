@@ -63,13 +63,12 @@ from .linalg import (
 from .tgraph import (
     PROJECTIVE_BUDGET,
     WALK_BUDGET,
-    DefiningFieldReport,
     TransvectionGraph,
     Word,
     _radicals,
     _pairing,
     _require_irreducible,
-    _tree_edges,
+    _tree_scales,
     build_graph,
     connect_up,
     defect,
@@ -931,16 +930,12 @@ def _subfield_iso(F: Field, e: int) -> tuple[Field, Callable[[int], int]]:
 
 def _descend_to_subfield(G: TransvectionGraph, e: int):
     """(T_sub, P): the set of G conjugated by P into SL_n over the degree-e
-    subfield F0, or None when an entry of some (P^-1 v_t, phi_t P) leaves
-    F0, which happens only when a cycle weight lies outside F0.
+    subfield F0, where e is the degree of `defining_field`, or None when
+    the field table is over its budget.
 
-    Rescaling t to (a_t v_t, a_t^-1 phi_t) keeps every cycle weight.  Take
-    a_0 = 1 and a_s = a_t / phi_t(v_s) along a breadth-first tree from
-    vertex 0, so every tree edge pairs to 1.  A rescaled pairing
-    a_s / a_t phi_t(v_s) is then the ratio of the weights of two closed
-    walks that share a return path from s to vertex 0: the tree path to t
-    followed by the edge t -> s, and the tree path to s.  Every rescaled
-    pairing lies in F0 when the cycle weights do.  P has columns a_b v_b
+    Rescale t to (a_t v_t, a_t^-1 phi_t) by the scales of `_tree_scales`.
+    Every rescaled pairing lies in F0, because e is the degree of the field
+    the rescaled pairings generate.  P has columns a_b v_b
     for the basis of v's that `Subspace.extension` picks, so
     P^-1 M_t P = 1 + (P^-1 a_t v_t)(a_t^-1 phi_t P).  The right factor is
     a row of rescaled pairings, and the left one solves a system of them,
@@ -948,21 +943,16 @@ def _descend_to_subfield(G: TransvectionGraph, e: int):
     their canonical scaling, the pair that `Transvection.conjugate` returns.
     """
     F, n = G.F, G.n
-    if F.f % e or e >= F.f or F.q > VECTOR_TABLE_BUDGET:
+    if F.q > VECTOR_TABLE_BUDGET:
         return None
-    a = [1] * len(G)
-    tree = _tree_edges(G, 0)
-    _require(len(tree) == len(G) - 1,
-             "the breadth-first tree misses a vertex of an irreducible graph")
-    for t, s in tree:
-        a[s] = F.div(a[t], G.pair[t][s])
+    a = _tree_scales(G)
     basis = Subspace.zero(F, n).extension(t.v for t in G.verts)
     P = Mat(F, tuple(vec_scale(F, a[b], G.verts[b].v) for b in basis)).transpose()
     Pi = P.inv()
     sig = _frobenius_power(F, e)
     conj = [t.conjugate(Pi, P) for t in G.verts]
-    if any(sig(x) != x for t in conj for x in t.v + t.phi):
-        return None
+    _require(all(sig(x) == x for t in conj for x in t.v + t.phi),
+             f"a conjugated entry leaves the degree-{e} subfield")
     sub, iso = _subfield_iso(F, e)
     return [Transvection(sub, map(iso, t.v), map(iso, t.phi)) for t in conj], P
 
@@ -972,14 +962,13 @@ def _descend_to_subfield(G: TransvectionGraph, e: int):
 
 def classify(T: Sequence[Transvection],
              budget_elements: int = ELEMENT_BUDGET,
-             budget_projective: int = PROJECTIVE_BUDGET,
              budget_walks: int = WALK_BUDGET) -> ClassificationReport:
     """Classify an irreducible transvection set.
 
-    Pipeline: defining field from cycle weights (confirmed on a dense
-    extension when the first pass comes up short of the full field);
-    when the degree is a proper divisor, subfield descent by rescaling
-    along a breadth-first tree of the graph (`_descend_to_subfield`, whose
+    Pipeline: the exact defining field from the pairings rescaled along a
+    breadth-first tree of the graph (`defining_field`), with witness
+    cycles on the input's own graph; when the degree is a proper divisor,
+    subfield descent by the same rescaling (`_descend_to_subfield`, whose
     basis P is the `descent_basis` witness) and reclassification of the
     conjugated set; symplectic form detection; quadratic refinement and
     its type in characteristic 2; hermitian detection when no symplectic
@@ -1017,20 +1006,7 @@ def classify(T: Sequence[Transvection],
     notes: list[str] = []
     witnesses: dict = {}
 
-    # defining field
-    if F.f == 1:
-        dfr = DefiningFieldReport(1, "stabilized", (), ())
-    else:
-        dfr = defining_field(G, budget_walks=budget_walks)
-        if dfr.degree < F.f:
-            # cycles of a dense extension generate the true defining field
-            try:
-                G_df, _ = densify(G, budget_projective)
-                dfr = defining_field(G_df, dense_hint=True,
-                                     budget_walks=budget_walks)
-            except CapExceeded:
-                notes.append("defining field from stabilized cycle enumeration "
-                             "only (dense confirmation over budget)")
+    dfr = defining_field(G, budget_walks)
     witnesses["defining_field_cycles"] = dfr.witnesses
     e = dfr.degree
 
@@ -1044,7 +1020,7 @@ def classify(T: Sequence[Transvection],
         T_sub, P = descent
         witnesses["descent_basis"] = P
         witnesses["ambient_field_cycles"] = witnesses.pop("defining_field_cycles")
-        inner = classify(T_sub, budget_elements, budget_projective, budget_walks)
+        inner = classify(T_sub, budget_elements, budget_walks)
         notes.append(f"conjugate into a subfield subgroup over "
                      f"{T_sub[0].F.name()}; classified there")
         merged = dict(witnesses)
@@ -1287,7 +1263,7 @@ def stability_check(T: Sequence[Transvection], T0: Sequence[Transvection],
     if samples < 0:
         raise BadParameters(f"need samples >= 0, got {samples}")
     return [classify(restrict_to_section(T1).graph, budget_elements,
-                     budget_projective, budget_walks)
+                     budget_walks)
             for T1 in sample_supersets(T, T0, count=samples, seed=seed,
                                        budget_projective=budget_projective)]
 
@@ -1314,7 +1290,7 @@ def certify(T: Sequence[Transvection],
     """
     G = build_graph(T)
     T = G.verts
-    report = classify(G, budget_elements, budget_projective, budget_walks)
+    report = classify(G, budget_elements, budget_walks)
     if report.tag.kind not in CLASSICAL_KINDS:
         raise UnsupportedTag(f"certification applies to classical types, "
                              f"got {report.tag}")
@@ -1335,10 +1311,7 @@ def certify(T: Sequence[Transvection],
     properties: list[dict] = []
 
     # field witnesses
-    if F.f == 1:
-        dfr = DefiningFieldReport(1, "stabilized", (), ())
-    else:
-        dfr = defining_field(Gd, dense_hint=True, budget_walks=budget_walks)
+    dfr = defining_field(Gd, budget_walks)
     cycles = []
     for rec in dfr.witnesses:
         idxs = [add(Gd[i]) for i in rec.verts]
@@ -1433,8 +1406,7 @@ def certify(T: Sequence[Transvection],
     fill = iter(Gd)
     while True:
         sec = restrict_to_section(T0)
-        own = classify(sec.graph, budget_elements, budget_projective,
-                       budget_walks)
+        own = classify(sec.graph, budget_elements, budget_walks)
         if own.tag == report.tag and own.field_degree == report.field_degree:
             break
         extra = next((t for t in fill if t not in T0), None)
@@ -1450,7 +1422,7 @@ def certify(T: Sequence[Transvection],
 
     # stability spot check on a few random supersets
     spot = [classify(restrict_to_section(T1).graph, STABILITY_ELEMENT_BUDGET,
-                     budget_projective, budget_walks)
+                     budget_walks)
             for T1 in _supersets(G, Gd, T0, 3, 3, seed)]
     matches = all(r.tag == report.tag and r.field_degree == report.field_degree
                   for r in spot)

@@ -337,8 +337,7 @@ def run(job: JobConfig) -> dict:
     if job.command == "analyze":
         result = _run_analyze(job, F, T)
     elif job.command == "classify":
-        result = classify(T, job.budget_elements, job.budget_projective,
-                          job.budget_walks).to_json()
+        result = classify(T, job.budget_elements, job.budget_walks).to_json()
     elif job.command == "certify":
         result = certify(T, job.budget_elements, job.budget_projective,
                          job.budget_walks, seed=job.seed).to_json()
@@ -403,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classification report")
     common(p)
     p.add_argument("--budget-elements", type=int, default=None)
-    p.add_argument("--budget-projective", type=int, default=PROJECTIVE_BUDGET)
     p.add_argument("--budget-walks", type=int, default=WALK_BUDGET)
 
     p = sub.add_parser("certify", help="certificate for a classical group")

@@ -310,12 +310,6 @@ class Mat:
             raise Singular("matrix is not invertible")
         return Mat(F, (_digits(F.q, n, c) for c in codes))
 
-    def kernel(self) -> list[Vec]:
-        """Canonical basis of the right null space {x : M x = 0}."""
-        red, piv = self.rref()
-        null = _null_vectors(self.F, self.ncols, red.rows[:len(piv)])
-        return list(Subspace(self.F, self.ncols, null).basis)
-
     def solve(self, b: Sequence[int]) -> Vec:
         """One solution of M x = b (free variables set to 0); NoSolution if none."""
         if len(b) != self.nrows:

@@ -35,7 +35,6 @@ from .transvections import Transvection
 __all__ = [
     "WALK_BUDGET",
     "PROJECTIVE_BUDGET",
-    "MAX_CYCLE_LEN",
     "TransvectionGraph",
     "CycleRecord",
     "IrreducibilityReport",
@@ -61,7 +60,6 @@ __all__ = [
 
 WALK_BUDGET = 10**6
 PROJECTIVE_BUDGET = 2**20
-MAX_CYCLE_LEN = 8
 
 # A word is a tuple of (generator index, exponent +1/-1) pairs.
 Word = tuple
@@ -289,7 +287,8 @@ def _closed_walks(G: TransvectionGraph, L: int, budget_walks: int
                   ) -> Iterator[tuple[int, CycleRecord | None]]:
     """Closed walks of 2..L vertices, one per rotation class, streamed in
     (length, vertex tuple) order with no length cap: form detection needs
-    lengths up to 2D+1 for the directed diameter D.
+    lengths up to 2D+1 for the directed diameter D, and the defining field
+    up to 2N - 1 for N vertices.
 
     Level k extends each path of k - 1 vertices through the successors
     t >= its first vertex in ascending order, so paths come out sorted; a
@@ -392,45 +391,67 @@ def cycle_unitary_defect(cycle, G: TransvectionGraph,
 @dataclass(frozen=True)
 class DefiningFieldReport:
     degree: int
-    status: str  # "dense" | "stabilized" | "cap-limited"
     witnesses: tuple[CycleRecord, ...]
-    history: tuple[tuple[int, int], ...]  # (max length, degree) pairs
 
 
-def defining_field(G: TransvectionGraph, dense_hint: bool = False,
-                   budget_walks: int = WALK_BUDGET) -> DefiningFieldReport:
-    """Degree over F_p of the subfield generated by cycle weights.
-
-    One `_closed_walks` stream is read level by level and left once the
-    degree is the full field.  With dense_hint, weights of cycles of
-    length <= 5 already generate the whole trace field, so the stream ends
-    there ("dense").  Otherwise it runs until the degree holds for 3
-    consecutive bounds ("stabilized") or hits the cap ("cap-limited").
-    Either way history has one (length, degree) pair per level read, and
-    the walk budget counts every path made through the last level read.
-    """
+def _tree_scales(G: TransvectionGraph) -> list[int]:
+    """Scales a_0 = 1 and a_s = a_t / phi_t(v_s) along the breadth-first
+    tree from vertex 0 (`_tree_edges`), so that every tree edge t -> s of
+    the rescaled set (a_t v_t, a_t^-1 phi_t) pairs to 1."""
     F = G.F
-    history: list[tuple[int, int]] = []
+    a = [1] * len(G)
+    tree = _tree_edges(G, 0)
+    _require(len(tree) == len(G) - 1,
+             "the breadth-first tree misses a vertex of a strongly connected graph")
+    for t, s in tree:
+        a[s] = F.div(a[t], G.pair[t][s])
+    return a
+
+
+def defining_field(G: TransvectionGraph,
+                   budget_walks: int = WALK_BUDGET) -> DefiningFieldReport:
+    """Degree over F_p of the subfield generated by the cycle weights of a
+    strongly connected graph, with witness cycles whose weights generate it.
+
+    Rescaling t to (a_t v_t, a_t^-1 phi_t) keeps every cycle weight; with
+    the scales of `_tree_scales` every tree edge pairs to 1.  A rescaled
+    pairing (a_s / a_t) phi_t(v_s) is then the ratio of the weights of two
+    closed walks that share a shortest return path from s to vertex 0: the
+    tree path to t followed by the edge t -> s, and the tree path to s.
+    Each has at most 2N - 1 vertices.  Every cycle weight is a product of
+    rescaled pairings, so the degree is exactly that of the field the
+    rescaled pairings generate.
+
+    The witnesses are the records of one `_closed_walks` stream of at most
+    2N - 1 vertices that raise the degree; the stream is left at the record
+    that reaches it, and none is read at degree 1.  The walk budget counts
+    every path made until then.
+    """
+    if not is_strongly_connected(G):
+        raise NotStronglyConnected("the defining field needs a strongly "
+                                   "connected graph")
+    F = G.F
+    e = 1
+    if F.f > 1:
+        a, pair, mul, div = _tree_scales(G), G.pair, F.mul, F.div
+        e = F.subfield_generated(mul(div(a[s], a[t]), pair[t][s])
+                                 for t, succ in enumerate(G.succ) for s in succ)
     deg = 1
     witnesses: list[CycleRecord] = []
-    status = "cap-limited"
-    for k, rec in _closed_walks(G, 5 if dense_hint else MAX_CYCLE_LEN,
-                                budget_walks):
-        if rec is not None:
-            # the witnesses are the records that raise the degree
-            d = deg if deg == F.f else math.lcm(deg, F.element_degree(rec.weight))
+    if e > 1:
+        for _, rec in _closed_walks(G, 2 * len(G) - 1, budget_walks):
+            if rec is None:
+                continue
+            d = math.lcm(deg, F.element_degree(rec.weight))
             if d > deg:
                 witnesses.append(rec)
                 deg = d
-            continue
-        history.append((k, deg))
-        # degrees only grow, so equal ends make three equal bounds
-        if deg == F.f or (not dense_hint and len(history) >= 3
-                          and history[-3][1] == deg):
-            status = "stabilized"
-            break
-    return DefiningFieldReport(deg, "dense" if dense_hint else status,
-                               tuple(witnesses), tuple(history))
+                if deg == e:
+                    break
+    _require(deg == e, f"closed walks of at most 2N - 1 vertices generate a "
+                       f"degree-{deg} field, not the degree-{e} field of the "
+                       f"rescaled pairings")
+    return DefiningFieldReport(e, tuple(witnesses))
 
 
 # -- density ---------------------------------------------------------------

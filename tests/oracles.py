@@ -6,8 +6,9 @@ answer that a faster or more specialised routine must reproduce.
 
 - `enumerate_group` lists a group's elements, the oracle behind
   `group_order`, the Cayley searches and the transvection profile.
-- `cycles_up_to` reads the whole closed-walk stream of `tgraph` that
-  `defining_field` and form detection stop reading early.
+- `cycles_up_to` reads the whole closed-walk stream of `tgraph`, up to
+  its own length cap of 8, where `defining_field` and form detection stop
+  reading at their answer.
 - `directed_diameter` bounds the walk lengths form detection hunts to.
 - `layering_audit` checks the parents a Cayley exploration records.
 - `tuple_point_orbits`, `monomial_lines` and `spanning_vector_orbits`
@@ -46,7 +47,6 @@ from transvect.forms import QuadraticForm, SesquiForm
 from transvect.gf import Field
 from transvect.linalg import Mat, Subspace, _digits, vec_add, vec_scale
 from transvect.tgraph import (
-    MAX_CYCLE_LEN,
     WALK_BUDGET,
     CycleRecord,
     TransvectionGraph,
@@ -128,6 +128,8 @@ def enumerate_group(gens: Sequence[Mat], cap: int = ELEMENT_BUDGET) -> GroupEnum
 
 
 # -- transvection graphs -----------------------------------------------------
+
+MAX_CYCLE_LEN = 8
 
 
 def projective_points(F: Field, n: int) -> tuple[tuple[int, ...], ...]:

@@ -281,7 +281,7 @@ def oracle_invariant_form_exists(T, twist):
                     rows.append(row)
     if not rows:
         return False
-    ker = Mat(F, rows).kernel()
+    ker = Subspace(F, n * n, rows).perp().basis
     if not ker:
         return False
     assert F.q ** len(ker) <= 20000  # the scan below stays exhaustive

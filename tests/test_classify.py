@@ -40,6 +40,7 @@ from transvect.classify import (
     sample_supersets,
     stability_check,
 )
+from transvect.cli import main as cli_main, serialize_generators
 from transvect.errors import (
     BadParameters,
     CapExceeded,
@@ -58,6 +59,8 @@ from transvect.tgraph import (
     TransvectionGraph,
     build_graph,
     connect_up,
+    cycle_weight,
+    defining_field,
     densify,
     is_irreducible,
     is_strongly_connected,
@@ -1353,29 +1356,29 @@ def undetermined_note(ctag, open_tags):
 
 # (input, classify budgets, tag, the note naming the open candidates or None)
 STEP4_CASES = {
-    "O8+(2) sample, tiny projective budget": (
+    "O8+(2) sample": (
         lambda: orthogonal_sample(standard_quadratic_form(F2, 8, "plus"), 10, 1),
-        {"budget_projective": 100}, ORTHOGONAL_PLUS, None),
-    "O8-(2) sample, tiny projective budget": (
+        {}, ORTHOGONAL_PLUS, None),
+    "O8-(2) sample": (
         lambda: orthogonal_sample(standard_quadratic_form(F2, 8, "minus"), 10, 1),
-        {"budget_projective": 100}, ORTHOGONAL_MINUS, None),
+        {}, ORTHOGONAL_MINUS, None),
     "O12+(4) sample": (
         lambda: orthogonal_sample(standard_quadratic_form(F4, 12, "plus"), 16, 1),
         {}, ORTHOGONAL_PLUS, None),
     "O22+(2) sample": (
         lambda: orthogonal_sample(standard_quadratic_form(F2, 22, "plus"), 26, 1),
         {}, UNDETERMINED, undetermined_note(ORTHOGONAL_PLUS, "SymmetricEven")),
-    # the structure checks take no budget, so tiny budgets skip only the
-    # order cross-check
-    "rep(7), tiny budgets": (
+    # the structure checks take no budget, so a tiny element budget skips
+    # only the order cross-check
+    "rep(7), tiny element budget": (
         lambda: build_symmetric_rep(7),
-        {"budget_projective": 8, "budget_elements": 100}, SYMMETRIC_ODD, None),
-    "M4(5) over GF(16), tiny budgets": (
+        {"budget_elements": 100}, SYMMETRIC_ODD, None),
+    "M4(5) over GF(16), tiny element budget": (
         lambda: build_monomial_group(4, 5, F16),
-        {"budget_projective": 100, "budget_elements": 100}, monomial_tag(5), None),
-    "M4(7) over GF(8), tiny budgets": (
+        {"budget_elements": 100}, monomial_tag(5), None),
+    "M4(7) over GF(8), tiny element budget": (
         lambda: build_monomial_group(4, 7, F8),
-        {"budget_projective": 100, "budget_elements": 100}, monomial_tag(7), None),
+        {"budget_elements": 100}, monomial_tag(7), None),
     "rep(18)": (
         lambda: build_symmetric_rep(18), {}, UNDETERMINED,
         undetermined_note(SYMPLECTIC, "SymmetricEven")),
@@ -1419,16 +1422,15 @@ def test_classify_step4_returns_no_classical_tag_while_a_refinement_is_open(name
 
 
 def test_classify_never_tags_a_quadratic_form_symplectic():
-    # orthogonal inputs at the default budgets and at tiny ones, which skip
-    # the order cross-check
+    # orthogonal inputs at the default budgets, and at element budgets that
+    # skip the order cross-check on all of them or on the larger ones
     inputs = [orthogonal_transvections(M, n) for M, n in
               ((Q_MINUS4, 4), (Q_PLUS6, 6), (Q_MINUS6, 6))]
     inputs += [build_symmetric_rep(m) for m in (7, 8, 10)]
     inputs += [orthogonal_sample(standard_quadratic_form(F, n, kind), n + 2, n)
                for F, n in ((F2, 8), (F2, 10), (F4, 4), (F8, 4))
                for kind in ("plus", "minus")]
-    budgets = [{}, {"budget_projective": 8, "budget_elements": 100},
-               {"budget_projective": 100}]
+    budgets = [{}, {"budget_elements": 100}, {"budget_elements": 10**4}]
     checked = 0
     for T in inputs:
         for b in budgets:
@@ -1510,11 +1512,107 @@ def test_classify_descent_matches_the_subfield_classification():
     assert checked >= 100
 
 
-def test_descend_to_subfield_is_none_when_a_weight_leaves_the_subfield():
-    # the 2-cycle weights 2 in GF(4) and 3 in GF(9) lie outside the prime field
+def test_descend_to_subfield_rejects_a_degree_below_the_cycle_weights():
+    # the 2-cycle weights 2 in GF(4) and 3 in GF(9) lie outside the prime
+    # field, so degree 1 is not the defining field and no descent exists
     for F, lam in ((F4, 2), (F9, 3)):
         T = [Transvection(F, (1, 0), (0, lam)), Transvection(F, (0, 1), (1, 0))]
-        assert classify_mod._descend_to_subfield(build_graph(T), 1) is None
+        G = build_graph(T)
+        assert defining_field(G).degree == 2
+        with pytest.raises(InternalError, match="leaves the degree-1 subfield"):
+            classify_mod._descend_to_subfield(G, 1)
+
+
+def walk_weights(G, walks):
+    """The weights of the walks (vertex tuples), each checked to be a
+    closed walk of G with a nonzero weight."""
+    out = []
+    for verts in walks:
+        k = len(verts)
+        assert k >= 2 and all(0 <= i < len(G) for i in verts)
+        assert all(G.adj[verts[i]][verts[(i + 1) % k]] for i in range(k))
+        out.append(cycle_weight(G, verts))
+        assert out[-1] != 0
+    return out
+
+
+def field_witnesses_hold(T, tmp_path):
+    """The defining-field witnesses of classify and the cycles of analyze
+    on an irreducible T are closed walks of T's own graph, with the weights
+    `cycle_weight` gives, and they generate the reported degree; under a
+    descent, the inner witnesses carry the same walks' weights mapped into
+    the subfield.  Returns whether T descended."""
+    G = build_graph(T)
+    F = G.F
+    rep = classify(G)
+    w = rep.witnesses
+    e = rep.field_degree
+    outer = w.get("ambient_field_cycles", w["defining_field_cycles"])
+    weights = walk_weights(G, [r.verts for r in outer])
+    assert [r.weight for r in outer] == weights
+    assert F.subfield_generated(weights) == e
+    if "ambient_field_cycles" in w:
+        sub, iso = classify_mod._subfield_iso(F, e)
+        inner = w["defining_field_cycles"]
+        inner_weights = walk_weights(G, [r.verts for r in inner])
+        assert [r.weight for r in inner] == [iso(x) for x in inner_weights]
+        assert sub.subfield_generated([r.weight for r in inner]) == e
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(serialize_generators(F, T)))
+    out = tmp_path / "analyze.json"
+    assert cli_main(["analyze", "--gens", str(path), "--out", str(out)]) == 0
+    res = json.loads(out.read_text())["result"]
+    cycles = res["cycles"]
+    assert [c["weight"] for c in cycles] == walk_weights(G, [tuple(c["verts"]) for c in cycles])
+    assert F.subfield_generated([c["weight"] for c in cycles]) == res["defining_field_degree"] == e
+    return "ambient_field_cycles" in w
+
+
+def test_field_witnesses_are_closed_walks_of_the_input(tmp_path):
+    sets = grid_sets() + [T for _, _, T in fuzz_sets()]
+    sets += [T for _, T in descent_inputs()]
+    checked = descended = 0
+    for T in sets:
+        if is_irreducible(build_graph(T)).irreducible:
+            descended += field_witnesses_hold(T, tmp_path)
+            checked += 1
+    assert checked >= 150 and descended >= 100
+
+
+def test_subfield_witnesses_index_the_input():
+    # a set over GF(16)^3 whose weights lie in GF(4): the ambient witnesses
+    # name its own five vertices, not those of a dense extension
+    T = [Transvection(F16, v, phi) for v, phi in (
+        ((1, 6, 12), (10, 12, 14)), ((1, 8, 3), (0, 5, 11)),
+        ((1, 0, 13), (15, 11, 9)), ((1, 14, 2), (1, 8, 4)),
+        ((1, 6, 12), (0, 5, 11)))]
+    rep = classify(T)
+    assert (rep.tag, rep.field_degree) == (LINEAR, 2)
+    G = build_graph(T)
+    cycles = rep.witnesses["ambient_field_cycles"]
+    assert cycles and all(max(r.verts) < len(T) for r in cycles)
+    assert [r.weight for r in cycles] == walk_weights(G, [r.verts for r in cycles])
+
+
+def sl_root_elements(n, F):
+    """The root elements x_12(lam) for lam in the additive basis 1, x, ...,
+    x^(f-1) of F over F_p, then x_(i,i+1) for 1 < i < n and x_(n,1): the
+    only weight outside the prime field sits on an n-cycle."""
+    T = [Transvection(F, e(n, 0), e(n, 1, F.p**k)) for k in range(F.f)]
+    T += [Transvection(F, e(n, i), e(n, i + 1)) for i in range(1, n - 1)]
+    return T + [Transvection(F, e(n, n - 1), e(n, 0))]
+
+
+@pytest.mark.parametrize("n, F", [(9, F4), (10, F4), (12, F4), (7, F8),
+                                  (8, F9), (5, F16), (6, F16)],
+                         ids=lambda x: getattr(x, "name", lambda: str(x))())
+def test_sl_root_elements_have_the_full_defining_field(n, F):
+    # the n-cycle is longer than any fixed walk cap, and q^n is past the
+    # projective budget from SL12(4) on
+    rep = classify(sl_root_elements(n, F))
+    assert (rep.tag, rep.field_degree) == (LINEAR, F.f)
+    assert F.subfield_generated(
+        [r.weight for r in rep.witnesses["defining_field_cycles"]]) == F.f
 
 
 def test_classify_requires_irreducible():

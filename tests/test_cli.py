@@ -233,6 +233,18 @@ def test_classify_sp42(tmp_path):
     assert meta["budgets"]["elements"] > 0
 
 
+def test_classify_takes_no_projective_budget(tmp_path, capsys):
+    # classify scans no projective points; analyze and certify still do
+    path = sp42_file(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--gens", path, "--budget-projective", "8"])
+    assert exc.value.code == 2
+    assert "--budget-projective" in capsys.readouterr().err
+    for sub in ("analyze", "certify"):
+        rep = run_json(tmp_path, [sub, "--gens", path, "--budget-projective", "64"])
+        assert rep["meta"]["budgets"]["projective"] == 64
+
+
 def test_classify_reducible_input_is_error(tmp_path):
     path = write_gens(tmp_path / "red.json", "2^1",
                       [{"v": [1, 0], "phi": [0, 1]}])

@@ -141,8 +141,7 @@ def form_exists_oracle(F, n, mats, twist):
                     for d in range(n):
                         col.extend(_digits(F, Em.rows[d][d]))
                 cols.append(col)
-    A = Mat(Fp, tuple(zip(*cols)))
-    return len(A.kernel()) > 0
+    return Subspace(Fp, len(cols), list(zip(*cols))).perp().dim > 0
 
 
 # -- fixtures ------------------------------------------------------------------

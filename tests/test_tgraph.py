@@ -36,6 +36,7 @@ from transvect.gf import field_create
 from transvect.linalg import Mat, Subspace, dot
 from transvect.transvections import Transvection, standard_full_field_set
 from transvect.tgraph import (
+    WALK_BUDGET,
     CycleRecord,
     build_graph,
     connect_up,
@@ -414,6 +415,20 @@ def rooted_paths(G, L):
     return total
 
 
+def least_passing_budget(G):
+    """The least walk budget under which `defining_field(G)` returns, by
+    bisection: a read that stops early pays only for the paths made."""
+    lo, hi = 0, WALK_BUDGET
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            defining_field(G, mid)
+            hi = mid
+        except CapExceeded:
+            lo = mid + 1
+    return lo
+
+
 def test_walk_budget_boundary_is_the_rooted_path_count():
     rng = random.Random(23)
     for p, f in ((2, 1), (3, 1), (2, 2)):
@@ -425,12 +440,26 @@ def test_walk_budget_boundary_is_the_rooted_path_count():
                 assert cycles_up_to(G, L, need) == cycles_up_to(G, L)
                 with pytest.raises(CapExceeded):
                     cycles_up_to(G, L, need - 1)
-            for hint in (False, True):
-                rep = defining_field(G, hint)
-                need = rooted_paths(G, rep.history[-1][0])
-                assert defining_field(G, hint, need) == rep
-                with pytest.raises(CapExceeded):
-                    defining_field(G, hint, need - 1)
+    # the witness read stops inside the level of its last witness, of L
+    # vertices: every path of L - 1 vertices is made, and not every one of L
+    checked = 0
+    for p, f in ((2, 2), (2, 3), (3, 2)):
+        F = field_create(p, f)
+        while checked < 6 * (p + f):
+            G = build_graph(random_set(F, rng.choice((2, 3)), rng.randrange(3, 7), rng))
+            if not is_strongly_connected(G):
+                continue
+            rep = defining_field(G)
+            if rep.degree == 1:
+                assert least_passing_budget(G) == 0
+                continue
+            L = len(rep.witnesses[-1].verts)
+            need = least_passing_budget(G)
+            assert rooted_paths(G, L - 1) < need <= rooted_paths(G, L)
+            assert defining_field(G, need) == rep
+            with pytest.raises(CapExceeded):
+                defining_field(G, need - 1)
+            checked += 1
 
 
 def test_weight_trace_rotation_conjugation_fuzz():
@@ -515,18 +544,19 @@ def test_defining_field_examples():
     om = F4.primitive_element()
     sl = standard_full_field_set("SL", F4, 2, om)
     rep = defining_field(build_graph(sl))
-    assert rep.degree == 2 and rep.status == "stabilized"
+    assert rep.degree == 2
     assert rep.witnesses and F4.subfield_generated(
         [r.weight for r in rep.witnesses]) == 2
 
-    # all pairings in the prime field -> degree 1
+    # all pairings in the prime field -> degree 1, with no walk read
     ones = standard_full_field_set("SL", F4, 2, 1)
-    rep1 = defining_field(build_graph(ones))
-    assert rep1.degree == 1 and rep1.status == "stabilized"
-    assert [d for _, d in rep1.history] == [1, 1, 1]
+    rep1 = defining_field(build_graph(ones), budget_walks=0)
+    assert rep1.degree == 1 and rep1.witnesses == ()
 
-    # degrees in the history never decrease
-    assert all(a <= b for (_, a), (_, b) in zip(rep1.history, rep1.history[1:]))
+    # with no edge there is no return path to rescale along
+    apart = [Transvection(F4, (1, 0), (0, 1)), Transvection(F4, (1, 0), (0, om))]
+    with pytest.raises(NotStronglyConnected):
+        defining_field(build_graph(apart))
 
 
 def test_defining_field_trace_oracle():
@@ -540,11 +570,11 @@ def test_defining_field_trace_oracle():
         G = build_graph(T)
         assert is_irreducible(G).irreducible
         dense_T, _ = densify(T)
-        repd = defining_field(build_graph(dense_T), dense_hint=True)
         gens = [t.matrix() for t in T]
         group = enumerate_matrix_group(gens)
         trace_deg = F9.subfield_generated([g.trace() for g in group])
-        assert repd.degree == trace_deg
+        assert defining_field(build_graph(dense_T)).degree == trace_deg
+        assert defining_field(G).degree == trace_deg
 
 
 def dense_field_oracle(G):
@@ -565,38 +595,76 @@ def dense_field_oracle(G):
     return deg, tuple(witnesses)
 
 
+def subfield_conjugate(F, e, n, rng):
+    """A seeded irreducible set with entries in the degree-e subfield of F,
+    conjugated by a random invertible matrix over F."""
+    sub = [x for x in range(F.q) if F.pow(x, F.p**e) == x]
+    while True:
+        T, size = [], rng.randrange(n, n + 3)
+        while len(T) < size:
+            v = tuple(rng.choice(sub) for _ in range(n))
+            phi = tuple(rng.choice(sub) for _ in range(n))
+            if any(v) and any(phi) and dot(F, phi, v) == 0:
+                T.append(Transvection(F, v, phi))
+        if is_irreducible(build_graph(T)).irreducible:
+            break
+    while True:
+        g = Mat(F, tuple(tuple(rng.randrange(F.q) for _ in range(n))
+                         for _ in range(n)))
+        if g.det() != 0:
+            return [t.conjugate(g) for t in T]
+
+
 def test_dense_defining_field_matches_the_full_enumeration():
-    # the dense read leaves the walk stream at the full field; sets with
-    # prime-field weights (conjugated out of the prime field) read all five
-    # lengths
+    # on a dense set the walks of at most 5 vertices generate the field,
+    # so the read stops at the witnesses of the full enumeration; sets with
+    # prime-field weights (conjugated out of the prime field) have a
+    # proper subfield
     rng = random.Random(41)
-    stopped_early = read_all = 0
+    proper = full = 0
     for p, f, ns in ((2, 2, (2, 3)), (2, 3, (2, 3)), (3, 2, (2, 3)), (2, 4, (2,))):
         F = field_create(p, f)
-        prime = field_create(p, 1)
         for i in range(9):
             n = ns[i % len(ns)]
-            while True:
-                T = random_set(prime if i < 2 else F, n, rng.randrange(n, n + 3), rng)
-                T = [Transvection(F, t.v, t.phi) for t in T]
-                if is_irreducible(build_graph(T)).irreducible:
-                    break
             if i < 2:
+                T = subfield_conjugate(F, 1, n, rng)
+            else:
                 while True:
-                    g = Mat(F, tuple(tuple(rng.randrange(F.q) for _ in range(n))
-                                     for _ in range(n)))
-                    if g.det() != 0:
+                    T = random_set(F, n, rng.randrange(n, n + 3), rng)
+                    if is_irreducible(build_graph(T)).irreducible:
                         break
-                T = [t.conjugate(g) for t in T]
             Gd, _ = densify(T)
-            rep = defining_field(Gd, dense_hint=True)
+            rep = defining_field(Gd)
             assert (rep.degree, rep.witnesses) == dense_field_oracle(Gd)
-            assert rep.status == "dense"
-            lengths = [k for k, _ in rep.history]
-            assert lengths == list(range(2, lengths[-1] + 1))
-            stopped_early += lengths[-1] < 5
-            read_all += rep.degree < f and lengths[-1] == 5
-    assert stopped_early and read_all
+            proper += rep.degree < f
+            full += rep.degree == f
+    assert proper and full
+
+
+def test_tree_degree_matches_the_dense_oracle():
+    # the degree of an irreducible set, read off its own graph, equals the
+    # one the full enumeration reads off its dense extension; the seeded
+    # sets include subfield conjugates over every proper subfield
+    rng = random.Random(43)
+    cases = []
+    for p, f, n in ((2, 2, 3), (2, 3, 3), (3, 2, 3), (2, 4, 2), (2, 6, 2)):
+        F = field_create(p, f)
+        for e in (d for d in range(1, f) if f % d == 0):
+            cases += [subfield_conjugate(F, e, n, rng) for _ in range(3)]
+        for _ in range(3):
+            while True:
+                T = random_set(F, n, rng.randrange(n, n + 3), rng)
+                if is_irreducible(build_graph(T)).irreducible:
+                    cases.append(T)
+                    break
+    degrees = set()
+    for T in cases:
+        G = build_graph(T)
+        rep = defining_field(G)
+        assert rep.degree == dense_field_oracle(densify(G)[0])[0]
+        assert G.F.subfield_generated([r.weight for r in rep.witnesses]) == rep.degree
+        degrees.add((G.F.f, rep.degree))
+    assert {(4, 2), (6, 2), (6, 3), (6, 1)} <= degrees
 
 
 # -- density -----------------------------------------------------------------
