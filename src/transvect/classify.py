@@ -61,8 +61,6 @@ from .linalg import (
     vec_scale,
 )
 from .tgraph import (
-    PROJECTIVE_BUDGET,
-    WALK_BUDGET,
     TransvectionGraph,
     Word,
     _radicals,
@@ -961,8 +959,7 @@ def _descend_to_subfield(G: TransvectionGraph, e: int):
 
 
 def classify(T: Sequence[Transvection],
-             budget_elements: int = ELEMENT_BUDGET,
-             budget_walks: int = WALK_BUDGET) -> ClassificationReport:
+             budget_elements: int = ELEMENT_BUDGET) -> ClassificationReport:
     """Classify an irreducible transvection set.
 
     Pipeline: the exact defining field from the pairings rescaled along a
@@ -997,6 +994,8 @@ def classify(T: Sequence[Transvection],
     `recover_quadratic` verify invariance under every generator before they
     return a form, so G lies in the Sp, SU or O+/- of that form, and
     `quadratic_type` reads the type off the Arf invariant, with no budget.
+    The field witnesses and form obstructions are read off closed-walk
+    streams held to the fixed `tgraph.WALK_BUDGET`.
     """
     G = build_graph(T)
     T = G.verts
@@ -1006,7 +1005,7 @@ def classify(T: Sequence[Transvection],
     notes: list[str] = []
     witnesses: dict = {}
 
-    dfr = defining_field(G, budget_walks)
+    dfr = defining_field(G)
     witnesses["defining_field_cycles"] = dfr.witnesses
     e = dfr.degree
 
@@ -1020,7 +1019,7 @@ def classify(T: Sequence[Transvection],
         T_sub, P = descent
         witnesses["descent_basis"] = P
         witnesses["ambient_field_cycles"] = witnesses.pop("defining_field_cycles")
-        inner = classify(T_sub, budget_elements, budget_walks)
+        inner = classify(T_sub, budget_elements)
         notes.append(f"conjugate into a subfield subgroup over "
                      f"{T_sub[0].F.name()}; classified there")
         merged = dict(witnesses)
@@ -1030,7 +1029,7 @@ def classify(T: Sequence[Transvection],
                                     tuple(notes) + inner.notes)
 
     # invariant forms
-    symp = detect_invariant_form(G, "identity", budget_walks)
+    symp = detect_invariant_form(G, "identity")
     has_symp = isinstance(symp, SesquiForm)
     if has_symp:
         witnesses["symplectic_gram"] = symp
@@ -1048,7 +1047,7 @@ def classify(T: Sequence[Transvection],
 
     unit = None
     if not has_symp and F.has_involution():
-        res = detect_invariant_form(G, "theta", budget_walks)
+        res = detect_invariant_form(G, "theta")
         if isinstance(res, SesquiForm):
             unit = res
             witnesses["unitary_gram"] = unit
@@ -1238,40 +1237,38 @@ def _supersets(T: Sequence[Transvection], T_dense: Sequence[Transvection],
 
 
 def sample_supersets(T: Sequence[Transvection], T0: Sequence[Transvection],
-                     count: int = 100, extras: int = 3, seed: int = 0,
-                     budget_projective: int = PROJECTIVE_BUDGET
+                     count: int = 100, extras: int = 3, seed: int = 0
                      ) -> list[TransvectionGraph]:
     """Random strongly connected supersets of T0 inside the transvection
     closure of <T>: T0 plus random conjugates t^w (t in T, w a short word
     over T), topped up with density witnesses until strongly connected.
-    Each superset comes as the graph that `connect_up` built for it."""
+    Each superset comes as the graph that `connect_up` built for it.  The
+    witnesses come from `densify`, whose scan of projective points stops
+    at the fixed `tgraph.PROJECTIVE_BUDGET`."""
     if count < 0 or extras < 0:
         raise BadParameters(f"need count >= 0 and extras >= 0, got "
                             f"count={count}, extras={extras}")
-    T_dense, _ = densify(T, budget_projective)
+    T_dense, _ = densify(T)
     return _supersets(T, T_dense, T0, count, extras, seed)
 
 
 def stability_check(T: Sequence[Transvection], T0: Sequence[Transvection],
                     samples: int = 100, seed: int = 0,
-                    budget_elements: int = STABILITY_ELEMENT_BUDGET,
-                    budget_projective: int = PROJECTIVE_BUDGET,
-                    budget_walks: int = WALK_BUDGET) -> list[ClassificationReport]:
+                    budget_elements: int = STABILITY_ELEMENT_BUDGET
+                    ) -> list[ClassificationReport]:
     """Classify the section of each sampled strongly connected superset of
     T0; a certified T0 forces every result to match the classification of
-    T itself in tag and field degree."""
+    T itself in tag and field degree.  budget_elements bounds each
+    section's stabilizer chain; the supersets and the classifications
+    read the fixed projective and walk budgets of `tgraph`."""
     if samples < 0:
         raise BadParameters(f"need samples >= 0, got {samples}")
-    return [classify(restrict_to_section(T1).graph, budget_elements,
-                     budget_walks)
-            for T1 in sample_supersets(T, T0, count=samples, seed=seed,
-                                       budget_projective=budget_projective)]
+    return [classify(restrict_to_section(T1).graph, budget_elements)
+            for T1 in sample_supersets(T, T0, count=samples, seed=seed)]
 
 
 def certify(T: Sequence[Transvection],
             budget_elements: int = ELEMENT_BUDGET,
-            budget_projective: int = PROJECTIVE_BUDGET,
-            budget_walks: int = WALK_BUDGET,
             seed: int = 0) -> Certificate:
     """Assemble a certificate for a classically-typed transvection set.
 
@@ -1287,15 +1284,17 @@ def certify(T: Sequence[Transvection],
     kernel witnesses.  Every element of T0 carries a word over T of length
     at most 2n-1.  A small sample of random supersets is reclassified as a
     spot check and recorded in the properties.
+    budget_elements bounds the classifications of T and of T0's section;
+    `densify` and the walk streams keep to the fixed budgets of `tgraph`.
     """
     G = build_graph(T)
     T = G.verts
-    report = classify(G, budget_elements, budget_walks)
+    report = classify(G, budget_elements)
     if report.tag.kind not in CLASSICAL_KINDS:
         raise UnsupportedTag(f"certification applies to classical types, "
                              f"got {report.tag}")
     F, n = G.F, G.n
-    Gd, words_dense = densify(G, budget_projective)
+    Gd, words_dense = densify(G)
     dense_index: dict[Transvection, int] = {}
     for i, t in enumerate(Gd):
         dense_index.setdefault(t, i)
@@ -1311,7 +1310,7 @@ def certify(T: Sequence[Transvection],
     properties: list[dict] = []
 
     # field witnesses
-    dfr = defining_field(Gd, budget_walks)
+    dfr = defining_field(Gd)
     cycles = []
     for rec in dfr.witnesses:
         idxs = [add(Gd[i]) for i in rec.verts]
@@ -1320,7 +1319,7 @@ def certify(T: Sequence[Transvection],
                        "cycles": cycles})
 
     # symplectic form or its obstruction
-    symp = detect_invariant_form(Gd, "identity", budget_walks)
+    symp = detect_invariant_form(Gd, "identity")
     if isinstance(symp, SesquiForm):
         form = symp
         properties.append({"kind": "symplectic-form", "gram": symp.gram.to_json()})
@@ -1334,7 +1333,7 @@ def certify(T: Sequence[Transvection],
 
     # hermitian form or its obstruction
     if F.has_involution():
-        res = detect_invariant_form(Gd, "theta", budget_walks)
+        res = detect_invariant_form(Gd, "theta")
         if isinstance(res, SesquiForm):
             properties.append({"kind": "hermitian-form",
                                "gram": res.gram.to_json()})
@@ -1406,7 +1405,7 @@ def certify(T: Sequence[Transvection],
     fill = iter(Gd)
     while True:
         sec = restrict_to_section(T0)
-        own = classify(sec.graph, budget_elements, budget_walks)
+        own = classify(sec.graph, budget_elements)
         if own.tag == report.tag and own.field_degree == report.field_degree:
             break
         extra = next((t for t in fill if t not in T0), None)
@@ -1421,8 +1420,7 @@ def certify(T: Sequence[Transvection],
     words = tuple(words_dense[dense_index[t]] for t in T0)
 
     # stability spot check on a few random supersets
-    spot = [classify(restrict_to_section(T1).graph, STABILITY_ELEMENT_BUDGET,
-                     budget_walks)
+    spot = [classify(restrict_to_section(T1).graph, STABILITY_ELEMENT_BUDGET)
             for T1 in _supersets(G, Gd, T0, 3, 3, seed)]
     matches = all(r.tag == report.tag and r.field_degree == report.field_degree
                   for r in spot)

@@ -3,8 +3,11 @@
 One binary, subcommand style: analyze | classify | certify | diameter |
 gen | decompose.  Reports are JSON (CSV is available for histograms) with
 a meta block recording the tool version, field, budgets, seed, and wall
-time.  Exit codes: 0 success, 1 input error, 2 budget exhaustion, 3 a
-failed internal invariant check (a bug, reported with its message).
+time.  The element budget and the search cap are set by flags; the
+projective and walk budgets are the fixed `tgraph.PROJECTIVE_BUDGET` and
+`tgraph.WALK_BUDGET`.  Exit codes: 0 success, 1 input or usage error
+(an unknown flag or a malformed value among them), 2 budget exhaustion,
+3 a failed internal invariant check (a bug, reported with its message).
 """
 
 from __future__ import annotations
@@ -12,13 +15,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field as _field
 from typing import Sequence
 
-from . import __version__
+from . import __version__, tgraph
 from .cayley import (
     DEFAULT_CAP,
     bfs_explore,
@@ -46,8 +48,6 @@ from .forms import (
 from .gf import Field, field_create
 from .linalg import Mat
 from .tgraph import (
-    PROJECTIVE_BUDGET,
-    WALK_BUDGET,
     build_graph,
     cycle_symplectic_defect,
     cycle_unitary_defect,
@@ -62,7 +62,6 @@ from .transvections import Transvection, standard_full_field_set
 COMMANDS = ("analyze", "classify", "certify", "diameter", "gen", "decompose")
 GEN_KINDS = ("SL", "SP", "SU3", "O_char2", "monomial", "symmetric")
 SPLIT_KINDS = ("linear", "symplectic", "unitary", "orthogonal")
-BUDGET_ENV = "TRANSVECT_BUDGET_ELEMENTS"
 
 
 def parse_field(spec: str) -> Field:
@@ -129,16 +128,14 @@ def serialize_generators(F: Field, T: Sequence[Transvection]) -> dict:
 
 @dataclass(frozen=True)
 class JobConfig:
-    """One CLI invocation: the subcommand, its input, budget overrides,
-    the output format, and the seed for randomized fallbacks (recorded in
-    every report)."""
+    """One CLI invocation: the subcommand, its input, the element budget and
+    the search cap, the output format, and the seed for randomized
+    fallbacks (recorded in every report)."""
 
     command: str
     gens_path: str | None = None
     field: str | None = None
     budget_elements: int = ELEMENT_BUDGET
-    budget_projective: int = PROJECTIVE_BUDGET
-    budget_walks: int = WALK_BUDGET
     cap: int = DEFAULT_CAP
     out_format: str = "json"
     seed: int = 0
@@ -147,17 +144,18 @@ class JobConfig:
     def __post_init__(self) -> None:
         if self.command not in COMMANDS:
             raise BadParameters(f"unknown subcommand {self.command!r}")
-        for name in ("budget_elements", "budget_projective", "budget_walks", "cap"):
+        for name in ("budget_elements", "cap"):
             if getattr(self, name) <= 0:
                 raise BadParameters(f"{name} must be positive")
         if self.out_format not in ("json", "csv"):
             raise BadParameters("output format must be json or csv")
 
     def budgets(self) -> dict:
+        """Every budget the run is held to, the fixed two of `tgraph` too."""
         return {
             "elements": self.budget_elements,
-            "projective": self.budget_projective,
-            "walks": self.budget_walks,
+            "projective": tgraph.PROJECTIVE_BUDGET,
+            "walks": tgraph.WALK_BUDGET,
             "cap": self.cap,
         }
 
@@ -188,12 +186,12 @@ def _run_analyze(job: JobConfig, F: Field, T: list[Transvection]) -> dict:
         "irreducible": rep.irreducible,
         "failed_condition": rep.failed_condition,
         "defect": defect(G),
-        "dense": is_dense(G, job.budget_projective)[0],
+        "dense": is_dense(G)[0],
         "defining_field_degree": None,
         "cycles": [],
     }
     if rep.irreducible:
-        dfr = defining_field(G, budget_walks=job.budget_walks)
+        dfr = defining_field(G)
         result["defining_field_degree"] = dfr.degree
         cycles = []
         for recw in dfr.witnesses:
@@ -207,20 +205,20 @@ def _run_analyze(job: JobConfig, F: Field, T: list[Transvection]) -> dict:
             cycles.append(cyc)
         result["cycles"] = cycles
         if job.options.get("forms"):
-            result["forms"] = _analyze_forms(job, F, G)
+            result["forms"] = _analyze_forms(F, G)
     return result
 
 
-def _analyze_forms(job: JobConfig, F: Field, G) -> dict:
+def _analyze_forms(F: Field, G) -> dict:
     forms: dict = {}
-    symp = detect_invariant_form(G, "identity", job.budget_walks)
+    symp = detect_invariant_form(G, "identity")
     if isinstance(symp, SesquiForm):
         forms["symplectic"] = {"gram": symp.gram.to_json()}
     else:
         forms["symplectic"] = {"obstruction_cycle": list(symp.verts),
                                "defect": symp.defect}
     if F.has_involution():
-        unit = detect_invariant_form(G, "theta", job.budget_walks)
+        unit = detect_invariant_form(G, "theta")
         if isinstance(unit, SesquiForm):
             forms["unitary"] = {"gram": unit.gram.to_json()}
         else:
@@ -307,11 +305,11 @@ def _run_decompose(job: JobConfig, F: Field, T: list[Transvection]) -> dict:
         raise BadParameters("vector length does not match the generators")
     form = None
     if kind == "unitary":
-        form = detect_invariant_form(G, "theta", job.budget_walks)
+        form = detect_invariant_form(G, "theta")
         if not isinstance(form, SesquiForm):
             raise BadParameters("no invariant hermitian form to split against")
     elif kind == "orthogonal":
-        symp = detect_invariant_form(G, "identity", job.budget_walks)
+        symp = detect_invariant_form(G, "identity")
         if not isinstance(symp, SesquiForm):
             raise BadParameters("no invariant symplectic form on the input")
         form = recover_quadratic(G, symp)
@@ -337,10 +335,9 @@ def run(job: JobConfig) -> dict:
     if job.command == "analyze":
         result = _run_analyze(job, F, T)
     elif job.command == "classify":
-        result = classify(T, job.budget_elements, job.budget_walks).to_json()
+        result = classify(T, job.budget_elements).to_json()
     elif job.command == "certify":
-        result = certify(T, job.budget_elements, job.budget_projective,
-                         job.budget_walks, seed=job.seed).to_json()
+        result = certify(T, job.budget_elements, seed=job.seed).to_json()
     elif job.command == "diameter":
         result = _run_diameter(job, F, T)
     else:
@@ -372,9 +369,17 @@ def render(report: dict, out_format: str) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like other input errors, not argparse's 2, which
+    here means an exhausted budget; subcommand parsers inherit this."""
+
+    def error(self, message: str):
+        self.exit(1, f"transvect: error: {message}\n{self.format_usage()}")
+
+
 @functools.cache  # parsing does not change the parser; build it once
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="transvect",
         description="Recognize, certify, and measure groups generated by "
                     "transvections over finite fields.")
@@ -396,19 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--forms", action="store_true",
                    help="also detect invariant forms")
-    p.add_argument("--budget-projective", type=int, default=PROJECTIVE_BUDGET)
-    p.add_argument("--budget-walks", type=int, default=WALK_BUDGET)
 
     p = sub.add_parser("classify", help="classification report")
     common(p)
     p.add_argument("--budget-elements", type=int, default=None)
-    p.add_argument("--budget-walks", type=int, default=WALK_BUDGET)
 
     p = sub.add_parser("certify", help="certificate for a classical group")
     common(p)
     p.add_argument("--budget-elements", type=int, default=None)
-    p.add_argument("--budget-projective", type=int, default=PROJECTIVE_BUDGET)
-    p.add_argument("--budget-walks", type=int, default=WALK_BUDGET)
 
     p = sub.add_parser("diameter", help="Cayley-graph diameter by BFS")
     common(p)
@@ -441,18 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_budget() -> int | None:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadParameters(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
-
-
 def job_from_args(args: argparse.Namespace) -> JobConfig:
-    env_cap = _env_budget()
     options: dict = {}
     kwargs: dict = {
         "command": args.command,
@@ -463,17 +452,7 @@ def job_from_args(args: argparse.Namespace) -> JobConfig:
         kwargs["gens_path"] = args.gens
     if getattr(args, "field", None) is not None:
         kwargs["field"] = args.field
-    be = getattr(args, "budget_elements", None)
-    if be is not None:
-        kwargs["budget_elements"] = be
-    elif env_cap is not None:
-        kwargs["budget_elements"] = env_cap
-    cap = getattr(args, "cap", None)
-    if cap is not None:
-        kwargs["cap"] = cap
-    elif env_cap is not None:
-        kwargs["cap"] = env_cap
-    for name in ("budget_projective", "budget_walks"):
+    for name in ("budget_elements", "cap"):
         val = getattr(args, name, None)
         if val is not None:
             kwargs[name] = val

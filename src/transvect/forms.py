@@ -36,7 +36,6 @@ from .errors import (
 from .gf import Field
 from .linalg import Mat, Subspace, Vec, dot, is_zero_vec, vec_add, vec_scale, vec_sub
 from .tgraph import (
-    WALK_BUDGET,
     TransvectionGraph,
     _closed_walks,
     _cycle_defect,
@@ -182,13 +181,13 @@ class QuadraticObstruction:
 
 
 def _first_obstruction(G: TransvectionGraph, th: Callable[[int], int],
-                       twist: str, limit: int,
-                       budget_walks: int) -> ObstructionCycle:
+                       twist: str, limit: int) -> ObstructionCycle:
     """First non-conforming cycle in enumeration order (length, then vertex
     tuple); one of length <= limit is guaranteed to exist when detection has
     failed, since a failed check pins an explicit short witness.  The walk
-    stream stops there, so the budget need only cover the walks up to it."""
-    for _, rec in _closed_walks(G, limit, budget_walks):
+    stream stops there, so `WALK_BUDGET` need only cover the walks up to
+    it."""
+    for _, rec in _closed_walks(G, limit):
         if rec is not None:
             wf, wr, d = _cycle_defect(G, rec.verts, th)
             if d != 0:
@@ -197,8 +196,7 @@ def _first_obstruction(G: TransvectionGraph, th: Callable[[int], int],
         "detection failed but no obstruction cycle found within its bound")
 
 
-def detect_invariant_form(G: TransvectionGraph, twist: str = "identity",
-                          budget_walks: int = WALK_BUDGET):
+def detect_invariant_form(G: TransvectionGraph, twist: str = "identity"):
     """Find the invariant form of an irreducible transvection group, or the
     first cycle witnessing that none exists.
 
@@ -239,7 +237,7 @@ def detect_invariant_form(G: TransvectionGraph, twist: str = "identity",
     P = G.pair
 
     def hunt(bound: int) -> ObstructionCycle:
-        return _first_obstruction(G, th, twist, bound, budget_walks)
+        return _first_obstruction(G, th, twist, bound)
 
     # 1. every edge must be two-way
     for i in range(N):

@@ -58,6 +58,8 @@ __all__ = [
     "word_matrix",
 ]
 
+# Steps of a closed-walk stream and points of a projective scan; read when
+# a search starts, so assigning the module attribute moves every guard.
 WALK_BUDGET = 10**6
 PROJECTIVE_BUDGET = 2**20
 
@@ -79,12 +81,14 @@ class TransvectionGraph(Sequence):
     """The graph of a transvection set, with pairing values cached.
 
     pair[i][j] = phi_i(v_j), read off the codes of the v's (`_pairing`);
-    adj[i][j] = (pair[i][j] != 0).  No self-loops (phi(v) = 0 by isotropy).
-    The graph is a Sequence of its vertices, so it can stand wherever a
-    transvection set is read.
+    succ[i] lists the j with pair[i][j] != 0.  No self-loops (phi(v) = 0 by
+    isotropy).  The strongly connected components are found on first use
+    and kept (`components`).  The graph is a Sequence of its vertices, so
+    it can stand wherever a transvection set is read.
     """
 
-    __slots__ = ("F", "n", "verts", "pair", "adj", "succ", "vspace", "dual_space")
+    __slots__ = ("F", "n", "verts", "pair", "succ", "vspace", "dual_space",
+                 "_components")
 
     def __init__(self, verts: Sequence[Transvection]):
         verts = list(verts)
@@ -104,10 +108,18 @@ class TransvectionGraph(Sequence):
         codes = [_code(F.q, s.v) for s in verts]
         pair = tuple(tuple(map(_pairing(F, t.phi), codes)) for t in verts)
         self.pair = pair
-        self.adj = tuple(tuple(bool(x) for x in row) for row in pair)
         self.succ = [[j for j in range(N) if pair[i][j]] for i in range(N)]
         self.vspace = Subspace(F, n, [t.v for t in verts])
         self.dual_space = Subspace(F, n, [t.phi for t in verts])
+        self._components: tuple[tuple[int, ...], ...] | None = None
+
+    @property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The strongly connected components (`_tarjan`), computed on the
+        first read and kept, since the vertices and edges never change."""
+        if self._components is None:
+            self._components = _tarjan(self.succ)
+        return self._components
 
     def __len__(self) -> int:
         return len(self.verts)
@@ -127,10 +139,10 @@ def build_graph(T: Sequence[Transvection]) -> TransvectionGraph:
     return TransvectionGraph(T)
 
 
-def scc(G: TransvectionGraph) -> list[list[int]]:
-    """Strongly connected components (Tarjan), each sorted, ordered by their
-    smallest vertex index."""
-    N = len(G.verts)
+def _tarjan(succ: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Strongly connected components of the graph with these successor
+    lists (Tarjan), each sorted, ordered by their smallest vertex."""
+    N = len(succ)
     index = [-1] * N
     low = [0] * N
     on = [False] * N
@@ -144,7 +156,7 @@ def scc(G: TransvectionGraph) -> list[list[int]]:
         counter += 1
         st.append(root)
         on[root] = True
-        work = [(root, iter(G.succ[root]))]
+        work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
             advanced = False
@@ -154,7 +166,7 @@ def scc(G: TransvectionGraph) -> list[list[int]]:
                     counter += 1
                     st.append(w)
                     on[w] = True
-                    work.append((w, iter(G.succ[w])))
+                    work.append((w, iter(succ[w])))
                     advanced = True
                     break
                 if on[w] and index[w] < low[v]:
@@ -175,11 +187,17 @@ def scc(G: TransvectionGraph) -> list[list[int]]:
                 comp.sort()
                 comps.append(comp)
     comps.sort(key=lambda c: c[0])
-    return comps
+    return tuple(map(tuple, comps))
+
+
+def scc(G: TransvectionGraph) -> list[list[int]]:
+    """Strongly connected components, each sorted, ordered by their
+    smallest vertex index (a copy of `G.components`)."""
+    return [list(c) for c in G.components]
 
 
 def is_strongly_connected(G: TransvectionGraph) -> bool:
-    return len(scc(G)) == 1
+    return len(G.components) == 1
 
 
 def _tree_edges(G: TransvectionGraph, s: int) -> list[tuple[int, int]]:
@@ -227,7 +245,7 @@ def is_irreducible(G: TransvectionGraph) -> IrreducibilityReport:
         return IrreducibilityReport(False, "v_span", G.vspace)
     if G.dual_space.dim < n:
         return IrreducibilityReport(False, "dual_span", G.dual_space.perp())
-    comps = scc(G)
+    comps = G.components
     if len(comps) > 1:
         cid = [0] * len(G.verts)
         for c, comp in enumerate(comps):
@@ -283,7 +301,7 @@ def cycle_weight(G: TransvectionGraph, verts: Sequence[int]) -> int:
     return w
 
 
-def _closed_walks(G: TransvectionGraph, L: int, budget_walks: int
+def _closed_walks(G: TransvectionGraph, L: int
                   ) -> Iterator[tuple[int, CycleRecord | None]]:
     """Closed walks of 2..L vertices, one per rotation class, streamed in
     (length, vertex tuple) order with no length cap: form detection needs
@@ -295,7 +313,7 @@ def _closed_walks(G: TransvectionGraph, L: int, budget_walks: int
     closing path that is its own least rotation is yielded as (k, record).
     (k, None) ends level k before any longer path is made.  Steps count the
     N roots, then each path as it is made: a full read raises CapExceeded
-    exactly when they pass budget_walks, and a reader that stops early pays
+    exactly when they pass `WALK_BUDGET`, and a reader that stops early pays
     only for the paths made so far.
 
     Levels are kept in `array`s, not as tuples: each path of a level past
@@ -304,10 +322,11 @@ def _closed_walks(G: TransvectionGraph, L: int, budget_walks: int
     tuple is built only when it closes."""
     pair, succ = G.pair, G.succ
     N = len(G.verts)
+    budget = WALK_BUDGET
     steps = N
-    if steps > budget_walks:
+    if steps > budget:
         raise CapExceeded("closed-walk enumeration budget exhausted",
-                          count=budget_walks)
+                          count=budget)
     # a level's paths that start at s are its paths starts[s]..starts[s+1]-1
     starts = range(N + 1)
     last = range(N)
@@ -334,9 +353,9 @@ def _closed_walks(G: TransvectionGraph, L: int, budget_walks: int
                     if t < s:
                         continue
                     steps += 1
-                    if steps > budget_walks:
+                    if steps > budget:
                         raise CapExceeded("closed-walk enumeration budget "
-                                          "exhausted", count=budget_walks)
+                                          "exhausted", count=budget)
                     if grow:
                         up.append(j)
                         nlast.append(t)
@@ -408,8 +427,7 @@ def _tree_scales(G: TransvectionGraph) -> list[int]:
     return a
 
 
-def defining_field(G: TransvectionGraph,
-                   budget_walks: int = WALK_BUDGET) -> DefiningFieldReport:
+def defining_field(G: TransvectionGraph) -> DefiningFieldReport:
     """Degree over F_p of the subfield generated by the cycle weights of a
     strongly connected graph, with witness cycles whose weights generate it.
 
@@ -439,7 +457,7 @@ def defining_field(G: TransvectionGraph,
     deg = 1
     witnesses: list[CycleRecord] = []
     if e > 1:
-        for _, rec in _closed_walks(G, 2 * len(G) - 1, budget_walks):
+        for _, rec in _closed_walks(G, 2 * len(G) - 1):
             if rec is None:
                 continue
             d = math.lcm(deg, F.element_degree(rec.weight))
@@ -504,14 +522,14 @@ def _first_hole(masks: list[tuple[int, int]], P: int) -> tuple[int, int] | None:
     return None
 
 
-def is_dense(G: TransvectionGraph,
-             budget_projective: int = PROJECTIVE_BUDGET) -> tuple[bool, tuple[Vec, Vec] | None]:
+def is_dense(G: TransvectionGraph) -> tuple[bool, tuple[Vec, Vec] | None]:
     """T is dense when every pair (v, phi) of nonzero vector and covector has
     a witness t with phi(v_t) != 0 and phi_t(v) != 0.  Scans projective
-    points; on failure returns the first violating (v, phi)."""
+    points, at most `PROJECTIVE_BUDGET` of them; on failure returns the
+    first violating (v, phi)."""
     F, n = G.F, G.n
-    if F.q**n > budget_projective:
-        raise CapExceeded("projective scan budget exhausted", count=budget_projective)
+    if F.q**n > PROJECTIVE_BUDGET:
+        raise CapExceeded("projective scan budget exhausted", count=PROJECTIVE_BUDGET)
     codes = _point_codes(F, n)
     hole = _first_hole([_coverage_masks(F, codes, t) for t in G.verts], len(codes))
     if hole is None:
@@ -584,10 +602,9 @@ def shorten_path(G: TransvectionGraph, phi: Vec, v: Vec) -> tuple[Transvection, 
     return tprime, word
 
 
-def densify(T: Sequence[Transvection],
-            budget_projective: int = PROJECTIVE_BUDGET
-            ) -> tuple[TransvectionGraph, list[Word]]:
-    """Extend T to a dense set using witnesses from the ball of radius 2n-1.
+def densify(T: Sequence[Transvection]) -> tuple[TransvectionGraph, list[Word]]:
+    """Extend T to a dense set using witnesses from the ball of radius 2n-1,
+    by a scan of at most `PROJECTIVE_BUDGET` projective points.
 
     Returns (T_d, words): the graph of the dense set (T's own when T is
     already dense) with T as a prefix; words[i] evaluates to T_d[i] over T
@@ -596,8 +613,8 @@ def densify(T: Sequence[Transvection],
     G = build_graph(T)
     _require_irreducible(G, "action is reducible")
     F, n = G.F, G.n
-    if F.q**n > budget_projective:
-        raise CapExceeded("projective scan budget exhausted", count=budget_projective)
+    if F.q**n > PROJECTIVE_BUDGET:
+        raise CapExceeded("projective scan budget exhausted", count=PROJECTIVE_BUDGET)
     codes = _point_codes(F, n)
     P = len(codes)
     out = list(T)
@@ -631,7 +648,7 @@ def connect_up(T_dense: Sequence[Transvection], T0: Sequence[Transvection],
     G0 = build_graph(T0)
     out = list(G0.verts)
     F = G0.F
-    comps = scc(G0)
+    comps = G0.components
     k = len(comps)
     if k == 1:
         return G0

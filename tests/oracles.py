@@ -47,7 +47,6 @@ from transvect.forms import QuadraticForm, SesquiForm
 from transvect.gf import Field
 from transvect.linalg import Mat, Subspace, _digits, vec_add, vec_scale
 from transvect.tgraph import (
-    WALK_BUDGET,
     CycleRecord,
     TransvectionGraph,
     _closed_walks,
@@ -139,16 +138,16 @@ def projective_points(F: Field, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_digits(F.q, n, c) for c in _point_codes(F, n))
 
 
-def cycles_up_to(G: TransvectionGraph, L: int,
-                 budget_walks: int = WALK_BUDGET) -> list[CycleRecord]:
+def cycles_up_to(G: TransvectionGraph, L: int) -> list[CycleRecord]:
     """All closed walks of length 2..L with nonzero weight, one record per
     rotation class (canonical rotation = lexicographically least), sorted by
-    (length, vertex tuple): the whole `_closed_walks` stream."""
+    (length, vertex tuple): the whole `_closed_walks` stream, under
+    `tgraph.WALK_BUDGET`."""
     if L > MAX_CYCLE_LEN:
         raise BadParameters(f"cycle length cap is {MAX_CYCLE_LEN}, got {L}")
     if L < 1:
         raise BadParameters(f"need a cycle length bound L >= 1, got {L}")
-    return [r for _, r in _closed_walks(G, L, budget_walks) if r is not None]
+    return [r for _, r in _closed_walks(G, L) if r is not None]
 
 
 def directed_diameter(G: TransvectionGraph) -> int:

@@ -555,7 +555,7 @@ def start_sets(ambient, rng):
     adjacency, so at least two components), and singletons (positive defect)."""
     G = build_graph(ambient)
     nonmutual = [(i, j) for i in range(len(ambient)) for j in range(i)
-                 if not (G.adj[i][j] and G.adj[j][i])]
+                 if not (G.pair[i][j] and G.pair[j][i])]
     assert nonmutual
     out = []
     for _ in range(100):

@@ -33,6 +33,7 @@ from transvect.errors import (
 )
 from transvect.gf import field_create
 from transvect.linalg import Mat
+from transvect import tgraph
 from transvect.tgraph import densify, word_matrix
 from transvect.transvections import (
     Transvection,
@@ -426,10 +427,11 @@ def test_ball_golden_words():
     ]
 
 
-def test_ball_contains_densify_output():
+def test_ball_contains_densify_output(monkeypatch):
     T = build_symmetric_rep(6)
     n = T[0].n
-    dense, _ = densify(T, 10**5)
+    monkeypatch.setattr(tgraph, "PROJECTIVE_BUDGET", 10**5)
+    dense, _ = densify(T)
     ball = transvection_ball(T, 2 * n - 1)
     assert set(dense) <= set(ball)
 

@@ -1530,7 +1530,7 @@ def walk_weights(G, walks):
     for verts in walks:
         k = len(verts)
         assert k >= 2 and all(0 <= i < len(G) for i in verts)
-        assert all(G.adj[verts[i]][verts[(i + 1) % k]] for i in range(k))
+        assert all(G.pair[verts[i]][verts[(i + 1) % k]] for i in range(k))
         out.append(cycle_weight(G, verts))
         assert out[-1] != 0
     return out
@@ -1764,6 +1764,27 @@ def test_certify_stability_property_and_json():
     st = next(p for p in cert.properties if p["kind"] == "stability")
     assert st["matches"] is True
     json.dumps(cert.to_json())
+
+
+def test_tarjan_runs_at_most_once_per_graph(monkeypatch):
+    # a graph keeps its strongly connected components, so the checks in
+    # classify, certify and the set builders read them without a rerun
+    runs = []
+    tarjan = tgraph_mod._tarjan
+
+    def recording(succ):
+        runs.append(succ)  # kept alive, so the ids stay distinct
+        return tarjan(succ)
+
+    monkeypatch.setattr(tgraph_mod, "_tarjan", recording)
+    # Sp4(2), SU3(3), and a dihedral group that descends to GF(4)
+    cases = [build_symmetric_rep(6), standard_full_field_set("SU3", F9, 3),
+             build_monomial_group(2, 3, F4)]
+    for run in (classify, certify):
+        for T in cases[:2] if run is certify else cases:
+            runs.clear()
+            run(T)
+            assert 1 <= len(runs) == len({id(succ) for succ in runs})
 
 
 def test_certify_rejects_non_classical():

@@ -233,16 +233,45 @@ def test_classify_sp42(tmp_path):
     assert meta["budgets"]["elements"] > 0
 
 
-def test_classify_takes_no_projective_budget(tmp_path, capsys):
-    # classify scans no projective points; analyze and certify still do
+def test_walk_and_projective_budgets_are_not_flags(tmp_path, capsys):
+    # both budgets are fixed in `tgraph`; a flag for either is a usage
+    # error, which exits 1 like any input error, not 2 (budget exhausted)
     path = sp42_file(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", "--gens", path, "--budget-projective", "8"])
-    assert exc.value.code == 2
-    assert "--budget-projective" in capsys.readouterr().err
-    for sub in ("analyze", "certify"):
-        rep = run_json(tmp_path, [sub, "--gens", path, "--budget-projective", "64"])
-        assert rep["meta"]["budgets"]["projective"] == 64
+    for sub in ("analyze", "classify", "certify"):
+        for flag, val in (("--budget-projective", "8"), ("--budget-walks", "5")):
+            with pytest.raises(SystemExit) as exc:
+                main([sub, "--gens", path, flag, val])
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("transvect: error: unrecognized arguments")
+            assert flag in err
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    path = sp42_file(tmp_path)
+    for argv in (["classify", "--gens", path, "--budget-elements", "abc"],
+                 ["classify", "--gens", path, "--no-such-flag"],
+                 ["classify"],
+                 ["no-such-command"],
+                 []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        assert capsys.readouterr().err.startswith("transvect: error: "), argv
+    # a well-formed value that is out of range is an input error too
+    assert main(["classify", "--gens", path, "--budget-elements", "0"]) == 1
+    for argv in (["--help"], ["--version"], ["classify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0, argv
+    capsys.readouterr()
+
+
+def test_default_budgets_in_every_report(tmp_path):
+    path = sp42_file(tmp_path)
+    want = {"elements": 10**7, "projective": 2**20, "walks": 10**6, "cap": 10**7}
+    for sub in ("analyze", "classify", "certify", "diameter"):
+        assert run_json(tmp_path, [sub, "--gens", path])["meta"]["budgets"] == want
 
 
 def test_classify_reducible_input_is_error(tmp_path):
@@ -556,15 +585,14 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     assert "internal error: an invariant failed" in capsys.readouterr().err
 
 
-def test_env_budget_override(tmp_path, monkeypatch):
+def test_budget_elements_flag(tmp_path):
+    # a chain stopped at 10 elements leaves the order unknown; Sp4(2) = S6
+    # is the classical guess itself, so the tag stands
     path = sp42_file(tmp_path)
-    monkeypatch.setenv("TRANSVECT_BUDGET_ELEMENTS", "10")
-    rep = run_json(tmp_path, ["classify", "--gens", path])
+    rep = run_json(tmp_path, ["classify", "--gens", path, "--budget-elements", "10"])
     assert rep["meta"]["budgets"]["elements"] == 10
     assert rep["result"]["order_enumerated"] is None
     assert rep["result"]["tag"] == "Symplectic"
-    monkeypatch.setenv("TRANSVECT_BUDGET_ELEMENTS", "nope")
-    assert main(["classify", "--gens", path]) == 1
 
 
 def test_reports_byte_identical_up_to_wall_time(tmp_path):

@@ -8,7 +8,7 @@ from itertools import combinations, product
 
 import pytest
 
-from transvect import forms
+from transvect import forms, tgraph
 from transvect.classify import build_monomial_group, build_symmetric_rep
 from transvect.errors import (
     BadParameters,
@@ -453,9 +453,9 @@ def test_detect_hunt_bounds_stay_within_twice_the_diameter(monkeypatch):
     bounds = []
     first = forms._first_obstruction
 
-    def recording(G, th, twist, limit, budget_walks):
+    def recording(G, th, twist, limit):
         bounds.append(limit)
-        return first(G, th, twist, limit, budget_walks)
+        return first(G, th, twist, limit)
 
     monkeypatch.setattr(forms, "_first_obstruction", recording)
     rng = random.Random(202)
@@ -485,9 +485,9 @@ def brute_force_walk_list(G, L):
     for k in range(2, L + 1):
         walks = [(s,) for s in range(N)]
         for _ in range(k - 1):
-            walks = [w + (t,) for w in walks for t in range(N) if G.adj[w[-1]][t]]
+            walks = [w + (t,) for w in walks for t in G.succ[w[-1]]]
         found.update(min(w[i:] + w[:i] for i in range(k))
-                     for w in walks if G.adj[w[-1]][w[0]])
+                     for w in walks if G.pair[w[-1]][w[0]])
     return sorted(found, key=lambda w: (len(w), w))
 
 
@@ -498,9 +498,9 @@ def first_obstruction_agrees(G, twist, L):
                  if cycle_unitary_defect(w, G, th)), None)
     if want is None:
         with pytest.raises(InternalError, match="no obstruction cycle"):
-            forms._first_obstruction(G, th, twist, L, 10**6)
+            forms._first_obstruction(G, th, twist, L)
         return False
-    got = forms._first_obstruction(G, th, twist, L, 10**6)
+    got = forms._first_obstruction(G, th, twist, L)
     wf = cycle_weight(G, want)
     wr = cycle_weight(G, want[::-1])
     d = cycle_unitary_defect(want, G, th)
@@ -546,17 +546,17 @@ def test_hunt_returns_its_witness_before_the_walk_budget_runs_out(monkeypatch):
     bounds = []
     first = forms._first_obstruction
 
-    def recording(G, th, twist, limit, budget_walks):
+    def recording(G, th, twist, limit):
         bounds.append(limit)
-        return first(G, th, twist, limit, budget_walks)
+        return first(G, th, twist, limit)
 
     monkeypatch.setattr(forms, "_first_obstruction", recording)
     res = detect_invariant_form(G, "identity")
     assert isinstance(res, ObstructionCycle) and len(bounds) == 1
-    budget = 2000
+    monkeypatch.setattr(tgraph, "WALK_BUDGET", 2000)
     with pytest.raises(CapExceeded):
-        cycles_up_to(G, bounds[0], budget)
-    assert detect_invariant_form(G, "identity", budget) == res
+        cycles_up_to(G, bounds[0])
+    assert detect_invariant_form(G, "identity") == res
 
 
 # -- recover_quadratic ---------------------------------------------------------

@@ -34,6 +34,7 @@ from transvect.classify import (
 from transvect.forms import detect_invariant_form
 from transvect.gf import field_create
 from transvect.linalg import Mat, Subspace, dot
+from transvect import tgraph
 from transvect.transvections import Transvection, standard_full_field_set
 from transvect.tgraph import (
     WALK_BUDGET,
@@ -168,18 +169,18 @@ def test_build_graph_examples():
     t = Transvection(F, (1, 0), (0, 1))
     s = Transvection(F, (0, 1), (1, 0))
     G = build_graph([t, s])
-    assert G.adj == ((False, True), (True, False))
+    assert G.succ == [[1], [0]]
     assert G.pair[0][1] == 1 and G.pair[1][0] == 1
     assert G.vspace.dim == 2 and G.dual_space.dim == 2
 
     G1 = build_graph([t])
-    assert G1.adj == ((False,),)
+    assert G1.succ == [[]]
 
     F4d = field_create(2, 1)
     a = Transvection(F4d, e(4, 0), e(4, 1))
     b = Transvection(F4d, e(4, 2), e(4, 3))
     G2 = build_graph([a, b])
-    assert all(not x for row in G2.adj for x in row)
+    assert G2.succ == [[], []]
 
     with pytest.raises(BadParameters):
         build_graph([])
@@ -209,8 +210,7 @@ def test_scc_examples():
         Transvection(F3, e(4, 2), e(4, 3)),
     ]
     Gp = build_graph(path)
-    assert Gp.adj[0][1] and Gp.adj[1][2]
-    assert not Gp.adj[1][0] and not Gp.adj[2][1] and not Gp.adj[2][0]
+    assert Gp.succ == [[1], [2], []]
     assert len(scc(Gp)) == 3
     with pytest.raises(NotStronglyConnected):
         directed_diameter(Gp)
@@ -331,7 +331,7 @@ def test_irreducibility_oracle_fuzz():
 # -- cycles -----------------------------------------------------------------
 
 
-def test_cycles_examples():
+def test_cycles_examples(monkeypatch):
     F = field_create(2, 1)
     t = Transvection(F, (1, 0), (0, 1))
     s = Transvection(F, (0, 1), (1, 0))
@@ -357,8 +357,9 @@ def test_cycles_examples():
 
     with pytest.raises(BadParameters):
         cycles_up_to(G, 9)
+    monkeypatch.setattr(tgraph, "WALK_BUDGET", 3)
     with pytest.raises(CapExceeded):
-        cycles_up_to(build_graph(sl), 8, budget_walks=3)
+        cycles_up_to(build_graph(sl), 8)
 
 
 def brute_force_cycles(G, L):
@@ -409,27 +410,34 @@ def rooted_paths(G, L):
         ends[s] = 1
         total += 1
         for _ in range(L - 1):
-            ends = [sum(ends[u] for u in range(N) if G.adj[u][t]) if t >= s else 0
+            ends = [sum(ends[u] for u in range(N) if G.pair[u][t]) if t >= s else 0
                     for t in range(N)]
             total += sum(ends)
     return total
 
 
-def least_passing_budget(G):
+def under_walk_budget(monkeypatch, budget, fn, *args):
+    """fn(*args) with `tgraph.WALK_BUDGET` set to budget for the call."""
+    with monkeypatch.context() as m:
+        m.setattr(tgraph, "WALK_BUDGET", budget)
+        return fn(*args)
+
+
+def least_passing_budget(monkeypatch, G):
     """The least walk budget under which `defining_field(G)` returns, by
     bisection: a read that stops early pays only for the paths made."""
     lo, hi = 0, WALK_BUDGET
     while lo < hi:
         mid = (lo + hi) // 2
         try:
-            defining_field(G, mid)
+            under_walk_budget(monkeypatch, mid, defining_field, G)
             hi = mid
         except CapExceeded:
             lo = mid + 1
     return lo
 
 
-def test_walk_budget_boundary_is_the_rooted_path_count():
+def test_walk_budget_boundary_is_the_rooted_path_count(monkeypatch):
     rng = random.Random(23)
     for p, f in ((2, 1), (3, 1), (2, 2)):
         F = field_create(p, f)
@@ -437,9 +445,10 @@ def test_walk_budget_boundary_is_the_rooted_path_count():
             G = build_graph(random_set(F, rng.choice((2, 3)), rng.randrange(3, 7), rng))
             for L in range(2, 6):
                 need = rooted_paths(G, L)
-                assert cycles_up_to(G, L, need) == cycles_up_to(G, L)
+                assert (under_walk_budget(monkeypatch, need, cycles_up_to, G, L)
+                        == cycles_up_to(G, L))
                 with pytest.raises(CapExceeded):
-                    cycles_up_to(G, L, need - 1)
+                    under_walk_budget(monkeypatch, need - 1, cycles_up_to, G, L)
     # the witness read stops inside the level of its last witness, of L
     # vertices: every path of L - 1 vertices is made, and not every one of L
     checked = 0
@@ -451,14 +460,14 @@ def test_walk_budget_boundary_is_the_rooted_path_count():
                 continue
             rep = defining_field(G)
             if rep.degree == 1:
-                assert least_passing_budget(G) == 0
+                assert least_passing_budget(monkeypatch, G) == 0
                 continue
             L = len(rep.witnesses[-1].verts)
-            need = least_passing_budget(G)
+            need = least_passing_budget(monkeypatch, G)
             assert rooted_paths(G, L - 1) < need <= rooted_paths(G, L)
-            assert defining_field(G, need) == rep
+            assert under_walk_budget(monkeypatch, need, defining_field, G) == rep
             with pytest.raises(CapExceeded):
-                defining_field(G, need - 1)
+                under_walk_budget(monkeypatch, need - 1, defining_field, G)
             checked += 1
 
 
@@ -484,7 +493,7 @@ def test_weight_trace_rotation_conjugation_fuzz():
                     break
             Tg = [t.conjugate(g) for t in T]
             Gg = build_graph(Tg)
-            assert Gg.adj == G.adj
+            assert Gg.succ == G.succ
             assert cycles_up_to(Gg, 5) == cycles_up_to(G, 5)
 
 
@@ -539,7 +548,7 @@ def test_defects():
 # -- defining field ----------------------------------------------------------
 
 
-def test_defining_field_examples():
+def test_defining_field_examples(monkeypatch):
     F4 = field_create(2, 2)
     om = F4.primitive_element()
     sl = standard_full_field_set("SL", F4, 2, om)
@@ -550,7 +559,8 @@ def test_defining_field_examples():
 
     # all pairings in the prime field -> degree 1, with no walk read
     ones = standard_full_field_set("SL", F4, 2, 1)
-    rep1 = defining_field(build_graph(ones), budget_walks=0)
+    monkeypatch.setattr(tgraph, "WALK_BUDGET", 0)
+    rep1 = defining_field(build_graph(ones))
     assert rep1.degree == 1 and rep1.witnesses == ()
 
     # with no edge there is no return path to rescale along
@@ -670,7 +680,7 @@ def test_tree_degree_matches_the_dense_oracle():
 # -- density -----------------------------------------------------------------
 
 
-def test_is_dense_examples():
+def test_is_dense_examples(monkeypatch):
     F = field_create(2, 1)
     t = Transvection(F, (1, 0), (0, 1))
     s = Transvection(F, (0, 1), (1, 0))
@@ -686,8 +696,16 @@ def test_is_dense_examples():
     ok2, ce2 = is_dense(build_graph(full_sl2))
     assert ok2 and ce2 is None
 
+    # the scan is held to PROJECTIVE_BUDGET points, counted as q^n: 2^20
+    # by default, so GF(2)^21 is refused before any point is read
+    with pytest.raises(CapExceeded) as exc:
+        is_dense(build_graph([Transvection(F, e(21, 0), e(21, 1))]))
+    assert exc.value.count == 2**20
+    monkeypatch.setattr(tgraph, "PROJECTIVE_BUDGET", 4)
+    assert is_dense(build_graph([t, s])) == (ok, ce)
+    monkeypatch.setattr(tgraph, "PROJECTIVE_BUDGET", 3)
     with pytest.raises(CapExceeded):
-        is_dense(build_graph([t, s]), budget_projective=3)
+        is_dense(build_graph([t, s]))
 
 
 def test_shorten_path_examples():
