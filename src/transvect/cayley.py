@@ -19,10 +19,13 @@ starts; a string key through a memo table of S (`_RowTable`), built from
 the row codes of S and filled on first use: in characteristic 2, where
 adding packed rows is XOR of their codes, as the XOR of the images of the
 code's set bits; otherwise as a sum of digit images in wide lanes, reduced
-mod p once.  The byte tables are filled from the same row images.  The
-stabilizer chain behind `classify.group_order` multiplies with the memo
-tables of its strong generators and of the transversal inverses its sifts
-strip through, and the structure detectors conjugate (v, phi) with them.
+mod p once.  A memo table over at most `FILL_CODES` codes that has missed
+on an eighth of them fills in all of them in one pass, by a recurrence
+over the coordinates on the same row images; the byte tables are built
+by that recurrence.  The stabilizer chain behind `classify.group_order`
+multiplies with the memo tables of its strong generators and of the
+transversal inverses its sifts strip through, and the structure
+detectors conjugate (v, phi) with them.
 
 Keys decode to transvections in one place, `_transvections`, which reads
 the row codes without building a matrix, for the transvection balls and
@@ -134,11 +137,18 @@ def _transvections(F: Field, n: int, keys: Iterable[str | bytes]
                     yield key, Transvection(F, v, phi_digits)
 
 
+# A row table over at most this many row codes fills itself once it has
+# missed on an eighth of them (`_RowTable`).
+FILL_CODES = 2**16
+
+
 class _RowTable(dict):
     """Row code -> code of row . S, for the matrix S over F given by its row
-    codes, computed on first use, so no table is filled ahead of time and
-    any q^n works.  A miss needs no `Mat` and, in characteristic 2, no
-    field multiplication.
+    codes, computed on first use, so any q^n works.  A miss needs no `Mat`
+    and, in characteristic 2, no field multiplication.  Over D = q^n <=
+    `FILL_CODES` codes, the miss that makes max(D // 8, 32) memoized codes
+    fills the table with all D images in one pass (`all_images`): a table
+    that misses that often is being walked over most of its codes.
 
     S has n rows and m = ncols columns (m = n unless given).
 
@@ -158,7 +168,7 @@ class _RowTable(dict):
     code.  Each (coordinate, digit) image is built on its first use: a
     table sees few misses in a stabilizer chain."""
 
-    __slots__ = ("F", "rows", "ncols", "images", "lanes")
+    __slots__ = ("F", "rows", "ncols", "images", "lanes", "fill_at")
 
     def __init__(self, F: Field, rows: Sequence[int], ncols: int | None = None):
         super().__init__()
@@ -166,9 +176,13 @@ class _RowTable(dict):
         self.rows = rows
         self.ncols = len(rows) if ncols is None else ncols
         self.images: list | None = None
+        D = F.q ** len(rows)
+        self.fill_at = max(D // 8, 32) if D <= FILL_CODES else None
 
     def __missing__(self, code: int) -> int:
         out = self[code] = self.image(code)
+        if len(self) == self.fill_at:
+            self.update(enumerate(self.all_images()))
         return out
 
     def image(self, code: int) -> int:
@@ -181,6 +195,32 @@ class _RowTable(dict):
             low = code & -code
             out ^= bits[low.bit_length() - 1]
             code ^= low
+        return out
+
+    def all_images(self) -> list[int]:
+        """The images of the codes 0..q^n - 1, in order, not stored; built
+        coordinate by coordinate, since the codes below q^(k+1) are those
+        below q^k plus d q^k for each digit d.  p = 2: the list doubles
+        through each bit image b as the XOR of its entries with b.  Odd p:
+        the wide-lane sums grow by each digit image of coordinate k with
+        plain +, then one pass per lane reduces it mod p."""
+        F = self.F
+        if F.p == 2:
+            out = [0]
+            for b in self.images or self._bit_images():
+                out += [x ^ b for x in out]
+            return out
+        p, q = F.p, F.q
+        w, mask, shifts = self._lanes()
+        acc = [0]
+        for k, row in enumerate(self.images):
+            for d in range(1, q):
+                if row[d] is None:
+                    row[d] = self._wide(w, k, d)
+            acc = [a + b for b in [0, *row[1:]] for a in acc]
+        out = [0] * len(acc)
+        for s in shifts:
+            out = [o * p + (a >> s & mask) % p for o, a in zip(out, acc)]
         return out
 
     def _bit_images(self) -> list[int]:
@@ -199,16 +239,21 @@ class _RowTable(dict):
         self.images = bits
         return bits
 
-    def _odd_image(self, code: int) -> int:
-        F = self.F
-        p, q = F.p, F.q
-        images = self.images
-        if images is None:
+    def _lanes(self) -> tuple[int, int, range]:
+        """(w, the w-bit mask, the lane shifts from the most significant),
+        setting up the empty (coordinate, digit) image table on first use."""
+        if self.images is None:
+            F = self.F
             n = len(self.rows)
-            w = (n * (p - 1)).bit_length()
-            images = self.images = [[None] * q for _ in range(n)]
+            w = (n * (F.p - 1)).bit_length()
+            self.images = [[None] * F.q for _ in range(n)]
             self.lanes = (w, (1 << w) - 1, range(w * (self.ncols * F.f - 1), -1, -w))
-        w, mask, shifts = self.lanes
+        return self.lanes
+
+    def _odd_image(self, code: int) -> int:
+        p, q = self.F.p, self.F.q
+        w, mask, shifts = self._lanes()
+        images = self.images
         acc = 0
         k = 0
         while code:
@@ -262,7 +307,7 @@ class _Search:
         tables = [_RowTable(F, _rows(S)) for S in steps]
         if _byte_keys(F.q, n):
             pad = range(D, 256)
-            tables = [bytes([*map(t.image, range(D)), *pad]) for t in tables]
+            tables = [bytes([*t.all_images(), *pad]) for t in tables]
         self.tables = tables
 
     def layer(self, frontier: list, seen: dict, d: int, cap: int,

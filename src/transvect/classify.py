@@ -314,12 +314,15 @@ class _Chain:
     row table, inverse rows), and the basic orbit of e_i: the orbit points
     in discovery order, and for each point p the transversal entry
     [u, s, parent, inverse table] with e_i u = p (None at e_i), where the
-    record s took the parent to p, so u = u_parent s.  No `Mat` is built:
-    a strong generator is inverted by Gauss-Jordan on its row codes, and
-    the row table of u^-1 = s^-1 u_parent^-1 is built only when a sift
-    first strips through p, from the inverse rows of s mapped through the
-    parent's table, itself built the same way and kept.  A chain stopped
-    early by its bound never builds the inverses of most points.
+    record s took the parent to p, so u = u_parent s.  No `Mat` is built.
+    An input generator comes with its inverse rows: in closed form for a
+    transvection 1 + v (x) phi, whose inverse is exactly 1 - v (x) phi,
+    and by Gauss-Jordan in `group_order`.  A residue is inverted by
+    Gauss-Jordan on its row codes.  The row table of u^-1 =
+    s^-1 u_parent^-1 is built only when a sift first strips through p,
+    from the inverse rows of s mapped through the parent's table, itself
+    built the same way and kept.  A chain stopped early by its bound never
+    builds the inverses of most points.
 
     Orbits only grow, so the product of the orbit lengths is a lower bound
     on the order throughout; `_close` checks it against the cap and
@@ -337,13 +340,15 @@ class _Chain:
         self.checked = [[0] for _ in range(n)]
         self.records: dict[tuple, tuple] = {}
 
-    def strong(self, rows: tuple) -> tuple:
+    def strong(self, rows: tuple, inverse: tuple | None = None) -> tuple:
         """The strong generator record (rows, row table, inverse rows), one
         per element: a residue equal to an earlier strong generator shares
-        its record."""
+        its record.  The inverse rows are `inverse` when given, else found
+        by Gauss-Jordan."""
         s = self.records.get(rows)
         if s is None:
-            inverse = _inverse_codes(self.F, rows)
+            if inverse is None:
+                inverse = _inverse_codes(self.F, rows)
             _require(inverse is not None, "a strong generator is singular")
             s = self.records[rows] = (rows, _RowTable(self.F, rows), inverse)
         return s
@@ -468,14 +473,16 @@ def group_order(gens: Sequence[Mat], cap: int = ELEMENT_BUDGET) -> int:
     made only when a sift first strips through its point.
     """
     F, n = _check_generators(gens)
-    return _group_order(F, n, [_rows(M) for M in gens], cap, math.inf)
+    pairs = [(rows, _inverse_codes(F, rows)) for rows in map(_rows, gens)]
+    return _group_order(F, n, pairs, cap, math.inf)
 
 
-def _group_order(F: Field, n: int, gens: Sequence[tuple[int, ...]], cap: int,
-                 bound: int | float) -> int:
-    """`group_order` of the invertible n x n matrices over F with these row
-    codes, stopped as soon as the product of the orbit lengths reaches
-    `bound`, a proven upper bound on the order.
+def _group_order(F: Field, n: int,
+                 gens: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
+                 cap: int, bound: int | float) -> int:
+    """`group_order` of the invertible n x n matrices over F given as
+    (row codes, inverse row codes) pairs, stopped as soon as the product of
+    the orbit lengths reaches `bound`, a proven upper bound on the order.
 
     Each basic orbit of the chain lies in the orbit of the full point
     stabilizer, so the product is at most the order; once it equals an
@@ -488,9 +495,9 @@ def _group_order(F: Field, n: int, gens: Sequence[tuple[int, ...]], cap: int,
     if cap < 1:
         raise CapExceeded("group order element budget exhausted", count=cap)
     chain = _Chain(F, n, cap, bound)
-    for rows in gens:
+    for rows, inverse in gens:
         if rows != chain.base and rows not in chain.records:
-            chain.add(chain.strong(rows), 0, 0)
+            chain.add(chain.strong(rows, inverse), 0, 0)
     level = 0
     while level >= 0 and chain.order() < bound:
         drop = chain.complete_level(level)
@@ -1086,8 +1093,10 @@ def classify(T: Sequence[Transvection],
     exceeds = 0
     if q**n <= VECTOR_TABLE_BUDGET:
         try:
-            N = _group_order(F, n, [_transvection_rows(F, 1, t.v, t.phi) for t in T],
-                             budget_elements, classical)
+            minus_one = F.neg(1)
+            gens = [(_transvection_rows(F, 1, t.v, t.phi),
+                     _transvection_rows(F, minus_one, t.v, t.phi)) for t in T]
+            N = _group_order(F, n, gens, budget_elements, classical)
         except CapExceeded:
             notes.append(f"enumeration exceeded the {budget_elements}-element budget")
             exceeds = budget_elements

@@ -5,13 +5,14 @@ standard dot product).  Matrices are immutable row-major tuples so they can
 be dict keys.  Subspaces are stored by their reduced-row-echelon basis, which
 makes equality structural.
 
-The package has one codec and one elimination, both here.  `_code` packs
-a vector x as the integer sum(x_j q^j), first coordinate least
-significant, and `_digits` unpacks it; the Cayley searches, the
+The package has one codec and one Gauss-Jordan elimination, both here.
+`_code` packs a vector x as the integer sum(x_j q^j), first coordinate
+least significant, and `_digits` unpacks it; the Cayley searches, the
 stabilizer chain, the graph pairings, the density scans and `Subspace`
 all use it.  `_echelon`, Gauss-Jordan on row codes, is every reduction
-of `Mat` and `Subspace` and the chain's inverses; only `Mat.det` keeps a
-loop of its own.
+of `Mat`, the `Subspace` constructor and the chain's inverses; only
+`Mat.det`, and `Subspace.extension`, which reduces one new vector at a
+time against the rows it holds, keep a loop of their own.
 """
 
 from __future__ import annotations
@@ -376,20 +377,49 @@ class Subspace:
     def extension(self, vectors: Iterable[Sequence[int]]) -> list[int]:
         """Indices of the vectors that, taken in order, each leave the span
         of this subspace and the vectors picked before them; the picked
-        vectors extend a basis of this subspace to one of the sum.  Each
-        vector is appended to the reduced codes picked so far and reduced
-        with them in one `_echelon`; it is dropped again if the rank stays."""
+        vectors extend a basis of this subspace to one of the sum.
+
+        The rows held start as the basis.  Each vector is reduced against
+        them in insertion order, clearing its entry at each row's leading
+        column; a remainder left over is picked and held, scaled to 1 at
+        its first nonzero column.  Every held row is zero at the leading
+        columns of the rows before it, so a reduction step never refills a
+        column cleared earlier, and the remainder is zero exactly when the
+        vector lies in the span.  Over GF(2) rows are bit masks."""
         F, n = self.F, self.n
-        codes = [_code(F.q, r) for r in self.basis]
         picked = []
+        if F.q == 2:
+            held = [(m & -m, m) for m in (_code(2, r) for r in self.basis)]
+            for k, v in enumerate(vectors):
+                if len(v) != n:
+                    raise DimensionMismatch("vector of wrong length")
+                _check_entries(F, (v,))
+                x = _code(2, v)
+                for lead, row in held:
+                    if x & lead:
+                        x ^= row
+                if x:
+                    held.append((x & -x, x))
+                    picked.append(k)
+            return picked
+        mul, sub, inv = F.mul, F.sub, F.inv
+        tails = []  # (leading column c, the row's entries from c on, 1 first)
+        for r in self.basis:
+            c = next(j for j, a in enumerate(r) if a)
+            tails.append((c, r[c:]))
         for k, v in enumerate(vectors):
             if len(v) != n:
                 raise DimensionMismatch("vector of wrong length")
             _check_entries(F, (v,))
-            codes.append(_code(F.q, v))
-            if len(_echelon(F, codes, n, n)) < len(codes):
-                codes.pop()  # rows past the rank reduce to zero
-            else:
+            x = list(v)
+            for c, tail in tails:
+                m = x[c]
+                if m:
+                    x[c:] = [sub(a, mul(m, b)) for a, b in zip(x[c:], tail)]
+            c = next((j for j, a in enumerate(x) if a), None)
+            if c is not None:
+                y = inv(x[c])
+                tails.append((c, [mul(y, a) for a in x[c:]] if y != 1 else x[c:]))
                 picked.append(k)
         return picked
 

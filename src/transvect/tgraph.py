@@ -275,9 +275,13 @@ def _require_irreducible(G: TransvectionGraph, what: str) -> None:
 def _radicals(G: TransvectionGraph) -> tuple[Subspace, Subspace]:
     """The pairing kernels (V(T) cap V*(T)-perp, V(T)-perp cap V*(T)): the
     vectors of V(T) that every phi in V*(T) kills, and the covectors of
-    V*(T) that kill every v in V(T)."""
-    return (G.vspace.intersect(G.dual_space.perp()),
-            G.vspace.perp().intersect(G.dual_space))
+    V*(T) that kill every v in V(T).  A side whose opposite space is all
+    of F^n is zero, since only 0 pairs to zero with every vector of F^n,
+    and takes no `perp` or `intersect`."""
+    F, n = G.F, G.n
+    zero = Subspace.zero(F, n)
+    return (zero if G.dual_space.dim == n else G.vspace.intersect(G.dual_space.perp()),
+            zero if G.vspace.dim == n else G.vspace.perp().intersect(G.dual_space))
 
 
 # -- cycles and weights ----------------------------------------------------
@@ -728,11 +732,20 @@ def restrict_to_section(G: TransvectionGraph) -> SectionRestriction:
     Every phi_t vanishes on W, so each t descends to a transvection of U/W;
     edges and cycle weights are preserved, and the projected action is
     irreducible.
+
+    When the v's and the phi's both span F^n and no vertex repeats, the
+    restriction is the identity and is returned without solving: U = F^n
+    with the standard basis, W = 0 because only 0 is killed by every
+    covector, so each v has coordinates v and each phi pairs with the
+    standard basis as phi; that is T itself, in its own order, on G.
     """
     if not is_strongly_connected(G):
         raise NotStronglyConnected("section restriction needs strong connectivity")
-    F = G.F
+    F, n, N = G.F, G.n, len(G.verts)
     U = G.vspace
+    if U.dim == n == G.dual_space.dim and len(set(G.verts)) == N:
+        return SectionRestriction(U, Subspace.zero(F, n), tuple(G.verts),
+                                  tuple(range(N)), G, (), U.basis)
     W = U.intersect(G.dual_space.perp())
     basis_c = [U.basis[i] for i in W.extension(U.basis)]
     if not basis_c:
@@ -754,9 +767,7 @@ def restrict_to_section(G: TransvectionGraph) -> SectionRestriction:
             seen[tb] = idx
             tbar.append(tb)
         index_map.append(idx)
-    # on a spanning nondegenerate set the projection is the identity
-    Gbar = G if tbar == G.verts else build_graph(tbar)
-    N = len(G.verts)
+    Gbar = build_graph(tbar)
     _require(all(bool(G.pair[i][j]) == bool(Gbar.pair[index_map[i]][index_map[j]])
                  for i in range(N) for j in range(N)),
              "the section restriction changes an edge")

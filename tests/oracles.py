@@ -23,6 +23,9 @@ answer that a faster or more specialised routine must reproduce.
 - `invariant_under` and `preserved_by` test a form against a matrix by
   matrix products, the identities that `SesquiForm.kept_by` and
   `QuadraticForm.kept_by` test on a transvection's (v, phi).
+- `section_oracle` builds a section restriction by solving for the
+  coordinates of every v, where `restrict_to_section` returns a spanning
+  nondegenerate set as it is.
 """
 
 from __future__ import annotations
@@ -45,13 +48,16 @@ from transvect.errors import (
 )
 from transvect.forms import QuadraticForm, SesquiForm
 from transvect.gf import Field
-from transvect.linalg import Mat, Subspace, _digits, vec_add, vec_scale
+from transvect.linalg import Mat, Subspace, _digits, dot, vec_add, vec_scale
 from transvect.tgraph import (
     CycleRecord,
+    SectionRestriction,
     TransvectionGraph,
     _closed_walks,
     _distances,
     _point_codes,
+    build_graph,
+    is_strongly_connected,
 )
 from transvect.transvections import Transvection
 
@@ -381,3 +387,35 @@ def preserved_by(Q: QuadraticForm, M: Mat) -> bool:
     return all(D[i][i] == c[i][i] and all(F.add(D[i][j], D[j][i]) == c[i][j]
                                           for j in range(i + 1, n))
                for i in range(n))
+
+
+# -- section restriction -------------------------------------------------------
+
+
+def section_oracle(G: TransvectionGraph) -> SectionRestriction:
+    """The restriction of a strongly connected graph to U/W, U = V(T) and
+    W = V(T) cap V*(T)-perp, built in general: a basis of W extended to one
+    of U, the coordinates of every v solved for in it, every phi paired
+    with the complement, and repeated images merged.  The graph is G itself
+    when the images are T in its own order."""
+    if not is_strongly_connected(G):
+        raise NotStronglyConnected("section restriction needs strong connectivity")
+    F = G.F
+    U = G.vspace
+    W = U.intersect(G.dual_space.perp())
+    basis_c = [U.basis[i] for i in W.extension(U.basis)]
+    if not basis_c:
+        raise BadParameters("section has dimension zero")
+    Bmat = Mat(F, tuple(W.basis) + tuple(basis_c)).transpose()
+    nw = len(W.basis)
+    tbar: list[Transvection] = []
+    index_map = []
+    for t in G.verts:
+        tb = Transvection(F, Bmat.solve(t.v)[nw:],
+                          tuple(dot(F, t.phi, c) for c in basis_c))
+        if tb not in tbar:
+            tbar.append(tb)
+        index_map.append(tbar.index(tb))
+    graph = G if tbar == G.verts else build_graph(tbar)
+    return SectionRestriction(U, W, tuple(tbar), tuple(index_map), graph,
+                              tuple(W.basis), tuple(basis_c))

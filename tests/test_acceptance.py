@@ -509,7 +509,8 @@ def test_group_order_with_the_classical_bound_on_grid(monkeypatch):
         classify(T)
         F, n, gens, cap, bound = calls.pop()
         assert (chain_order(F, n, gens, cap, bound)
-                == group_order(row_matrices(F, n, gens), cap) == order), label
+                == group_order(row_matrices(F, n, [r for r, _ in gens]), cap)
+                == order), label
         assert order <= bound, label
 
 

@@ -8,10 +8,12 @@ import random
 import pytest
 
 from transvect.cayley import (
+    FILL_CODES,
     _code,
     _digits,
     _pack,
     _RowTable,
+    _Search,
     bfs_explore,
     bidirectional_distance,
     shortest_word,
@@ -768,6 +770,56 @@ def test_row_table_odd_fill_matches_vecmat_on_sampled_codes():
         tbl = row_table(S)
         for code in [F.q**3 - 1] + [rng.randrange(F.q**3) for _ in range(500)]:
             assert tbl[code] == vecmat_code(S, code)
+
+
+def fill_case(p, f, n, ncols, rng):
+    """A random n-row matrix over GF(p^f), n x n or, for a pairing table,
+    n x 1, and its `_RowTable`."""
+    F = field_create(p, f)
+    S = Mat(F, [[rng.randrange(F.q) for _ in range(ncols or n)] for _ in range(n)])
+    return S, _RowTable(F, tuple(_code(F.q, r) for r in S.rows), ncols)
+
+
+@pytest.mark.parametrize("p,f,n,ncols", [
+    (2, 1, 8, None), (2, 1, 11, None), (2, 2, 4, None), (2, 4, 3, None),
+    (3, 1, 5, None), (5, 1, 4, None), (3, 2, 3, None), (7, 1, 3, None),
+    (2, 1, 9, 1), (2, 2, 4, 1), (3, 1, 6, 1), (3, 2, 3, 1),
+], ids=lambda x: str(x))
+def test_row_table_fills_every_code_at_its_threshold(p, f, n, ncols):
+    # past max(D // 8, 32) misses a table over D <= 2^16 codes stores all D
+    # images, built by the recurrence over the coordinates
+    rng = random.Random(1000 * p + 100 * f + 10 * n + (ncols or 0))
+    S, tbl = fill_case(p, f, n, ncols, rng)
+    D = S.F.q**n
+    fill_at = max(D // 8, 32)
+    assert fill_at < D <= FILL_CODES
+    codes = list(range(D))
+    rng.shuffle(codes)
+    for k, code in enumerate(codes[:fill_at - 1], 1):
+        assert tbl[code] == vecmat_code(S, code)
+        assert len(tbl) == k  # one memoized code per miss, nothing filled
+    tbl[codes[fill_at - 1]]
+    assert len(tbl) == D
+    want = [vecmat_code(S, code) for code in range(D)]
+    assert [dict.__getitem__(tbl, code) for code in range(D)] == want
+    assert [tbl.image(code) for code in range(D)] == want
+    assert tbl.all_images() == want
+
+
+def test_row_table_over_more_codes_than_the_fill_limit_stays_a_memo():
+    S, tbl = fill_case(2, 1, 17, None, random.Random(17))
+    assert 2**17 > FILL_CODES
+    for code in range(2**17 // 8 + 1):
+        tbl[code]
+    assert len(tbl) == 2**17 // 8 + 1
+
+
+@pytest.mark.parametrize("p,f,n", [(2, 1, 8), (2, 2, 3), (3, 1, 5), (5, 1, 3), (3, 2, 2)])
+def test_search_byte_tables_come_from_the_recurrence(p, f, n):
+    S, _ = fill_case(p, f, n, None, random.Random(7 * p + f + n))
+    D = S.F.q**n
+    (table,) = _Search(S.F, n, [S]).tables
+    assert table == bytes([vecmat_code(S, code) for code in range(D)] + list(range(D, 256)))
 
 
 # -- entries outside the field -------------------------------------------------

@@ -73,6 +73,7 @@ from oracles import (
     monomial_lines,
     projective_points,
     row_matrices,
+    section_oracle,
     spanning_vector_orbits,
     transvection_class,
     tuple_point_orbits,
@@ -401,7 +402,8 @@ def enumeration_route(monkeypatch):
     the stabilizer chain, ignoring the classical bound."""
     monkeypatch.setattr(classify_mod, "_group_order",
                         lambda F, n, gens, cap, bound:
-                        enumerate_group(row_matrices(F, n, gens), cap).order)
+                        enumerate_group(row_matrices(F, n, [r for r, _ in gens]),
+                                        cap).order)
 
 
 def bound_agrees(T, monkeypatch):
@@ -422,7 +424,7 @@ def bound_agrees(T, monkeypatch):
         except NotIrreducible:
             return False
     ((F, n, gens, cap, bound),) = calls
-    N = group_order(row_matrices(F, n, gens), cap)
+    N = group_order(row_matrices(F, n, [r for r, _ in gens]), cap)
     assert chain_order(F, n, gens, cap, bound) == N <= bound
     return N == bound
 
@@ -456,13 +458,13 @@ def test_group_order_with_the_classical_bound_on_random_sl3_conjugates(monkeypat
 
 def test_group_order_past_the_bound_raises_internal_error():
     # SL2(2) has orbit lengths 3 and 2: the product jumps from 3 to 6
-    rows = [_rows(t.matrix()) for t in sl_generators(F2)]
-    assert classify_mod._group_order(F2, 2, rows, 10**7, 6) == 6
+    gens = [(_rows(t.matrix()), _rows(t.inverse().matrix())) for t in sl_generators(F2)]
+    assert classify_mod._group_order(F2, 2, gens, 10**7, 6) == 6
     with pytest.raises(InternalError, match="order bound 5"):
-        classify_mod._group_order(F2, 2, rows, 10**7, 5)
+        classify_mod._group_order(F2, 2, gens, 10**7, 5)
     # the cap is checked first, as without a bound
     with pytest.raises(CapExceeded):
-        classify_mod._group_order(F2, 2, rows, 4, 5)
+        classify_mod._group_order(F2, 2, gens, 4, 5)
 
 
 @pytest.mark.parametrize("T,strong,tables,bounded_tables", [
@@ -471,10 +473,14 @@ def test_group_order_past_the_bound_raises_internal_error():
 ], ids=["SL3(3)", "SL2(16)"])
 def test_group_order_builds_no_matrix_per_orbit_point(monkeypatch, T, strong,
                                                       tables, bounded_tables):
-    # the chain builds no Mat: strong generators are inverted on their row
-    # codes, a transversal entry gets its inverse table when a sift first
-    # strips through it, and the bound saves the tables of the skipped sifts
-    rows = [_rows(t.matrix()) for t in T]
+    # the chain builds no Mat: the input transvections come with their
+    # inverses 1 - v (x) phi, residues are inverted on their row codes, a
+    # transversal entry gets its inverse table when a sift first strips
+    # through it, and the bound saves the tables of the skipped sifts
+    F = T[0].F
+    gens = [(classify_mod._transvection_rows(F, 1, t.v, t.phi),
+             classify_mod._transvection_rows(F, F.neg(1), t.v, t.phi)) for t in T]
+    assert [r for r, _ in gens] == [_rows(t.matrix()) for t in T]
     N = order_formula(LINEAR, T[0].n, T[0].F.q)
     counts = {}
     chains = []
@@ -491,15 +497,27 @@ def test_group_order_builds_no_matrix_per_orbit_point(monkeypatch, T, strong,
     monkeypatch.setattr(classify_mod, "Mat", counting(Mat))
     monkeypatch.setattr(classify_mod, "_RowTable", counting(_RowTable))
     monkeypatch.setattr(classify_mod, "_Chain", counting(classify_mod._Chain))
+    inverse_codes = classify_mod._inverse_codes
+
+    def counting_inverse_codes(*args):
+        counts["_inverse_codes"] += 1
+        return inverse_codes(*args)
+
+    monkeypatch.setattr(classify_mod, "_inverse_codes", counting_inverse_codes)
+    inputs = {r for r, _ in gens}
     for bound, want_tables in ((math.inf, tables), (N, bounded_tables)):
-        counts.update(Mat=0, _RowTable=0, _Chain=0)
-        assert classify_mod._group_order(T[0].F, T[0].n, rows, 10**7, bound) == N
+        counts.update(Mat=0, _RowTable=0, _Chain=0, _inverse_codes=0)
+        assert classify_mod._group_order(F, T[0].n, gens, 10**7, bound) == N
         chain = chains.pop()
         n_strong = len({s[0] for level in chain.gens for s in level})
         n_points = sum(map(len, chain.points))
         assert counts["Mat"] == 0
         assert counts["_RowTable"] == want_tables <= n_strong + n_points
         assert n_strong == strong
+        # one Gauss-Jordan per residue record, none for the inputs
+        residues = set(chain.records) - inputs
+        assert inputs <= set(chain.records) and residues
+        assert counts["_inverse_codes"] == len(residues)
 
 
 def inverse_tables(chain):
@@ -1938,3 +1956,105 @@ def test_certify_densifies_once_and_hands_on_its_graphs(monkeypatch):
         assert rebuilt == []
         assert len(stability_check(T, cert.T0, samples=3)) == 3
         assert rebuilt == []
+
+
+# -- exact shortcuts against the general constructions ------------------------
+
+
+def same_section(G, sec):
+    """Check `restrict_to_section`'s answer on G field by field against the
+    general construction of `oracles.section_oracle`; returns whether the
+    section is G itself, the identity path."""
+    want = section_oracle(G)
+    assert sec.U == want.U and sec.W == want.W
+    assert sec.tbar == want.tbar and sec.index_map == want.index_map
+    assert sec.basis_w == want.basis_w and sec.basis_c == want.basis_c
+    assert sec.graph.verts == want.graph.verts and sec.graph.pair == want.graph.pair
+    assert (sec.graph is G) == (want.graph is G)
+    return sec.graph is G
+
+
+def test_sections_match_the_general_construction_on_grid_and_fuzz_sets():
+    spanning = other = 0
+    for T in grid_sets() + [T for _, _, T in fuzz_sets()]:
+        G = build_graph(T)
+        if not is_strongly_connected(G) or tgraph_mod._radicals(G)[0] == G.vspace:
+            continue  # no section to restrict to
+        if same_section(G, restrict_to_section(G)):
+            spanning += 1
+        else:
+            other += 1
+    assert spanning >= 50 and other >= 15
+    # a spanning nondegenerate set with a repeated vertex merges it
+    G = build_graph(sl_generators(F3) * 2)
+    sec = restrict_to_section(G)
+    assert not same_section(G, sec) and sec.index_map == (0, 1, 0, 1)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_sections_of_certify_and_stability_match_the_general_construction(
+        monkeypatch, seed):
+    graphs = []
+    real = classify_mod.restrict_to_section
+
+    def recording(G):
+        sec = real(G)
+        graphs.append((G, sec))
+        return sec
+
+    monkeypatch.setattr(classify_mod, "restrict_to_section", recording)
+    for T in (sl3_generators(F3), sp4_full(), sl_generators(F9),
+              su4_generators(), build_symmetric_rep(8)):
+        cert = certify(T, seed=seed)
+        stability_check(T, cert.T0, samples=10, seed=seed)
+    spanning = [same_section(G, sec) for G, sec in graphs]
+    assert len(spanning) > sum(spanning) >= 70
+
+
+def test_radicals_match_the_intersect_formulas():
+    rng = random.Random(29)
+    sets = grid_sets() + [T for _, _, T in fuzz_sets()]
+    sets += [densify(T)[0][:k] for T in (sp4_full(), sl3_triangle(F2))
+             for k in range(1, 9)]
+    sets += [[random_transvection(F, 4, rng) for _ in range(rng.randint(1, 5))]
+             for F in (F2, F3, F4, F5) for _ in range(10)]
+    zero_sides = 0
+    for T in sets:
+        G = build_graph(T)
+        want = (G.vspace.intersect(G.dual_space.perp()),
+                G.vspace.perp().intersect(G.dual_space))
+        assert tgraph_mod._radicals(G) == want
+        zero_sides += (G.dual_space.dim == G.n) + (G.vspace.dim == G.n)
+    assert 0 < zero_sides < 2 * len(sets)
+
+
+def every_transvection(F, n):
+    """Every transvection of GF(q)^n, as (v, phi) with v scaled to first
+    nonzero coordinate 1."""
+    for v in projective_points(F, n):
+        for code in range(1, F.q**n):
+            phi = tuple(code // F.q**j % F.q for j in range(n))
+            if dot(F, phi, v) == 0:
+                yield v, phi
+
+
+def test_closed_form_inverse_rows_match_gauss_jordan():
+    # the chain takes 1 - v (x) phi as the inverse of an input transvection
+    # instead of inverting 1 + v (x) phi on its row codes
+    rows = classify_mod._transvection_rows
+    inverse_codes = classify_mod._inverse_codes
+    count = 0
+    for F in (F2, F3, F4, F5, F9):
+        for n in (2, 3):
+            for v, phi in every_transvection(F, n):
+                inverse = rows(F, F.neg(1), v, phi)
+                assert inverse == inverse_codes(F, rows(F, 1, v, phi))
+                count += 1
+    assert count > 7000
+    rng = random.Random(41)
+    for F, n in ((F2, 8), (F7, 5), (F8, 4), (F16, 4), (F27, 3), (F49, 3)):
+        for _ in range(20):
+            t = random_transvection(F, n, rng)
+            inverse = rows(F, F.neg(1), t.v, t.phi)
+            assert inverse == inverse_codes(F, rows(F, 1, t.v, t.phi))
+            assert inverse == _rows(t.inverse().matrix())
