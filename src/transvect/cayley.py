@@ -363,19 +363,23 @@ class _Search:
         return seen, histogram
 
 
-def _check_generators(X: Sequence[Mat]) -> tuple[Field, int]:
+def _check_generators(X: Sequence[Mat]) -> tuple[Field, int, list[Mat]]:
+    """The field and size of the generators, and their inverses."""
     if not X:
         raise BadParameters("need at least one generator")
     F = X[0].F
     n = X[0].nrows
+    inverses = []
     for M in X:
         if M.F != F:
             raise FieldMismatch("generators over different fields")
         if M.nrows != n or M.ncols != n:
             raise DimensionMismatch("generators of different sizes")
-        if M.det() == 0:  # FieldMismatch first for an entry outside F
-            raise Singular("generators must be invertible")
-    return F, n
+        try:  # FieldMismatch first for an entry outside F
+            inverses.append(M.inv())
+        except Singular:
+            raise Singular("generators must be invertible") from None
+    return F, n, inverses
 
 
 def _check_element(F: Field, n: int, g: Mat) -> None:
@@ -384,13 +388,12 @@ def _check_element(F: Field, n: int, g: Mat) -> None:
     _check_entries(F, g.rows)
 
 
-def _symmetrize(X: Sequence[Mat]) -> list[tuple[Mat, int, int]]:
+def _symmetrize(X: Sequence[Mat], inverses: list[Mat]) -> list[tuple[Mat, int, int]]:
     """The step list X followed by the inverses that are new matrices,
     each tagged (matrix, generator index, exponent)."""
     steps = [(M, i, 1) for i, M in enumerate(X)]
     seen = set(X)
-    for i, M in enumerate(X):
-        Minv = M.inv()
+    for i, Minv in enumerate(inverses):
         if Minv not in seen:
             seen.add(Minv)
             steps.append((Minv, i, -1))
@@ -462,10 +465,10 @@ def _explore(X: list[Mat], cap: int, what: str, radius: int | None = None,
     distance `radius` or the layer holding `target` when given.  Returns
     (search, steps, dist, parents, histogram), parents None unless
     `words`; raises CapExceeded, naming `what`, past `cap` elements."""
-    F, n = _check_generators(X)
+    F, n, inverses = _check_generators(X)
     if target is not None:
         _check_element(F, n, target)
-    steps = _symmetrize(X)
+    steps = _symmetrize(X, inverses)
     search = _Search(F, n, [S for S, _, _ in steps])
     parents: dict | None = {} if words else None
     dist, histogram = search.explore(cap, parents, radius,
@@ -553,9 +556,9 @@ def bidirectional_distance(X: Sequence[Mat], g: Mat,
     visit.  Raises NotFound when the search closes without meeting g.
     """
     X = list(X)
-    F, n = _check_generators(X)
+    F, n, inverses = _check_generators(X)
     _check_element(F, n, g)
-    search = _Search(F, n, [S for S, _, _ in _symmetrize(X)])
+    search = _Search(F, n, [S for S, _, _ in _symmetrize(X, inverses)])
     fa = [_pack(Mat.identity(F, n))]
     fb = [_pack(g)]
     if fb == fa:

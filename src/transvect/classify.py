@@ -55,7 +55,9 @@ from .linalg import (
     Vec,
     _code,
     _digits,
+    _hold,
     _inverse_codes,
+    _reduce,
     dot,
     vec_add,
     vec_scale,
@@ -468,12 +470,12 @@ def group_order(gens: Sequence[Mat], cap: int = ELEMENT_BUDGET) -> int:
     the basic orbit lengths, is exact.  Orbits only grow while the chain is
     built, so their product is a lower bound on the order throughout:
     raises CapExceeded as soon as it exceeds `cap`.  The chain runs on
-    packed row codes and builds no `Mat` (see `_Chain`): a strong generator
-    is inverted by Gauss-Jordan on its codes, and a transversal inverse is
-    made only when a sift first strips through its point.
+    packed row codes and builds no `Mat` (see `_Chain`): a residue is
+    inverted by Gauss-Jordan on its codes, an input by the generator check,
+    and a transversal inverse when a sift first strips through its point.
     """
-    F, n = _check_generators(gens)
-    pairs = [(rows, _inverse_codes(F, rows)) for rows in map(_rows, gens)]
+    F, n, inverses = _check_generators(gens)
+    pairs = [(_rows(M), _rows(Minv)) for M, Minv in zip(gens, inverses)]
     return _group_order(F, n, pairs, cap, math.inf)
 
 
@@ -753,19 +755,15 @@ def _spanning_set(G: TransvectionGraph) -> tuple[Vec, ...] | None:
 
 
 def _artin_schreier_root(F: Field, z: int) -> int | None:
-    """A root mu of mu^2 + mu = z in GF(2^f), or None: the map is GF(2)-linear,
-    so z is reduced against an echelon basis of the images of the f bits."""
-    mu, basis = 0, []
-    for k in range(F.f):
-        image, pre = F.mul(1 << k, 1 << k) ^ 1 << k, 1 << k
-        for b, m in basis:
-            if image ^ b < image:
-                image, pre = image ^ b, pre ^ m
-        if image:
-            basis.append((image, pre))
-            if z ^ image < z:
-                z, mu = z ^ image, mu ^ pre
-    return None if z else mu
+    """The root mu of mu^2 + mu = z in GF(2^f) with bit 0 clear, or None: z
+    reduced against the GF(2) rows image(bit k) | bit k << f, held on their
+    image columns, leaves mu in its high bits; bit 0 maps to 0."""
+    f, F2, held = F.f, field_create(2), []
+    for k in range(f):
+        row = F.mul(1 << k, 1 << k) ^ 1 << k | 1 << k + f
+        _hold(F2, held, _reduce(F2, held, row), f)
+    x = _reduce(F2, held, z)
+    return None if x & (1 << f) - 1 else x >> f
 
 
 def detect_monomial_structure(gens: Sequence[Transvection]):

@@ -42,11 +42,12 @@ from .forms import (
     QuadraticForm,
     SesquiForm,
     detect_invariant_form,
+    is_transvective,
     recover_quadratic,
     transvective_split,
 )
 from .gf import Field, field_create
-from .linalg import Mat
+from .linalg import Mat, Subspace
 from .tgraph import (
     build_graph,
     cycle_symplectic_defect,
@@ -316,6 +317,8 @@ def _run_decompose(job: JobConfig, F: Field, T: list[Transvection]) -> dict:
         if not isinstance(form, QuadraticForm):
             raise BadParameters("no invariant quadratic form to split against")
     basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    if not all(is_transvective(b, kind, form) for b in basis):
+        basis = [T[i].v for i in Subspace.zero(F, n).extension(t.v for t in T)]
     parts = transvective_split(v, basis, kind, form, F)
     return {"mode": "split", "kind": kind, "vector": list(v),
             "parts": [list(p) for p in parts]}
@@ -421,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a standard generator file")
     common(p, gens=False)
-    p.add_argument("--kind", required=True, choices=GEN_KINDS)
+    p.add_argument("--kind", required=True, choices=GEN_KINDS, help="SL, SP "
+                   "and SU3 are irreducible only at n = 2, 2 and 3, O_char2 never")
     p.add_argument("--field", metavar="p^f")
     p.add_argument("--n", type=int)
     p.add_argument("--a", type=int)

@@ -5,14 +5,16 @@ standard dot product).  Matrices are immutable row-major tuples so they can
 be dict keys.  Subspaces are stored by their reduced-row-echelon basis, which
 makes equality structural.
 
-The package has one codec and one Gauss-Jordan elimination, both here.
-`_code` packs a vector x as the integer sum(x_j q^j), first coordinate
-least significant, and `_digits` unpacks it; the Cayley searches, the
-stabilizer chain, the graph pairings, the density scans and `Subspace`
-all use it.  `_echelon`, Gauss-Jordan on row codes, is every reduction
-of `Mat`, the `Subspace` constructor and the chain's inverses; only
-`Mat.det`, and `Subspace.extension`, which reduces one new vector at a
-time against the rows it holds, keep a loop of their own.
+The package has one codec and one row reduction, both here.  `_code`
+packs a vector x as the integer sum(x_j q^j), first coordinate least
+significant, and `_digits` unpacks it.  All row arithmetic is in
+`_reduce`, which subtracts held pivot rows from a row, and `_hold`, which
+scales a remainder to 1 at its pivot and keeps it, on bit masks over
+GF(2) and digit lists otherwise.  Their Gauss-Jordan, `_echelon`, is
+every reduction of `Mat`, `Subspace` and the chain's inverses; `Mat.det`
+multiplies what `_hold` scaled by; `Subspace.contains` and `extension`
+reduce against the rows a `Subspace` keeps; and `classify` finds its
+Artin-Schreier roots with the two helpers.
 """
 
 from __future__ import annotations
@@ -70,55 +72,89 @@ def _digits(base: int, n: int, code: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _echelon(F: Field, rows: list[int], ncols: int, width: int) -> list[int]:
-    """Gauss-Jordan in place on the row codes of a matrix with `width`
-    columns, pivoting on columns 0..ncols-1; returns the pivot columns.
-    Row k ends as the k-th pivot row, 1 at its pivot, which is clear in
-    every other row.  Over GF(2) rows are bit masks combined by XOR;
-    otherwise digit lists combined through the field operations."""
-    pivots: list[int] = []
+def _row_forms(F: Field, vectors: Sequence[Sequence[int]]) -> list:
+    """The row forms of vectors with entries in F: their codes, bit masks,
+    over GF(2), else lists."""
+    _check_entries(F, vectors)
+    return [_code(2, v) for v in vectors] if F.q == 2 else list(map(list, vectors))
+
+
+def _vec(F: Field, n: int, row) -> Vec:
+    """The vector of a row form of length n."""
+    return _digits(2, n, row) if F.q == 2 else tuple(row)
+
+
+def _reduce(F: Field, held: Sequence[tuple], x):
+    """x, in place when a list, minus each held (pivot, row) times x's entry
+    at the pivot, in order.  A row is 1 at its pivot and 0 before it (over
+    GF(2) the pivot is its lowest set bit); when each is 0 at the pivots
+    held before it, x ends 0 at every pivot."""
     if F.q == 2:
-        for c in range(ncols):
-            bit, k = 1 << c, len(pivots)
-            r = next((i for i in range(k, len(rows)) if rows[i] & bit), None)
-            if r is not None:
-                rows[r], rows[k] = rows[k], rows[r]
-                pivot = rows[k]
-                for i, row in enumerate(rows):
-                    if row & bit and i != k:
-                        rows[i] = row ^ pivot
-                pivots.append(c)
-        return pivots
-    q, mul, sub, inv = F.q, F.mul, F.sub, F.inv
-    aug = [list(_digits(q, width, r)) for r in rows]
+        for bit, row in held:
+            if x & bit:
+                x ^= row
+        return x
+    mul, sub = F.mul, F.sub
+    for c, row in held:
+        m = x[c]
+        if m:
+            for j in range(c, len(x)):
+                if row[j]:
+                    x[j] = sub(x[j], mul(m, row[j]))
+    return x
+
+
+def _hold(F: Field, held: list[tuple], x, ncols: int) -> int:
+    """Scale x to 1 at its first nonzero column below ncols, append it to
+    `held` and return the entry it was scaled from; return 0, holding
+    nothing, when x is zero on those columns."""
+    if F.q == 2:
+        if not x & (1 << ncols) - 1:
+            return 0
+        held.append((x & -x, x))
+        return 1
     for c in range(ncols):
-        k = len(pivots)
-        r = next((i for i in range(k, len(aug)) if aug[i][c]), None)
-        if r is None:
-            continue
-        # columns before c are zero in the pivot row: only the tail changes
-        aug[r], aug[k] = aug[k], aug[r]
-        pivot = aug[k][c:]
-        x = inv(pivot[0])
-        if x != 1:
-            pivot = aug[k][c:] = [mul(x, a) for a in pivot]
-        for i, row in enumerate(aug):
-            m = row[c]
-            if m and i != k:
-                row[c:] = [sub(a, mul(m, b)) for a, b in zip(row[c:], pivot)]
-        pivots.append(c)
-    rows[:] = [_code(q, row) for row in aug]
-    return pivots
+        if x[c]:
+            break
+    else:
+        return 0
+    a = x[c]
+    if a != 1:
+        y = F.inv(a)
+        for j in range(c, len(x)):
+            if x[j]:
+                x[j] = F.mul(y, x[j])
+    held.append((c, x))
+    return a
+
+
+def _echelon(F: Field, rows: Iterable, ncols: int) -> list[tuple]:
+    """Gauss-Jordan on row forms, pivoting below ncols: the held rows of
+    the reduced row echelon form, by pivot.  Rows are reduced and held in
+    turn, then each, last first, against the reduced rows held after it."""
+    held: list[tuple] = []
+    for x in rows:
+        _hold(F, held, _reduce(F, held, x), ncols)
+    for i in range(len(held) - 2, -1, -1):
+        c, row = held[i]
+        held[i] = c, _reduce(F, held[i + 1:], row)
+    held.sort()
+    return held
 
 
 def _inverse_codes(F: Field, rows: Sequence[int]) -> tuple[int, ...] | None:
     """The row codes of M^-1, for the square matrix M over F given by its
     row codes, or None when M is singular: Gauss-Jordan on [M | I]."""
-    n, q = len(rows), F.q
-    aug = [r + q ** (n + i) for i, r in enumerate(rows)]
-    if len(_echelon(F, aug, n, 2 * n)) < n:
+    q, n = F.q, len(rows)
+    if q == 2:
+        aug = [r | 1 << n + i for i, r in enumerate(rows)]
+    else:
+        aug = [[*_digits(q, n, r), *(int(j == i) for j in range(n))]
+               for i, r in enumerate(rows)]
+    held = _echelon(F, aug, n)
+    if len(held) < n:
         return None
-    return tuple(a // q**n for a in aug)
+    return tuple(row >> n if q == 2 else _code(q, row[n:]) for _, row in held)
 
 
 def _null_vectors(F: Field, n: int, rows: Sequence[Vec]) -> list[Vec]:
@@ -260,46 +296,32 @@ class Mat:
     # -- elimination ----------------------------------------------------------
 
     def rref(self) -> tuple["Mat", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices, by
-        `_echelon` on the row codes."""
+        """Reduced row echelon form and the pivot columns, by `_echelon`."""
         F, nc = self.F, self.ncols
-        _check_entries(F, self.rows)
-        codes = [_code(F.q, r) for r in self.rows]
-        pivots = _echelon(F, codes, nc, nc)
-        return Mat(F, (_digits(F.q, nc, c) for c in codes)), tuple(pivots)
+        held = _echelon(F, _row_forms(F, self.rows), nc)
+        rows = [_vec(F, nc, row) for _, row in held]
+        rows += [(0,) * nc] * (self.nrows - len(held))
+        pivots = (c.bit_length() - 1 if F.q == 2 else c for c, _ in held)
+        return Mat(F, rows), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def det(self) -> int:
-        """The product of the pivots of a forward elimination, negated per
-        row swap.  This is the one elimination loop besides `_echelon`,
-        which scales every pivot to 1 and so loses that product."""
+        """The product of the entries `_hold` scales the rows from, negated
+        when their pivots are an odd permutation; 0 at a row with no pivot."""
         if self.nrows != self.ncols:
             raise DimensionMismatch("det: square matrices only")
-        F = self.F
-        _check_entries(F, self.rows)
-        rows = [list(r) for r in self.rows]
-        n = self.nrows
-        det = 1
-        for c in range(n):
-            sel = None
-            for i in range(c, n):
-                if rows[i][c]:
-                    sel = i
-                    break
-            if sel is None:
+        F, n = self.F, self.nrows
+        held, det = [], 1
+        for x in _row_forms(F, self.rows):
+            a = _hold(F, held, _reduce(F, held, x), n)
+            if not a:
                 return 0
-            if sel != c:
-                rows[c], rows[sel] = rows[sel], rows[c]
-                det = F.neg(det)
-            det = F.mul(det, rows[c][c])
-            inv = F.inv(rows[c][c])
-            for i in range(c + 1, n):
-                if rows[i][c]:
-                    m = F.mul(inv, rows[i][c])
-                    rows[i] = [F.sub(a, F.mul(m, b)) for a, b in zip(rows[i], rows[c])]
-        return det
+            det = F.mul(det, a)
+        pivots = [c for c, _ in held]
+        odd = sum(c > d for i, c in enumerate(pivots) for d in pivots[i + 1:]) % 2
+        return F.neg(det) if odd else det
 
     def inv(self) -> "Mat":
         if self.nrows != self.ncols:
@@ -337,21 +359,15 @@ class Mat:
 # -- subspaces -----------------------------------------------------------------
 
 class Subspace:
-    """Subspace of F^n stored by its canonical RREF basis."""
+    """Subspace of F^n stored by its canonical RREF basis and its rows."""
 
-    __slots__ = ("F", "n", "basis")
+    __slots__ = ("F", "n", "basis", "_held")
 
     def __init__(self, F: Field, n: int, basis: Iterable[Sequence[int]] = ()):
         self.F = F
         self.n = n
-        rows = [tuple(r) for r in basis]
-        for r in rows:
-            if len(r) != n:
-                raise DimensionMismatch("basis vector of wrong length")
-        _check_entries(F, rows)
-        codes = [_code(F.q, r) for r in rows]  # reduced by `_echelon`
-        rank = len(_echelon(F, codes, n, n))
-        self.basis = tuple(_digits(F.q, n, c) for c in codes[:rank])
+        self._held = _echelon(F, self._checked_rows(basis), n)
+        self.basis = tuple(_vec(F, n, row) for _, row in self._held)
 
     @staticmethod
     def zero(F: Field, n: int) -> "Subspace":
@@ -371,55 +387,27 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, n={self.n})"
 
+    def _checked_rows(self, vectors: Iterable[Sequence[int]]) -> list:
+        """The row forms of vectors of length n with entries in F."""
+        vs = list(map(tuple, vectors))
+        if set(map(len, vs)) - {self.n}:
+            raise DimensionMismatch("vector of wrong length")
+        return _row_forms(self.F, vs)
+
     def contains(self, v: Sequence[int]) -> bool:
-        return not self.extension([v])
+        """Whether v reduces to zero against the held rows."""
+        x = _reduce(self.F, self._held, self._checked_rows([v])[0])
+        return not (x if self.F.q == 2 else any(x))
 
     def extension(self, vectors: Iterable[Sequence[int]]) -> list[int]:
         """Indices of the vectors that, taken in order, each leave the span
         of this subspace and the vectors picked before them; the picked
-        vectors extend a basis of this subspace to one of the sum.
-
-        The rows held start as the basis.  Each vector is reduced against
-        them in insertion order, clearing its entry at each row's leading
-        column; a remainder left over is picked and held, scaled to 1 at
-        its first nonzero column.  Every held row is zero at the leading
-        columns of the rows before it, so a reduction step never refills a
-        column cleared earlier, and the remainder is zero exactly when the
-        vector lies in the span.  Over GF(2) rows are bit masks."""
+        vectors extend a basis of this subspace to one of the sum.  A vector
+        is picked when it leaves a remainder against the rows held so far."""
         F, n = self.F, self.n
-        picked = []
-        if F.q == 2:
-            held = [(m & -m, m) for m in (_code(2, r) for r in self.basis)]
-            for k, v in enumerate(vectors):
-                if len(v) != n:
-                    raise DimensionMismatch("vector of wrong length")
-                _check_entries(F, (v,))
-                x = _code(2, v)
-                for lead, row in held:
-                    if x & lead:
-                        x ^= row
-                if x:
-                    held.append((x & -x, x))
-                    picked.append(k)
-            return picked
-        mul, sub, inv = F.mul, F.sub, F.inv
-        tails = []  # (leading column c, the row's entries from c on, 1 first)
-        for r in self.basis:
-            c = next(j for j, a in enumerate(r) if a)
-            tails.append((c, r[c:]))
-        for k, v in enumerate(vectors):
-            if len(v) != n:
-                raise DimensionMismatch("vector of wrong length")
-            _check_entries(F, (v,))
-            x = list(v)
-            for c, tail in tails:
-                m = x[c]
-                if m:
-                    x[c:] = [sub(a, mul(m, b)) for a, b in zip(x[c:], tail)]
-            c = next((j for j, a in enumerate(x) if a), None)
-            if c is not None:
-                y = inv(x[c])
-                tails.append((c, [mul(y, a) for a in x[c:]] if y != 1 else x[c:]))
+        held, picked = list(self._held), []
+        for k, x in enumerate(self._checked_rows(vectors)):
+            if _hold(F, held, _reduce(F, held, x), n):
                 picked.append(k)
         return picked
 

@@ -168,6 +168,9 @@ def standard_full_field_set(kind: str, F: Field, n: int,
                     the first 3 coordinates; the 3-cycle weight is lam.
     kind 'O_char2': 2 orthogonal transvections (p = 2, n >= 4 even); the
                     2-cycle weight is lam squared.
+
+    The v's span a plane (SU3: a 3-space), so only SL and SP at n = 2 and
+    SU3 at n = 3 generate an irreducible group, and O_char2 never does.
     """
     if lam is None:
         lam = F.primitive_element()

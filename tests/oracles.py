@@ -19,7 +19,9 @@ answer that a faster or more specialised routine must reproduce.
 - `contains_space`, `elements` and `fixed_subfield` enumerate small
   subspaces and subfields outright.
 - `rref_oracle` is Gauss-Jordan on digit tuples, the reference for
-  `linalg._echelon` on row codes behind `Mat` and `Subspace`.
+  `linalg._echelon`, the Gauss-Jordan that `Mat`, `Subspace` and the
+  chain's inverses run through `linalg._reduce` and `linalg._hold`, and
+  `det_oracle` is the permutation expansion that `Mat.det` must match.
 - `invariant_under` and `preserved_by` test a form against a matrix by
   matrix products, the identities that `SesquiForm.kept_by` and
   `QuadraticForm.kept_by` test on a transvection's (v, phi).
@@ -30,6 +32,8 @@ answer that a faster or more specialised routine must reproduce.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from transvect.cayley import (
@@ -122,7 +126,7 @@ def enumerate_group(gens: Sequence[Mat], cap: int = ELEMENT_BUDGET) -> GroupEnum
     budget.
     """
     gens = list(gens)
-    F, n = _check_generators(gens)
+    F, n, _ = _check_generators(gens)
     D = F.q**n
     if D > VECTOR_TABLE_BUDGET:
         raise CapExceeded("column table q^n exceeds the vector budget", count=D)
@@ -337,6 +341,26 @@ def rref_oracle(M: Mat) -> tuple[Mat, tuple[int, ...]]:
         if r == nr:
             break
     return Mat(F, tuple(tuple(row) for row in rows)), tuple(pivots)
+
+
+@lru_cache(maxsize=None)
+def _signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
+    """Each permutation of range(n) with whether it is odd."""
+    return tuple((s, sum(a > b for k, a in enumerate(s) for b in s[k + 1:]) % 2 == 1)
+                 for s in permutations(range(n)))
+
+
+def det_oracle(M: Mat) -> int:
+    """The determinant of a square M by the permutation expansion: the sum
+    over the permutations s of sign(s) times the product of M[i][s(i)]."""
+    F = M.F
+    total = 0
+    for s, odd in _signed_permutations(M.nrows):
+        term = 1
+        for row, j in zip(M.rows, s):
+            term = F.mul(term, row[j])
+        total = F.sub(total, term) if odd else F.add(total, term)
+    return total
 
 
 def contains_space(S: Subspace, other: Subspace) -> bool:

@@ -248,10 +248,38 @@ def test_bfs_generator_validation():
         bfs_explore([])
     with pytest.raises(Singular):
         bfs_explore([Mat.zero(F2, 2, 2)])
+    # the check of the generators inverts each one, and the searches and
+    # the chain take those inverses
+    for call in (bfs_explore, group_order):
+        with pytest.raises(Singular, match="generators must be invertible"):
+            call([Mat.identity(F3, 2), Mat(F3, [[1, 2], [2, 1]])])
     with pytest.raises(FieldMismatch):
         bfs_explore([Mat.identity(F2, 2), Mat.identity(F3, 2)])
     with pytest.raises(DimensionMismatch):
         bfs_explore([Mat.identity(F2, 2), Mat.identity(F2, 3)])
+
+
+def test_each_generator_is_eliminated_once(monkeypatch):
+    # the inverse found by the check of the generators is the one the
+    # step list and the chain use; no determinant is taken
+    counts = {"inv": 0}
+    inv = Mat.inv
+
+    def counting_inv(M):
+        counts["inv"] += 1
+        return inv(M)
+
+    def no_det(M):
+        raise AssertionError("det called")
+
+    monkeypatch.setattr(Mat, "inv", counting_inv)
+    monkeypatch.setattr(Mat, "det", no_det)
+    X = mats(SL23_PAIR)
+    for call in (bfs_explore, group_order,
+                 lambda X: bidirectional_distance(X, X[0].mul(X[1]))):
+        counts["inv"] = 0
+        call(X)
+        assert counts["inv"] == len(X)
 
 
 def test_distance_unexplored_raises():

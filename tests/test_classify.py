@@ -663,6 +663,17 @@ def test_order_crosscheck_linear_and_symplectic():
         order_formula(SYMPLECTIC, 4, 2)
 
 
+def test_artin_schreier_root_matches_a_search_over_the_field():
+    # mu^2 + mu = z has the roots mu and mu + 1 or none; the one returned
+    # has bit 0 clear
+    for f in range(1, 11):
+        F = field_create(2, f)
+        roots = {F.add(F.mul(mu, mu), mu): mu for mu in range(0, F.q, 2)}
+        assert len(roots) == F.q // 2
+        for z in range(F.q):
+            assert classify_mod._artin_schreier_root(F, z) == roots.get(z), (f, z)
+
+
 def test_order_crosscheck_monomial():
     for n, a, F in [(2, 3, F4), (3, 3, F4), (4, 3, F4), (3, 5, F16),
                     (2, 7, F8), (3, 7, F8)]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -25,9 +26,10 @@ from transvect.errors import (
     NotTransvection,
     ParseError,
 )
+from transvect.forms import detect_invariant_form, is_transvective, recover_quadratic
 from transvect.gf import field_create
 from transvect.linalg import Mat
-from transvect.tgraph import word_matrix
+from transvect.tgraph import build_graph, word_matrix
 from transvect.transvections import Transvection, standard_full_field_set
 
 F2 = field_create(2, 1)
@@ -196,6 +198,34 @@ def test_gen_kinds(tmp_path):
     assert len(rep["generators"]) == 4
     rep = run_json(tmp_path, ["gen", "--kind", "SU3", "--field", "3^2"])
     assert len(rep["generators"]) == 3
+
+
+@pytest.mark.parametrize("kind,field,n,tag", [
+    ("SL", "2^1", None, "Linear"),
+    ("SL", "3^1", None, "Linear"),
+    ("SL", "2^2", None, "OrthogonalMinus"),  # SL2(4) = O4-(2)
+    ("SP", "2^1", None, "Linear"),
+    ("SP", "3^1", None, "Linear"),
+    ("SU3", "2^2", None, "Monomial(3)"),
+    ("SU3", "3^2", None, "Unitary"),
+    ("O_char2", "2^1", None, None),
+    ("O_char2", "2^2", None, None),
+    ("SL", "3^1", 3, None),
+    ("SP", "3^1", 4, None),
+    ("SU3", "3^2", 4, None),
+])
+def test_gen_field_witness_sets_are_irreducible_only_at_their_default_n(
+        tmp_path, capsys, kind, field, n, tag):
+    # the v's span a plane (SL, SP, O_char2) or a 3-space (SU3)
+    path = str(tmp_path / "gens.json")
+    argv = ["gen", "--kind", kind, "--field", field, "--out", path]
+    assert main(argv + ([] if n is None else ["--n", str(n)])) == 0
+    capsys.readouterr()
+    if tag is None:
+        assert main(["classify", "--gens", path]) == 1
+        assert "needs an irreducible action" in capsys.readouterr().err
+    else:
+        assert run_json(tmp_path, ["classify", "--gens", path])["result"]["tag"] == tag
 
 
 def test_gen_missing_arguments():
@@ -514,6 +544,54 @@ def test_decompose_split(tmp_path):
         assert any(part)
         total = [F2.add(a, b) for a, b in zip(total, part)]
     assert total == [1, 0, 1, 0]
+
+
+def check_splits(tmp_path, path, kind, form, q, n):
+    """Every transvective vector of F^n splits through the CLI into four
+    transvective parts that sum to it; returns how many there are."""
+    F = form.F
+    vectors = [v for v in itertools.product(range(q), repeat=n)
+               if is_transvective(v, kind, form)]
+    for v in vectors:
+        res = run_json(tmp_path, ["decompose", "--gens", path, "--vector",
+                                  json.dumps(list(v)), "--kind", kind])["result"]
+        assert res["mode"] == "split" and len(res["parts"]) == 4
+        total = (0,) * n
+        for part in res["parts"]:
+            assert is_transvective(part, kind, form)
+            total = tuple(F.add(a, b) for a, b in zip(total, part))
+        assert total == v
+    return len(vectors)
+
+
+def test_decompose_split_unitary_against_the_generators(tmp_path):
+    # e3 is anisotropic for the hermitian form of `gen --kind SU3`, so the
+    # split runs against a basis of the generators' v's
+    path = str(tmp_path / "su3-9.json")
+    assert main(["gen", "--kind", "SU3", "--field", "3^2", "--out", path]) == 0
+    _, T = parse_input(path)
+    form = detect_invariant_form(build_graph(T), "theta")
+    assert not is_transvective((0, 0, 1), "unitary", form)
+    assert check_splits(tmp_path, path, "unitary", form, 9, 3) == 224
+
+
+def test_decompose_split_orthogonal_against_the_generators(tmp_path):
+    # the 28 transvections of O6+(2), Q = x0 x1 + x2 x3 + x4 x5: every e_i
+    # is singular, so the split runs against a basis of the v's
+    def polar(v):
+        return [v[1], v[0], v[3], v[2], v[5], v[4]]
+
+    gens = [{"v": list(v), "phi": polar(v)}
+            for v in itertools.product(range(2), repeat=6)
+            if v[0] & v[1] ^ v[2] & v[3] ^ v[4] & v[5]]
+    assert len(gens) == 28
+    path = write_gens(tmp_path / "o6plus.json", "2^1", gens)
+    _, T = parse_input(path)
+    G = build_graph(T)
+    form = recover_quadratic(G, detect_invariant_form(G, "identity"))
+    assert not any(is_transvective(e, "orthogonal", form)
+                   for e in itertools.permutations((1, 0, 0, 0, 0, 0)))
+    assert check_splits(tmp_path, path, "orthogonal", form, 2, 6) == 28
 
 
 def test_decompose_rejects_target_entries_outside_the_field(tmp_path, capsys):

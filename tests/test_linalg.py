@@ -25,7 +25,7 @@ from transvect.linalg import (
     vec_scale,
 )
 
-from oracles import contains_space, elements, rref_oracle
+from oracles import contains_space, det_oracle, elements, rref_oracle
 
 
 def rand_mat(F, nr, nc, rng):
@@ -58,6 +58,40 @@ def test_det_rank_inverse_fuzz():
                 assert M.rank() < n
                 with pytest.raises(Singular):
                     M.inv()
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2)])
+def test_det_matches_the_permutation_expansion_on_every_small_matrix(p, f):
+    # det is linear in the last row, so the expansion is read on the unit
+    # last rows once per choice of the rows above
+    F = gf.field_create(p, f)
+    for n in (2, 3):
+        units = Mat.identity(F, n).rows
+        values = set()
+        for top in itertools.product(range(F.q), repeat=(n - 1) * n):
+            top = [top[i * n:(i + 1) * n] for i in range(n - 1)]
+            cofactors = [det_oracle(Mat(F, top + [e])) for e in units]
+            for last in itertools.product(range(F.q), repeat=n):
+                want = 0
+                for a, c in zip(last, cofactors):
+                    want = F.add(want, F.mul(a, c))
+                d = Mat(F, top + [last]).det()
+                assert d == want, (top, last)
+                values.add(d)
+        assert values == set(range(F.q))
+
+
+def test_det_matches_the_permutation_expansion_on_seeded_matrices():
+    # odd permutations of the pivots only show over odd q, where -1 != 1
+    rng = random.Random(31)
+    for p, f in [(5, 1), (3, 2), (2, 4)]:
+        F = gf.field_create(p, f)
+        for n in (4, 5):
+            for _ in range(60):
+                M = rand_mat(F, n, n, rng)
+                if rng.random() < 0.2:  # a repeated row
+                    M = Mat(F, M.rows[:-1] + M.rows[:1])
+                assert M.det() == det_oracle(M)
 
 
 def codes(M):
