@@ -1092,9 +1092,12 @@ def classify(T: Sequence[Transvection],
     if q**n <= VECTOR_TABLE_BUDGET:
         try:
             minus_one = F.neg(1)
-            gens = [(_transvection_rows(F, 1, t.v, t.phi),
-                     _transvection_rows(F, minus_one, t.v, t.phi)) for t in T]
-            N = _group_order(F, n, gens, budget_elements, classical)
+            rows = [_transvection_rows(F, 1, t.v, t.phi) for t in T]
+            # in characteristic 2, -1 = 1 and each t is its own inverse
+            inverses = rows if minus_one == 1 else [
+                _transvection_rows(F, minus_one, t.v, t.phi) for t in T]
+            N = _group_order(F, n, list(zip(rows, inverses)), budget_elements,
+                             classical)
         except CapExceeded:
             notes.append(f"enumeration exceeded the {budget_elements}-element budget")
             exceeds = budget_elements

@@ -1,13 +1,15 @@
 """Command-line front end: parse generator files, run analyses, emit reports.
 
 One binary, subcommand style: analyze | classify | certify | diameter |
-gen | decompose.  Reports are JSON (CSV is available for histograms) with
-a meta block recording the tool version, field, budgets, seed, and wall
-time.  The element budget and the search cap are set by flags; the
-projective and walk budgets are the fixed `tgraph.PROJECTIVE_BUDGET` and
-`tgraph.WALK_BUDGET`.  Exit codes: 0 success, 1 input or usage error
-(an unknown flag or a malformed value among them), 2 budget exhaustion,
-3 a failed internal invariant check (a bug, reported with its message).
+gen | decompose, each with only the flags it reads.  Reports are JSON
+(`diameter --format csv` writes the histogram alone) with a meta block
+recording the tool version, field, budgets, seed (the one `certify` draws
+from, 0 elsewhere), and wall time.  The element budget and the search cap
+are set by flags; the projective and walk budgets are the fixed
+`tgraph.PROJECTIVE_BUDGET` and `tgraph.WALK_BUDGET`.  Exit codes: 0
+success, 1 input or usage error (an unknown flag or a malformed value
+among them), 2 budget exhaustion, 3 a failed internal invariant check (a
+bug, reported with its message).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field as _field
 from typing import Sequence
 
 from . import __version__, tgraph
@@ -26,7 +27,6 @@ from .cayley import (
     bfs_explore,
     shortest_word,
     transvection_length_profile,
-    word_recover,
 )
 from .classify import ELEMENT_BUDGET, certify, classify
 from .classify import build_monomial_group, build_symmetric_rep
@@ -60,7 +60,6 @@ from .tgraph import (
 )
 from .transvections import Transvection, standard_full_field_set
 
-COMMANDS = ("analyze", "classify", "certify", "diameter", "gen", "decompose")
 GEN_KINDS = ("SL", "SP", "SU3", "O_char2", "monomial", "symmetric")
 SPLIT_KINDS = ("linear", "symplectic", "unitary", "orthogonal")
 
@@ -127,40 +126,6 @@ def serialize_generators(F: Field, T: Sequence[Transvection]) -> dict:
     return {"field": field_spec(F), "generators": [t.to_json() for t in T]}
 
 
-@dataclass(frozen=True)
-class JobConfig:
-    """One CLI invocation: the subcommand, its input, the element budget and
-    the search cap, the output format, and the seed for randomized
-    fallbacks (recorded in every report)."""
-
-    command: str
-    gens_path: str | None = None
-    field: str | None = None
-    budget_elements: int = ELEMENT_BUDGET
-    cap: int = DEFAULT_CAP
-    out_format: str = "json"
-    seed: int = 0
-    options: dict = _field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.command not in COMMANDS:
-            raise BadParameters(f"unknown subcommand {self.command!r}")
-        for name in ("budget_elements", "cap"):
-            if getattr(self, name) <= 0:
-                raise BadParameters(f"{name} must be positive")
-        if self.out_format not in ("json", "csv"):
-            raise BadParameters("output format must be json or csv")
-
-    def budgets(self) -> dict:
-        """Every budget the run is held to, the fixed two of `tgraph` too."""
-        return {
-            "elements": self.budget_elements,
-            "projective": tgraph.PROJECTIVE_BUDGET,
-            "walks": tgraph.WALK_BUDGET,
-            "cap": self.cap,
-        }
-
-
 def _parse_matrix(F: Field, text: str) -> Mat:
     try:
         data = json.loads(text)
@@ -177,9 +142,14 @@ def _parse_vector(F: Field, text: str) -> tuple[int, ...]:
         raise ParseError(f"bad vector literal: {e}") from None
 
 
-def _run_analyze(job: JobConfig, F: Field, T: list[Transvection]) -> dict:
+def _run_analyze(args: argparse.Namespace, F: Field,
+                 T: list[Transvection]) -> dict:
     G = build_graph(T)
     rep = is_irreducible(G)
+    try:
+        dense = is_dense(G)[0]
+    except CapExceeded:  # q^n past the projective budget: density unknown
+        dense = None
     result: dict = {
         "n": G.n,
         "count": len(T),
@@ -187,7 +157,7 @@ def _run_analyze(job: JobConfig, F: Field, T: list[Transvection]) -> dict:
         "irreducible": rep.irreducible,
         "failed_condition": rep.failed_condition,
         "defect": defect(G),
-        "dense": is_dense(G)[0],
+        "dense": dense,
         "defining_field_degree": None,
         "cycles": [],
     }
@@ -205,7 +175,7 @@ def _run_analyze(job: JobConfig, F: Field, T: list[Transvection]) -> dict:
             }
             cycles.append(cyc)
         result["cycles"] = cycles
-        if job.options.get("forms"):
+        if args.forms:
             result["forms"] = _analyze_forms(F, G)
     return result
 
@@ -238,68 +208,55 @@ def _analyze_forms(F: Field, G) -> dict:
     return forms
 
 
-def _run_diameter(job: JobConfig, F: Field, T: list[Transvection]) -> dict:
-    target = job.options.get("witness")
-    ex = bfs_explore([t.matrix() for t in T], job.cap, words=target is not None)
-    if job.options.get("profile", "full") == "transvections":
+def _run_diameter(args: argparse.Namespace, T: list[Transvection]) -> dict:
+    ex = bfs_explore([t.matrix() for t in T], args.cap, words=False)
+    if args.profile == "transvections":
         T_all = ex.transvections()
-        best, hist = transvection_length_profile(ex, T_all, job.cap)
-        result = {"profile": "transvections", "order": ex.order,
-                  "diameter": best, "histogram": list(hist),
-                  "transvections": len(T_all)}
-    else:
-        result = {"profile": "full", "order": ex.order,
-                  "diameter": ex.diameter, "histogram": list(ex.histogram)}
-    if target is not None:
-        # witness words always index the input generator list
-        M = _parse_matrix(F, target)
-        word = word_recover(ex, M)
-        result["witness"] = {"element": M.to_json(),
-                             "word": [[i, e] for i, e in word],
-                             "length": len(word)}
-    return result
+        best, hist = transvection_length_profile(ex, T_all, args.cap)
+        return {"profile": "transvections", "order": ex.order,
+                "diameter": best, "histogram": list(hist),
+                "transvections": len(T_all)}
+    return {"profile": "full", "order": ex.order,
+            "diameter": ex.diameter, "histogram": list(ex.histogram)}
 
 
-def _run_gen(job: JobConfig) -> dict:
-    kind = job.options.get("kind")
-    if kind not in GEN_KINDS:
-        raise BadParameters(f"gen kind must be one of {', '.join(GEN_KINDS)}")
+def _run_gen(args: argparse.Namespace) -> dict:
+    kind = args.kind
+    # the flags each kind reads; setting any other one is an input error
+    reads = {"symmetric": ("m",), "monomial": ("field", "n", "a")}.get(
+        kind, ("field", "n", "lam"))
+    for name in ("field", "n", "a", "m", "lam"):
+        if name not in reads and getattr(args, name) is not None:
+            raise BadParameters(f"gen --kind {kind} does not read --{name}")
     if kind == "symmetric":
-        m = job.options.get("m")
-        if m is None:
+        if args.m is None:
             raise BadParameters("gen --kind symmetric needs --m")
-        T = build_symmetric_rep(m)
+        T = build_symmetric_rep(args.m)
         return serialize_generators(T[0].F, T)
-    if job.field is None:
+    if args.field is None:
         raise BadParameters("gen needs --field p^f")
-    F = parse_field(job.field)
+    F = parse_field(args.field)
     if kind == "monomial":
-        n, a = job.options.get("n"), job.options.get("a")
-        if n is None or a is None:
+        if args.n is None or args.a is None:
             raise BadParameters("gen --kind monomial needs --n and --a")
-        return serialize_generators(F, build_monomial_group(n, a, F))
-    n = job.options.get("n")
+        return serialize_generators(F, build_monomial_group(args.n, args.a, F))
+    n = args.n
     if n is None:
         n = {"SL": 2, "SP": 2, "SU3": 3, "O_char2": 4}[kind]
-    T = standard_full_field_set(kind, F, n, job.options.get("lam"))
-    return serialize_generators(F, T)
+    return serialize_generators(F, standard_full_field_set(kind, F, n, args.lam))
 
 
-def _run_decompose(job: JobConfig, F: Field, T: list[Transvection]) -> dict:
-    target = job.options.get("target")
-    vector = job.options.get("vector")
-    if (target is None) == (vector is None):
+def _run_decompose(args: argparse.Namespace, F: Field,
+                   T: list[Transvection]) -> dict:
+    if (args.target is None) == (args.vector is None):
         raise BadParameters("decompose needs exactly one of --target / --vector")
-    if target is not None:
-        M = _parse_matrix(F, target)
-        word = shortest_word([t.matrix() for t in T], M, job.cap)
+    if args.target is not None:
+        M = _parse_matrix(F, args.target)
+        word = shortest_word([t.matrix() for t in T], M, args.cap)
         return {"mode": "word", "target": M.to_json(),
                 "word": [[i, e] for i, e in word], "length": len(word)}
-    kind = job.options.get("kind")
-    if kind not in SPLIT_KINDS:
-        raise BadParameters(f"decompose --vector needs --kind from "
-                            f"{', '.join(SPLIT_KINDS)}")
-    v = _parse_vector(F, vector)
+    kind = args.kind
+    v = _parse_vector(F, args.vector)
     n = len(v)
     G = build_graph(T)
     if G.n != n:
@@ -324,36 +281,37 @@ def _run_decompose(job: JobConfig, F: Field, T: list[Transvection]) -> dict:
             "parts": [list(p) for p in parts]}
 
 
-def run(job: JobConfig) -> dict:
-    """Execute one job and return the report (or, for gen, the generator
-    file object)."""
+def run(args: argparse.Namespace) -> dict:
+    """Execute one parsed command line and return the report (or, for gen,
+    the generator file object)."""
     start = time.monotonic()
-    field_text = job.field
-    if job.command == "gen":
-        return _run_gen(job)
-    if job.gens_path is None:
-        raise BadParameters(f"{job.command} needs --gens FILE")
-    F, T = parse_input(job.gens_path)
-    field_text = field_spec(F)
-    if job.command == "analyze":
-        result = _run_analyze(job, F, T)
-    elif job.command == "classify":
-        result = classify(T, job.budget_elements).to_json()
-    elif job.command == "certify":
-        result = certify(T, job.budget_elements, seed=job.seed).to_json()
-    elif job.command == "diameter":
-        result = _run_diameter(job, F, T)
+    if args.command == "gen":
+        return _run_gen(args)
+    F, T = parse_input(args.gens)
+    if args.command == "analyze":
+        result = _run_analyze(args, F, T)
+    elif args.command == "classify":
+        result = classify(T, args.budget_elements).to_json()
+    elif args.command == "certify":
+        result = certify(T, args.budget_elements, seed=args.seed).to_json()
+    elif args.command == "diameter":
+        result = _run_diameter(args, T)
     else:
-        result = _run_decompose(job, F, T)
+        result = _run_decompose(args, F, T)
     wall_ms = int((time.monotonic() - start) * 1000)
     return {
-        "command": job.command,
+        "command": args.command,
         "meta": {
             "tool": "transvect",
             "version": __version__,
-            "field": field_text,
-            "budgets": job.budgets(),
-            "seed": job.seed,
+            "field": field_spec(F),
+            "budgets": {
+                "elements": args.budget_elements,
+                "projective": tgraph.PROJECTIVE_BUDGET,
+                "walks": tgraph.WALK_BUDGET,
+                "cap": args.cap,
+            },
+            "seed": args.seed,
             "wall_ms": wall_ms,
         },
         "result": result,
@@ -380,6 +338,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"transvect: error: {message}\n{self.format_usage()}")
 
 
+class _Positive(argparse.Action):
+    """A positive integer option; zero or less is a usage error (argparse
+    has already rejected a value that is not an integer)."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value <= 0:
+            parser.error(f"argument {option_string}: expected a positive "
+                         f"integer, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 @functools.cache  # parsing does not change the parser; build it once
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -390,40 +359,39 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"transvect {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, gens: bool = True) -> None:
+    def command(name: str, help: str, gens: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        # every report's meta records the seed and both budgets, and main
+        # reads the format; a flag below that sets one takes its default here
+        p.set_defaults(seed=0, format="json", budget_elements=ELEMENT_BUDGET,
+                       cap=DEFAULT_CAP)
         if gens:
             p.add_argument("--gens", required=True, metavar="FILE",
                            help="generator file (JSON)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", metavar="FILE", help="write output here "
                        "instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
+        return p
 
-    p = sub.add_parser("analyze", help="graph-level report: irreducibility, "
-                       "density, defect, defining field, witness cycles")
-    common(p)
+    p = command("analyze", "graph-level report: irreducibility, density, "
+                "defect, defining field, witness cycles")
     p.add_argument("--forms", action="store_true",
                    help="also detect invariant forms")
 
-    p = sub.add_parser("classify", help="classification report")
-    common(p)
-    p.add_argument("--budget-elements", type=int, default=None)
+    p = command("classify", "classification report")
+    p.add_argument("--budget-elements", type=int, action=_Positive)
 
-    p = sub.add_parser("certify", help="certificate for a classical group")
-    common(p)
-    p.add_argument("--budget-elements", type=int, default=None)
+    p = command("certify", "certificate for a classical group")
+    p.add_argument("--budget-elements", type=int, action=_Positive)
+    p.add_argument("--seed", type=int, help="seed of the stability spot check")
 
-    p = sub.add_parser("diameter", help="Cayley-graph diameter by BFS")
-    common(p)
-    p.add_argument("--cap", type=int, default=None)
+    p = command("diameter", "Cayley-graph diameter by BFS")
+    p.add_argument("--cap", type=int, action=_Positive)
     p.add_argument("--profile", choices=("full", "transvections"),
                    default="full")
-    p.add_argument("--witness", metavar="MATRIX",
-                   help="also emit a shortest word for this element "
-                        "(JSON matrix literal)")
+    p.add_argument("--format", choices=("json", "csv"),
+                   help="csv writes the histogram alone")
 
-    p = sub.add_parser("gen", help="emit a standard generator file")
-    common(p, gens=False)
+    p = command("gen", "emit a standard generator file", gens=False)
     p.add_argument("--kind", required=True, choices=GEN_KINDS, help="SL, SP "
                    "and SU3 are irreducible only at n = 2, 2 and 3, O_char2 never")
     p.add_argument("--field", metavar="p^f")
@@ -432,10 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--lam", type=int)
 
-    p = sub.add_parser("decompose", help="shortest word for an element, or "
-                       "a transvective split of a vector")
-    common(p)
-    p.add_argument("--cap", type=int, default=None)
+    p = command("decompose", "shortest word for an element, or a "
+                "transvective split of a vector")
+    p.add_argument("--cap", type=int, action=_Positive)
     p.add_argument("--target", metavar="MATRIX", help="element to express "
                    "as a word in the generators (JSON matrix literal)")
     p.add_argument("--vector", metavar="VEC", help="vector to split (JSON "
@@ -445,40 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def job_from_args(args: argparse.Namespace) -> JobConfig:
-    options: dict = {}
-    kwargs: dict = {
-        "command": args.command,
-        "out_format": args.format,
-        "seed": args.seed,
-    }
-    if getattr(args, "gens", None) is not None:
-        kwargs["gens_path"] = args.gens
-    if getattr(args, "field", None) is not None:
-        kwargs["field"] = args.field
-    for name in ("budget_elements", "cap"):
-        val = getattr(args, name, None)
-        if val is not None:
-            kwargs[name] = val
-    for name in ("forms", "profile", "witness", "kind", "n", "a", "m",
-                 "lam", "target", "vector"):
-        val = getattr(args, name, None)
-        if val is not None:
-            options[name] = val
-    kwargs["options"] = options
-    return JobConfig(**kwargs)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        job = job_from_args(args)
-        report = run(job)
-        text = render(report, job.out_format)
-        out = getattr(args, "out", None)
-        if out:
-            with open(out, "w", encoding="utf-8") as fh:
+        text = render(run(args), args.format)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)

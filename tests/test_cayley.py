@@ -907,8 +907,8 @@ def test_exploration_does_not_encode_entries_outside_the_field():
     Mat(F2, [[1, 1, 0], [0, 1, 0]]),
 ], ids=["wrong-field", "wrong-size", "not-square"])
 def test_a_foreign_matrix_is_a_dimension_mismatch_not_an_unexplored_element(M):
-    # the `diameter --witness` route: a 2 x 2 witness for a 3 x 3 set is an
-    # input error, as it is for `shortest_word`, not an element the search
+    # as on the `decompose --target` route through `shortest_word`, a 2 x 2
+    # element for a 3 x 3 set is an input error, not an element the search
     # failed to reach
     X = mats(SL32_TRIANGLE)
     ex = bfs_explore(X)

@@ -9,14 +9,12 @@ import pytest
 
 from transvect import cayley
 from transvect.cli import (
-    JobConfig,
     _parse_vector,
     field_spec,
     main,
     parse_field,
     parse_input,
     render,
-    run,
     serialize_generators,
 )
 from transvect.errors import (
@@ -135,9 +133,6 @@ def test_parse_input_syntax_and_shape_errors(tmp_path):
     assert ei.value.index == 0
 
 
-# -- JobConfig -------------------------------------------------------------------
-
-
 def test_non_utf8_generator_file_is_a_parse_error(tmp_path, capsys):
     p = tmp_path / "latin1.json"
     p.write_bytes(b'{"field": "2^1", "generators": [], "note": "caf\xe9"}')
@@ -160,15 +155,45 @@ def test_unwritable_out_path_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("transvect: error:")
 
 
-def test_job_config_validation():
-    with pytest.raises(BadParameters):
-        JobConfig("dance")
-    with pytest.raises(BadParameters):
-        JobConfig("classify", budget_elements=0)
-    with pytest.raises(BadParameters):
-        JobConfig("classify", out_format="xml")
-    job = JobConfig("classify", gens_path="x", seed=7)
-    assert job.budgets()["elements"] > 0
+def usage_error(argv, capsys) -> str:
+    """The usage error line of an invocation that argparse rejects."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1, argv
+    err = capsys.readouterr().err
+    assert err.startswith("transvect: error: "), argv
+    return err.splitlines()[0]
+
+
+# each subcommand takes only the flags it reads: --seed is certify's alone,
+# --format diameter's alone, and a shortest word comes from decompose --target
+REMOVED_FLAGS = [
+    ("analyze", "--seed", "5"),
+    ("analyze", "--format", "json"),
+    ("classify", "--seed", "5"),
+    ("classify", "--format", "csv"),
+    ("certify", "--format", "json"),
+    ("diameter", "--seed", "5"),
+    ("diameter", "--witness", "[[1,0],[0,1]]"),
+    ("gen", "--seed", "5"),
+    ("gen", "--format", "json"),
+    ("decompose", "--seed", "5"),
+    ("decompose", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("sub,flag,value", REMOVED_FLAGS,
+                         ids=[f"{sub} {flag}" for sub, flag, _ in REMOVED_FLAGS])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(
+        tmp_path, capsys, sub, flag, value):
+    if sub == "gen":
+        argv = ["gen", "--kind", "symmetric", "--m", "6"]
+    else:
+        argv = [sub, "--gens", sl22_file(tmp_path)]
+    assert f"unrecognized arguments: {flag}" in usage_error(
+        argv + [flag, value, "--out", str(tmp_path / "x.json")], capsys)
+    assert not (tmp_path / "x.json").exists()
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -228,6 +253,26 @@ def test_gen_field_witness_sets_are_irreducible_only_at_their_default_n(
         assert run_json(tmp_path, ["classify", "--gens", path])["result"]["tag"] == tag
 
 
+@pytest.mark.parametrize("kind,argv", [
+    ("symmetric", ["--m", "6", "--field", "3^1"]),
+    ("symmetric", ["--m", "6", "--n", "4"]),
+    ("symmetric", ["--m", "6", "--a", "3"]),
+    ("symmetric", ["--m", "6", "--lam", "1"]),
+    ("SL", ["--field", "3^1", "--m", "9"]),
+    ("SL", ["--field", "3^1", "--a", "5"]),
+    ("SU3", ["--field", "3^2", "--a", "5"]),
+    ("monomial", ["--field", "2^2", "--n", "3", "--a", "3", "--m", "6"]),
+    ("monomial", ["--field", "2^2", "--n", "3", "--a", "3", "--lam", "1"]),
+])
+def test_gen_rejects_flags_its_kind_does_not_read(tmp_path, capsys, kind, argv):
+    # the flag the kind does not read comes last, before its value
+    out = tmp_path / "gens.json"
+    assert main(["gen", "--kind", kind, *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"transvect: error: gen --kind {kind} does not read {argv[-2]}\n")
+    assert not out.exists()
+
+
 def test_gen_missing_arguments():
     assert main(["gen", "--kind", "symmetric"]) == 1
     assert main(["gen", "--kind", "SL"]) == 1
@@ -283,13 +328,14 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                  ["classify", "--gens", path, "--no-such-flag"],
                  ["classify"],
                  ["no-such-command"],
-                 []):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 1, argv
-        assert capsys.readouterr().err.startswith("transvect: error: "), argv
-    # a well-formed value that is out of range is an input error too
-    assert main(["classify", "--gens", path, "--budget-elements", "0"]) == 1
+                 [],
+                 # out-of-range values are rejected while parsing too
+                 ["classify", "--gens", path, "--budget-elements", "0"],
+                 ["certify", "--gens", path, "--budget-elements", "-3"],
+                 ["diameter", "--gens", path, "--cap", "-1"],
+                 ["decompose", "--gens", path, "--cap", "0", "--vector", "[1,0]"],
+                 ["diameter", "--gens", path, "--format", "xml"]):
+        usage_error(argv, capsys)
     for argv in (["--help"], ["--version"], ["classify", "--help"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -337,6 +383,25 @@ def test_analyze_report_keys(tmp_path):
     assert "violating_t" in forms["quadratic"]
 
 
+def test_analyze_reports_density_unknown_past_the_projective_budget(tmp_path):
+    # the SL12(4) root elements x_12(1), x_12(w), x_(i,i+1), x_(12,1):
+    # q^n = 2^24 points are past the density scan's budget, and the rest of
+    # the report does not depend on that scan
+    n = 12
+
+    def e(i, c=1):
+        return tuple(c * (j == i) for j in range(n))
+
+    T = ([Transvection(F4, e(0), e(1, c)) for c in (1, 2)]
+         + [Transvection(F4, e(i), e((i + 1) % n)) for i in range(1, n)])
+    path = tmp_path / "sl12-4.json"
+    path.write_text(json.dumps(serialize_generators(F4, T)))
+    res = run_json(tmp_path, ["analyze", "--gens", str(path)])["result"]
+    assert res["dense"] is None
+    assert res["irreducible"] is True
+    assert res["defining_field_degree"] == 2
+
+
 def test_analyze_cycles_have_defects(tmp_path):
     path = str(tmp_path / "sl24.json")
     assert main(["gen", "--kind", "SL", "--field", "2^2", "--out", path]) == 0
@@ -353,18 +418,6 @@ def test_diameter_sl22(tmp_path):
     rep = run_json(tmp_path, ["diameter", "--gens", path])
     assert rep["result"] == {"profile": "full", "order": 6, "diameter": 3,
                              "histogram": [1, 2, 2, 1]}
-
-
-def test_diameter_witness_word_evaluates(tmp_path):
-    path = sl22_file(tmp_path)
-    target = [[0, 1], [1, 1]]
-    rep = run_json(tmp_path, ["diameter", "--gens", path,
-                              "--witness", json.dumps(target)])
-    wit = rep["result"]["witness"]
-    F, T = parse_input(path)
-    M = word_matrix(T, tuple((i, e) for i, e in wit["word"]))
-    assert M.to_json() == target
-    assert wit["length"] == len(wit["word"]) == 2
 
 
 def test_diameter_transvections_profile(tmp_path):
@@ -392,8 +445,8 @@ def sl2_root_file(tmp_path, field, lams):
                       gens + [{"v": [0, 1], "phi": [1, 0]}])
 
 
-# Reports of `diameter --profile transvections`, each with the witness
-# element and its word over the input generators.
+# Reports of `diameter --profile transvections`, each with an element and
+# its word over the input generators from `decompose --target`.
 PROFILE_GOLDEN = {
     "SL2(3)": (lambda tmp: sl2_root_file(tmp, "3^1", [1]),
                {"order": 24, "diameter": 3, "histogram": [1, 8, 14, 1],
@@ -420,13 +473,16 @@ PROFILE_GOLDEN = {
 @pytest.mark.parametrize("group", sorted(PROFILE_GOLDEN))
 def test_diameter_profile_golden(tmp_path, group, witness):
     make, expected, element, word = PROFILE_GOLDEN[group]
-    argv = ["diameter", "--gens", make(tmp_path), "--profile", "transvections"]
-    expected = {"profile": "transvections", **expected}
+    path = make(tmp_path)
     if witness:
-        argv += ["--witness", json.dumps(element)]
-        expected["witness"] = {"element": element, "word": word,
-                               "length": len(word)}
-    assert run_json(tmp_path, argv)["result"] == expected
+        argv = ["decompose", "--gens", path, "--target", json.dumps(element)]
+        assert run_json(tmp_path, argv)["result"] == {
+            "mode": "word", "target": element, "word": word,
+            "length": len(word)}
+    else:
+        argv = ["diameter", "--gens", path, "--profile", "transvections"]
+        assert run_json(tmp_path, argv)["result"] == {
+            "profile": "transvections", **expected}
 
 
 def test_diameter_profile_past_the_vector_budget(tmp_path):
@@ -452,7 +508,7 @@ def test_diameter_over_cap(tmp_path, capsys, profile):
     assert err == "transvect: budget exhausted: exploration exceeded 50 elements\n"
 
 
-def test_diameter_profile_witness_runs_two_searches(tmp_path, monkeypatch):
+def test_diameter_profile_runs_two_searches(tmp_path, monkeypatch):
     calls = []
     explore = cayley._Search.explore
 
@@ -462,18 +518,17 @@ def test_diameter_profile_witness_runs_two_searches(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cayley._Search, "explore", counting)
     run_json(tmp_path, ["diameter", "--gens", sl3_triangle_file(tmp_path),
-                        "--profile", "transvections",
-                        "--witness", "[[0,1,0],[0,0,1],[1,0,0]]"])
+                        "--profile", "transvections"])
     # one search over X (involutions, so their own inverses), one over the
     # 21 transvections of SL3(2)
     assert calls == [3, 21]
 
 
-def test_diameter_witness_of_another_size_is_an_input_error(tmp_path, capsys):
-    # a 2 x 2 witness for a 3 x 3 set is rejected as such, not reported as
-    # an element the exploration did not reach
+def test_decompose_target_of_another_size_is_an_input_error(tmp_path, capsys):
+    # a 2 x 2 target for a 3 x 3 set is rejected as such, not reported as
+    # an element the search did not reach
     path = sl3_triangle_file(tmp_path)
-    assert main(["diameter", "--gens", path, "--witness", "[[1,0],[0,1]]"]) == 1
+    assert main(["decompose", "--gens", path, "--target", "[[1,0],[0,1]]"]) == 1
     err = capsys.readouterr().err
     assert err == "transvect: error: element does not match the generators\n"
 
@@ -487,12 +542,14 @@ def test_diameter_csv(tmp_path):
     assert out.read_text() == "distance,count\n0,1\n1,2\n2,2\n3,1\n"
 
 
-def test_csv_rejected_for_non_histogram(tmp_path):
+def test_csv_rejected_for_non_histogram(tmp_path, capsys):
+    # only diameter reports a histogram, and only diameter takes --format
     path = sl22_file(tmp_path)
-    assert main(["classify", "--gens", path, "--format", "csv"]) == 1
+    usage_error(["classify", "--gens", path, "--format", "csv"], capsys)
 
 
 def test_decompose_word(tmp_path):
+    # the one command-line route to a shortest word
     path = sl22_file(tmp_path)
     rep = run_json(tmp_path, ["decompose", "--gens", path,
                               "--target", "[[0,1],[1,1]]"])
@@ -693,11 +750,6 @@ def test_render_deterministic():
     assert render(report, "json").startswith("{")
     with pytest.raises(BadParameters):
         render(report, "csv")
-
-
-def test_run_requires_gens():
-    with pytest.raises(BadParameters):
-        run(JobConfig("classify"))
 
 
 def test_parser_is_built_once_per_process():

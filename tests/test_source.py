@@ -164,6 +164,8 @@ UNREACHED_PUBLIC = {
     "bidirectional_distance": "a library route: the benchmark's distance entries call it",
     "transvection_ball": "the transvections within distance r, each with a word, "
                          "as a library call",
+    "word_recover": "words read off a kept exploration, as a library call; the "
+                    "command line's word route is `decompose --target`",
 }
 
 
