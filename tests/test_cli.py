@@ -10,6 +10,7 @@ import pytest
 from transvect import cayley
 from transvect.cli import (
     _parse_vector,
+    build_parser,
     field_spec,
     main,
     parse_field,
@@ -164,6 +165,19 @@ def usage_error(argv, capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("transvect: error: "), argv
     return err.splitlines()[0]
+
+
+def test_job_config_validation(capsys):
+    # a job's settings are checked while parsing: an unknown subcommand, a
+    # budget that is not positive and an unknown format are usage errors
+    assert "invalid choice: 'dance'" in usage_error(["dance"], capsys)
+    assert "expected a positive integer, got 0" in usage_error(
+        ["classify", "--gens", "x", "--budget-elements", "0"], capsys)
+    assert "invalid choice: 'xml'" in usage_error(
+        ["diameter", "--gens", "x", "--format", "xml"], capsys)
+    args = build_parser().parse_args(["certify", "--gens", "x", "--seed", "7"])
+    assert args.seed == 7
+    assert args.budget_elements > 0
 
 
 # each subcommand takes only the flags it reads: --seed is certify's alone,
@@ -418,6 +432,26 @@ def test_diameter_sl22(tmp_path):
     rep = run_json(tmp_path, ["diameter", "--gens", path])
     assert rep["result"] == {"profile": "full", "order": 6, "diameter": 3,
                              "histogram": [1, 2, 2, 1]}
+
+
+def test_diameter_witness_word_evaluates(tmp_path):
+    # a word from decompose --target evaluates to its element, and over all
+    # of SL2(2) the word lengths are the diameter's histogram
+    path = sl22_file(tmp_path)
+    F, T = parse_input(path)
+    lengths = []
+    for a, b, c, d in itertools.product((0, 1), repeat=4):
+        if (a * d - b * c) % 2 != 1:
+            continue
+        target = [[a, b], [c, d]]
+        res = run_json(tmp_path, ["decompose", "--gens", path,
+                                  "--target", json.dumps(target)])["result"]
+        M = word_matrix(T, tuple((i, e) for i, e in res["word"]))
+        assert M.to_json() == target
+        assert res["length"] == len(res["word"])
+        lengths.append(res["length"])
+    hist = run_json(tmp_path, ["diameter", "--gens", path])["result"]["histogram"]
+    assert [lengths.count(k) for k in range(len(hist))] == hist
 
 
 def test_diameter_transvections_profile(tmp_path):
@@ -750,6 +784,13 @@ def test_render_deterministic():
     assert render(report, "json").startswith("{")
     with pytest.raises(BadParameters):
         render(report, "csv")
+
+
+def test_run_requires_gens(capsys):
+    # every subcommand but gen reads a generator file
+    for sub in ("analyze", "classify", "certify", "diameter", "decompose"):
+        assert "the following arguments are required: --gens" in usage_error(
+            [sub], capsys)
 
 
 def test_parser_is_built_once_per_process():
