@@ -245,8 +245,8 @@ class ClassificationReport:
     backing the tag, and the two orders, which must agree whenever both
     are present: `order_predicted` from the formula of the tag, and
     `order_enumerated`, the exact order of the generated group from a
-    stabilizer chain (`group_order`; the key keeps its historical name).
-    `order_enumerated` is None when it was not computed (the order
+    stabilizer chain or a proven floor meeting its bound (the key keeps
+    its historical name); None when it was not computed (the order
     exceeds the element budget, q^n exceeds the vector budget, or no
     subfield base change was found), with a note saying which."""
 
@@ -1002,6 +1002,12 @@ def classify(T: Sequence[Transvection],
     The field witnesses and form obstructions are read off closed-walk
     streams held to the fixed `tgraph.WALK_BUDGET`.
     """
+    return _classify(T, budget_elements, 1)
+
+
+def _classify(T: Sequence[Transvection], budget_elements: int,
+              floor: int) -> ClassificationReport:
+    """`classify` with a proven floor on |<T>| that can stand for the chain."""
     G = build_graph(T)
     T = G.verts
     _require_irreducible(G, "classification needs an irreducible action")
@@ -1024,7 +1030,7 @@ def classify(T: Sequence[Transvection],
         T_sub, P = descent
         witnesses["descent_basis"] = P
         witnesses["ambient_field_cycles"] = witnesses.pop("defining_field_cycles")
-        inner = classify(T_sub, budget_elements)
+        inner = _classify(T_sub, budget_elements, floor)
         notes.append(f"conjugate into a subfield subgroup over "
                      f"{T_sub[0].F.name()}; classified there")
         merged = dict(witnesses)
@@ -1091,13 +1097,19 @@ def classify(T: Sequence[Transvection],
     exceeds = 0
     if q**n <= VECTOR_TABLE_BUDGET:
         try:
-            minus_one = F.neg(1)
-            rows = [_transvection_rows(F, 1, t.v, t.phi) for t in T]
-            # in characteristic 2, -1 = 1 and each t is its own inverse
-            inverses = rows if minus_one == 1 else [
-                _transvection_rows(F, minus_one, t.v, t.phi) for t in T]
-            N = _group_order(F, n, list(zip(rows, inverses)), budget_elements,
-                             classical)
+            if floor > budget_elements:
+                raise CapExceeded("the order floor passes the element budget")
+            _require(floor <= classical, "the order floor exceeds the bound")
+            if floor == classical:
+                N = classical
+            else:
+                minus_one = F.neg(1)
+                rows = [_transvection_rows(F, 1, t.v, t.phi) for t in T]
+                # in characteristic 2, -1 = 1 and each t is its own inverse
+                inverses = rows if minus_one == 1 else [
+                    _transvection_rows(F, minus_one, t.v, t.phi) for t in T]
+                N = _group_order(F, n, list(zip(rows, inverses)), budget_elements,
+                                 classical)
         except CapExceeded:
             notes.append(f"enumeration exceeded the {budget_elements}-element budget")
             exceeds = budget_elements
@@ -1293,8 +1305,8 @@ def certify(T: Sequence[Transvection],
     no symplectic form); closure under connectivity witnesses and pairing
     kernel witnesses.  Every element of T0 carries a word over T of length
     at most 2n-1.  A small sample of random supersets is reclassified as a
-    spot check and recorded in the properties.
-    budget_elements bounds the classifications of T and of T0's section;
+    spot check, with T0's order as a floor that can skip their chains, and
+    recorded.  budget_elements bounds the classifications of T and T0;
     `densify` and the walk streams keep to the fixed budgets of `tgraph`.
     """
     G = build_graph(T)
@@ -1429,9 +1441,12 @@ def certify(T: Sequence[Transvection],
 
     words = tuple(words_dense[dense_index[t]] for t in T0)
 
-    # stability spot check on a few random supersets
-    spot = [classify(restrict_to_section(T1).graph, STABILITY_ELEMENT_BUDGET)
-            for T1 in _supersets(G, Gd, T0, 3, 3, seed)]
+    # stability spot check on a few random supersets, T0's order their floor
+    floor = (own.order_enumerated or budget_elements + 1
+             if sec.graph is T0 and F.q**n <= VECTOR_TABLE_BUDGET else 1)
+    spot = [_classify(S, STABILITY_ELEMENT_BUDGET, floor if S is T1 else 1)
+            for T1 in _supersets(G, Gd, T0, 3, 3, seed)
+            for S in [restrict_to_section(T1).graph]]
     matches = all(r.tag == report.tag and r.field_degree == report.field_degree
                   for r in spot)
     properties.append({"kind": "stability", "samples": len(spot),

@@ -361,10 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, help: str, gens: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
-        # every report's meta records the seed and both budgets, and main
-        # reads the format; a flag below that sets one takes its default here
+        # meta records the seed and both budgets, main reads the format and
+        # shows this usage for a stray flag; a flag below overrides its default
         p.set_defaults(seed=0, format="json", budget_elements=ELEMENT_BUDGET,
-                       cap=DEFAULT_CAP)
+                       cap=DEFAULT_CAP, parser=p)
         if gens:
             p.add_argument("--gens", required=True, metavar="FILE",
                            help="generator file (JSON)")
@@ -413,7 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         text = render(run(args), args.format)
         if args.out:

@@ -1969,6 +1969,119 @@ def test_certify_densifies_once_and_hands_on_its_graphs(monkeypatch):
         assert rebuilt == []
 
 
+# -- the order of T0 as a floor for its supersets ------------------------------
+
+
+def floor_checked(monkeypatch) -> list:
+    """Make every `_classify` call given a floor other than 1 check its
+    report against the report of the same call with the floor forced to 1;
+    returns the floors seen, one per such call."""
+    real = classify_mod._classify
+    floors = []
+
+    def checked(T, budget_elements, floor):
+        got = real(T, budget_elements, floor)
+        if floor != 1:
+            floors.append(floor)
+            assert got.to_json() == real(T, budget_elements, 1).to_json()
+        return got
+
+    monkeypatch.setattr(classify_mod, "_classify", checked)
+    return floors
+
+
+def structure_small_sets():
+    """The groups of the structure-small benchmark's certify and stability
+    entries: SU4(2), SL2(16), SL2(9), SL3(4), SL3(3), Sp4(2) and rep(8)."""
+    return [su4_generators(), sl_generators(F16), sl_generators(F9),
+            sl3_generators(F4), sl3_generators(F3), sp4_full(),
+            build_symmetric_rep(8)]
+
+
+def test_order_floors_leave_every_report_as_it_was(monkeypatch):
+    # every spot-check report that a floor settles is the report of the
+    # full chain, on the classical grid sets, the fuzz draws that certify,
+    # and the structure-small groups
+    floors = floor_checked(monkeypatch)
+    sets = grid_sets() + [T for _, _, T in fuzz_sets()] + structure_small_sets()
+    certified = 0
+    for T in sets:
+        try:
+            certify(T, seed=3)
+        except (UnsupportedTag, NotIrreducible):
+            continue
+        certified += 1
+    assert certified >= 20
+    assert len(floors) >= 2 * certified
+    assert all(floor > 1 for floor in floors)
+
+
+def test_order_floor_decides_the_chain_or_contradicts_it(monkeypatch):
+    T = sl3_generators(F3)  # SL3(3), order 5616
+    calls = []
+    real = classify_mod._group_order
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(classify_mod, "_group_order", counting)
+    full = classify(T).to_json()
+    assert len(calls) == 1
+    assert classify_mod._classify(T, 10**7, 5616).to_json() == full
+    capped = classify(T, 5000).to_json()
+    assert "enumeration exceeded the 5000-element budget" in capped["notes"]
+    assert classify_mod._classify(T, 5000, 5001).to_json() == capped
+    assert len(calls) == 2
+    # a floor below the bound decides nothing, however close it comes
+    assert classify_mod._classify(T, 10**7, 13).to_json() == full
+    assert classify_mod._classify(T, 10**7, 5615).to_json() == full
+    assert len(calls) == 4
+    with pytest.raises(InternalError, match="floor exceeds the bound"):
+        classify_mod._classify(T, 10**7, 5617)
+    # the descent to GF(2) hands the floor on: a dihedral group of order 6
+    D = build_monomial_group(2, 3, F4)
+    with pytest.raises(InternalError):
+        classify_mod._classify(D, 10**7, 7)
+    assert classify_mod._classify(D, 10**7, 6).to_json() == classify(D).to_json()
+    assert len(calls) == 5
+
+
+def test_certify_takes_no_floor_past_the_vector_budget(monkeypatch):
+    T = sl_generators(field_create(257))  # q^n = 66049 > 2^16
+    floors = floor_checked(monkeypatch)
+    certify(T)
+    assert floors == []
+
+
+@pytest.mark.parametrize("build", [lambda: sl3_generators(F3),
+                                   lambda: sl_generators(F9), sp4_full],
+                         ids=["SL3(3)", "SL2(9)", "Sp4(2)"])
+def test_certify_spot_check_runs_no_chain(monkeypatch, build):
+    # the spot check reads T0's order off its closure check, which equals
+    # the bound of every spot superset, so none of them builds a chain
+    floored, chains = [], []
+    real_order, real_classify = classify_mod._group_order, classify_mod._classify
+
+    def counting(*args):
+        if any(floored):
+            chains.append(args)
+        return real_order(*args)
+
+    def classifying(T, budget_elements, floor):
+        floored.append(floor != 1)
+        try:
+            return real_classify(T, budget_elements, floor)
+        finally:
+            floored.pop()
+
+    monkeypatch.setattr(classify_mod, "_group_order", counting)
+    monkeypatch.setattr(classify_mod, "_classify", classifying)
+    cert = certify(build())
+    assert chains == [] and cert.properties[-1] == {
+        "kind": "stability", "samples": 3, "matches": True}
+
+
 # -- exact shortcuts against the general constructions ------------------------
 
 

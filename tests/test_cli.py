@@ -210,6 +210,21 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("argv,usage", [
+    (["classify", "--seed", "5"], "usage: transvect classify [-h] --gens FILE"),
+    (["diameter", "--witness", "[[1,0],[0,1]]"],
+     "usage: transvect diameter [-h] --gens FILE"),
+])
+def test_a_stray_flag_shows_the_usage_of_its_subcommand(tmp_path, capsys, argv, usage):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--gens", sl22_file(tmp_path)] + argv[1:])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"transvect: error: unrecognized arguments: {' '.join(argv[1:])}"
+    assert err[1].startswith(usage)
+
+
 # -- subcommands -----------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import builtins
 import importlib
+import inspect
 from pathlib import Path
 
 import transvect
@@ -206,3 +207,27 @@ def test_every_public_name_is_reached_from_the_cli():
     # an entry that something reaches, or that is no longer public, is stale
     assert sorted(set(UNREACHED_PUBLIC) & reached) == []
     assert sorted(set(UNREACHED_PUBLIC) - public) == []
+
+
+# The public signatures of the recognition, certification and order entry
+# points.  A floor on the group order, a budget or any other setting that
+# the package uses inside them stays private; a new parameter is a new knob.
+PUBLIC_SIGNATURES = {
+    "classify": "(T: 'Sequence[Transvection]', budget_elements: 'int' = 10000000)"
+                " -> 'ClassificationReport'",
+    "certify": "(T: 'Sequence[Transvection]', budget_elements: 'int' = 10000000, "
+               "seed: 'int' = 0) -> 'Certificate'",
+    "stability_check": "(T: 'Sequence[Transvection]', T0: 'Sequence[Transvection]', "
+                       "samples: 'int' = 100, seed: 'int' = 0, "
+                       "budget_elements: 'int' = 20000) -> 'list[ClassificationReport]'",
+    "sample_supersets": "(T: 'Sequence[Transvection]', T0: 'Sequence[Transvection]', "
+                        "count: 'int' = 100, extras: 'int' = 3, seed: 'int' = 0) "
+                        "-> 'list[TransvectionGraph]'",
+    "group_order": "(gens: 'Sequence[Mat]', cap: 'int' = 10000000) -> 'int'",
+}
+
+
+def test_public_signatures_are_pinned():
+    classify_mod = importlib.import_module("transvect.classify")
+    for name, signature in PUBLIC_SIGNATURES.items():
+        assert str(inspect.signature(getattr(classify_mod, name))) == signature, name
