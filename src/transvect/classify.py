@@ -210,9 +210,13 @@ _EXCEPTIONAL_ORDERS = {(2, 9): (exceptional_tag("SL2(5)"), 120),
 @dataclass(frozen=True)
 class MonomialStructure:
     """An invariant monomial structure: n independent projective points
-    (leading-1 representatives) whose line set every generator permutes."""
+    (leading-1 representatives) whose line set every generator permutes,
+    and the parameter a, the lcm of the orders of the scales c in
+    t(l) = c l' over the generators t and lines l.  These scales are the
+    nonzero entries of the generators in the basis of the lines."""
 
     lines: tuple[Vec, ...]
+    a: int
 
 
 def _witness_json(x):
@@ -247,8 +251,8 @@ class ClassificationReport:
     `order_enumerated`, the exact order of the generated group from a
     stabilizer chain or a proven floor meeting its bound (the key keeps
     its historical name); None when it was not computed (the order
-    exceeds the element budget, q^n exceeds the vector budget, or no
-    subfield base change was found), with a note saying which."""
+    exceeds the element budget, or q^n exceeds the vector budget), with a
+    note saying which."""
 
     tag: GroupTypeTag
     field_degree: int
@@ -803,27 +807,14 @@ def detect_monomial_structure(gens: Sequence[Transvection]):
     if not found:
         return None
     lines = min(found, key=lambda ls: ls[0][::-1])
-    for t in G:  # invariance holds because point orbits are invariant
-        _require({_normalize_point(F, t.apply(v)) for v in lines} == set(lines),
-                 "a point orbit is not invariant")
-    return MonomialStructure(lines=lines)
-
-
-def _monomial_parameter(gens: Sequence[Transvection],
-                        structure: MonomialStructure) -> int:
-    """Order of the root-of-unity group: change basis to the invariant
-    lines and take the subgroup of F* generated by the nonzero entries."""
-    F = gens[0].F
-    P = Mat(F, structure.lines).transpose()
-    Pi = P.inv()
     a = 1
-    for t in gens:
-        for row in t.conjugate(Pi, P).matrix().rows:
-            nz = [x for x in row if x]
-            _require(len(nz) == 1, "a generator is not monomial on the "
-                                   "invariant lines")
-            a = math.lcm(a, F.element_order(nz[0]))
-    return a
+    for t in G:  # invariance holds because point orbits are invariant
+        images = [t.apply(v) for v in lines]
+        _require({_normalize_point(F, w) for w in images} == set(lines),
+                 "a point orbit is not invariant")
+        for w in images:  # t(l) = c l' with c the first entry of t(l)
+            a = math.lcm(a, F.element_order(next(c for c in w if c)))
+    return MonomialStructure(lines, a)
 
 
 def detect_symmetric_type(gens: Sequence[Transvection]):
@@ -882,30 +873,25 @@ def _eval_poly(F: Field, coeffs: Sequence[int], x: int) -> int:
     return acc
 
 
-def _frobenius_power(F: Field, e: int) -> Callable[[int], int]:
-    """x -> x^(p^e), the Frobenius power whose fixed points in F are the
-    degree-e subfield."""
-    def sig(x: int) -> int:
-        for _ in range(e):
-            x = F.frobenius(x)
-        return x
-    return sig
+def _subfield_iso(F: Field, e: int) -> tuple[Field, dict[int, int]]:
+    """The degree-e subfield F0 of F mapped onto the abstract field
+    GF(p^e), as a dict whose keys are F0.
 
-
-def _subfield_iso(F: Field, e: int) -> tuple[Field, Callable[[int], int]]:
-    """The degree-e subfield of F mapped onto the abstract field GF(p^e),
-    by sending a multiplicative generator to a root of its minimal
-    polynomial (whose coefficients are prime-field integers shared by both
-    encodings)."""
-    p = F.p
+    F0 is 0 and the powers of h = g^((q - 1)/(p^e - 1)), g the primitive
+    element of F.  The least g0 of order p^e - 1 in F0 goes to the least
+    root r in GF(p^e) of its minimal polynomial, whose coefficients are
+    prime-field integers shared by both encodings, and g0^k to r^k.  A map
+    that is multiplicative and keeps 0 is additive once it keeps u + 1 for
+    every u, since phi(x + y) = phi(y) (phi(x/y) + 1), so that is checked
+    on the p^e elements."""
+    p, m = F.p, F.p**e - 1
     sub = field_create(p, e)
-    if e == 1:
-        return sub, lambda x: x
-    sig = _frobenius_power(F, e)
-    fix = [x for x in F.elements() if sig(x) == x]
-    _require(len(fix) == p**e, f"the Frobenius power fixes {len(fix)} "
-                               f"elements, not {p**e}")
-    g0 = next(x for x in fix if x and F.element_order(x) == p**e - 1)
+    h = F.pow(F.primitive_element(), (F.q - 1) // m)
+    powers = [1]
+    for _ in range(m - 1):
+        powers.append(F.mul(powers[-1], h))
+    _require(len(set(powers)) == m, "the powers of h are not p^e - 1 elements")
+    g0 = min(x for k, x in enumerate(powers) if math.gcd(k, m) == 1)
     poly = [1]
     root = g0
     for i in range(e):
@@ -921,20 +907,20 @@ def _subfield_iso(F: Field, e: int) -> tuple[Field, Callable[[int], int]]:
     r = next(x for x in sub.elements() if _eval_poly(sub, poly, x) == 0)
     table = {0: 0}
     x, y = 1, 1
-    for _ in range(p**e - 1):
+    for _ in range(m):
         table[x] = y
         x = F.mul(x, g0)
         y = sub.mul(y, r)
-    _require(all(table[F.add(u, v)] == sub.add(table[u], table[v])
-                 for u in fix for v in fix),
+    _require(all(table.get(F.add(u, 1)) == sub.add(w, 1) for u, w in table.items()),
              "the subfield isomorphism is not additive")
-    return sub, table.__getitem__
+    return sub, table
 
 
 def _descend_to_subfield(G: TransvectionGraph, e: int):
     """(T_sub, P): the set of G conjugated by P into SL_n over the degree-e
-    subfield F0, where e is the degree of `defining_field`, or None when
-    the field table is over its budget.
+    subfield F0, where e is the degree of `defining_field`, and written
+    over GF(p^e) through `_subfield_iso`.  No step scans F, so it has no
+    budget and runs at every q.
 
     Rescale t to (a_t v_t, a_t^-1 phi_t) by the scales of `_tree_scales`.
     Every rescaled pairing lies in F0, because e is the degree of the field
@@ -946,18 +932,16 @@ def _descend_to_subfield(G: TransvectionGraph, e: int):
     their canonical scaling, the pair that `Transvection.conjugate` returns.
     """
     F, n = G.F, G.n
-    if F.q > VECTOR_TABLE_BUDGET:
-        return None
     a = _tree_scales(G)
     basis = Subspace.zero(F, n).extension(t.v for t in G.verts)
     P = Mat(F, tuple(vec_scale(F, a[b], G.verts[b].v) for b in basis)).transpose()
     Pi = P.inv()
-    sig = _frobenius_power(F, e)
-    conj = [t.conjugate(Pi, P) for t in G.verts]
-    _require(all(sig(x) == x for t in conj for x in t.v + t.phi),
-             f"a conjugated entry leaves the degree-{e} subfield")
     sub, iso = _subfield_iso(F, e)
-    return [Transvection(sub, map(iso, t.v), map(iso, t.phi)) for t in conj], P
+    conj = [t.conjugate(Pi, P) for t in G.verts]
+    _require(all(x in iso for t in conj for x in t.v + t.phi),
+             f"a conjugated entry leaves the degree-{e} subfield")
+    return [Transvection(sub, [iso[x] for x in t.v], [iso[x] for x in t.phi])
+            for t in conj], P
 
 
 # -- classification ----------------------------------------------------------
@@ -971,9 +955,10 @@ def classify(T: Sequence[Transvection],
     breadth-first tree of the graph (`defining_field`), with witness
     cycles on the input's own graph; when the degree is a proper divisor,
     subfield descent by the same rescaling (`_descend_to_subfield`, whose
-    basis P is the `descent_basis` witness) and reclassification of the
-    conjugated set; symplectic form detection; quadratic refinement and
-    its type in characteristic 2; hermitian detection when no symplectic
+    basis P is the `descent_basis` witness), with no budget, since the
+    subfield is read off the powers of a primitive element, and
+    reclassification of the conjugated set; symplectic form detection;
+    quadratic refinement and its type in characteristic 2; hermitian detection when no symplectic
     form exists and the field carries an involution; invariant spanning
     set over GF(2) under a symplectic form and invariant line structure
     when no symplectic form exists, both read off one transvection class
@@ -1021,13 +1006,7 @@ def _classify(T: Sequence[Transvection], budget_elements: int,
     e = dfr.degree
 
     if e < F.f:
-        descent = _descend_to_subfield(G, e)
-        if descent is None:
-            notes.append(f"cycle weights generate a degree-{e} subfield but no "
-                         f"base change was found within budget")
-            return ClassificationReport(UNDETERMINED, e, witnesses, None, None,
-                                        tuple(notes))
-        T_sub, P = descent
+        T_sub, P = _descend_to_subfield(G, e)
         witnesses["descent_basis"] = P
         witnesses["ambient_field_cycles"] = witnesses.pop("defining_field_cycles")
         inner = _classify(T_sub, budget_elements, floor)
@@ -1073,7 +1052,7 @@ def _classify(T: Sequence[Transvection], budget_elements: int,
     if not has_symp:
         mono = detect_monomial_structure(G)
         if mono is not None:
-            mono_a = _monomial_parameter(T, mono)
+            mono_a = mono.a
             witnesses["monomial_lines"] = mono
             _require(mono_a > 1 and mono_a % 2 == 1 and (q - 1) % mono_a == 0,
                      f"monomial parameter {mono_a} is not an odd divisor "

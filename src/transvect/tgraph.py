@@ -200,11 +200,11 @@ def is_strongly_connected(G: TransvectionGraph) -> bool:
     return len(G.components) == 1
 
 
-def _tree_edges(G: TransvectionGraph, s: int) -> list[tuple[int, int]]:
-    """The edges t -> u of the breadth-first tree from vertex s, in the
-    order the search finds them, so each edge starts at s or at the end of
-    an earlier edge."""
-    order, seen, edges = [s], {s}, []
+def _tree_edges(G: TransvectionGraph, *roots: int) -> list[tuple[int, int]]:
+    """The edges t -> u of the breadth-first forest from the roots, in the
+    order the search finds them, so each edge starts at a root or at the
+    end of an earlier edge."""
+    order, seen, edges = list(roots), set(roots), []
     for t in order:
         for u in G.succ[t]:
             if u not in seen:
@@ -565,37 +565,24 @@ def shorten_path(G: TransvectionGraph, phi: Vec, v: Vec) -> tuple[Transvection, 
     """A transvection t' with phi(v_{t'}) != 0 and phi_{t'}(v) != 0, as a word
     of length 2m-1 <= 2n-1 in T.
 
-    Takes a shortest chain phi -> t_1 -> ... -> t_m -> v (multi-source BFS)
-    and conjugates: t' = (t_1..t_{m-1}) t_m (t_1..t_{m-1})^-1.  Minimality
-    makes the v_{t_i} independent, so m <= n.
+    Takes a shortest chain phi -> t_1 -> ... -> t_m -> v, the first that
+    the breadth-first forest from the t with phi(v_t) != 0 finds
+    (`_tree_edges`), and conjugates:
+    t' = (t_1..t_{m-1}) t_m (t_1..t_{m-1})^-1.  Minimality makes the
+    v_{t_i} independent, so m <= n.
     """
     _require_irreducible(G, "action is reducible")
     F = G.F
     starts = [i for i, t in enumerate(G.verts) if dot(F, phi, t.v)]
-    goals = {i for i, t in enumerate(G.verts) if dot(F, t.phi, v)}
-    parent: dict[int, int | None] = {s: None for s in starts}
-    found = next((s for s in starts if s in goals), None)
-    frontier = starts
-    while found is None and frontier:
-        nxt = []
-        for u in frontier:
-            for w in G.succ[u]:
-                if w not in parent:
-                    parent[w] = u
-                    nxt.append(w)
-                    if w in goals:
-                        found = w
-                        break
-            if found is not None:
-                break
-        frontier = nxt
+    tree = _tree_edges(G, *starts)
+    parent = {u: t for t, u in tree}
+    found = next((u for u in starts + [u for _, u in tree]
+                  if dot(F, G.verts[u].phi, v)), None)
     _require(found is not None, "no chain from phi to v")
-    rev = []
-    node: int | None = found
-    while node is not None:
-        rev.append(node)
-        node = parent[node]
-    ipath = rev[::-1]
+    ipath = [found]
+    while ipath[-1] in parent:
+        ipath.append(parent[ipath[-1]])
+    ipath.reverse()
     tprime = G.verts[ipath[-1]].conjugate_by([G.verts[i] for i in ipath[:-1]])
     word: Word = (tuple((i, 1) for i in ipath)
                   + tuple((i, -1) for i in reversed(ipath[:-1])))

@@ -18,6 +18,13 @@ answer that a faster or more specialised routine must reproduce.
 - `projective_points` decodes the point codes the density scans read.
 - `contains_space`, `elements` and `fixed_subfield` enumerate small
   subspaces and subfields outright.
+- `subfield_iso` finds a subfield as the fixed points of a Frobenius
+  power (`frobenius_power`) by a scan of the whole field, and checks its
+  map to GF(p^e) on every pair, where `classify._subfield_iso` reads the
+  subfield off the powers of a primitive element.
+- `monomial_parameter` changes basis to the invariant lines and reads the
+  entries of each generator, where `detect_monomial_structure` reads the
+  same scales off its invariance check.
 - `rref_oracle` is Gauss-Jordan on digit tuples, the reference for
   `linalg._echelon`, the Gauss-Jordan that `Mat`, `Subspace` and the
   chain's inverses run through `linalg._reduce` and `linalg._hold`, and
@@ -32,6 +39,7 @@ answer that a faster or more specialised routine must reproduce.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Iterable, Iterator, Sequence
@@ -51,7 +59,7 @@ from transvect.errors import (
     NotStronglyConnected,
 )
 from transvect.forms import QuadraticForm, SesquiForm
-from transvect.gf import Field
+from transvect.gf import Field, field_create
 from transvect.linalg import Mat, Subspace, _digits, dot, vec_add, vec_scale
 from transvect.tgraph import (
     CycleRecord,
@@ -393,6 +401,79 @@ def elements(S: Subspace):
 def fixed_subfield(F: Field) -> list[int]:
     """Elements of the index-2 subfield (fixed points of the involution)."""
     return [x for x in range(F.q) if F.involution(x) == x]
+
+
+def frobenius_power(F: Field, e: int) -> Callable[[int], int]:
+    """x -> x^(p^e), the Frobenius power whose fixed points in F are the
+    degree-e subfield."""
+    def sig(x: int) -> int:
+        for _ in range(e):
+            x = F.frobenius(x)
+        return x
+    return sig
+
+
+def subfield_iso(F: Field, e: int) -> tuple[Field, Callable[[int], int]]:
+    """The degree-e subfield of F, found by scanning F for the fixed points
+    of `frobenius_power`, mapped onto the abstract field GF(p^e) by sending
+    its least element of order p^e - 1 to the least root of its minimal
+    polynomial (whose coefficients are prime-field integers shared by both
+    encodings), with additivity checked on every pair."""
+    p = F.p
+    sub = field_create(p, e)
+    if e == 1:
+        return sub, lambda x: x
+    sig = frobenius_power(F, e)
+    fix = [x for x in F.elements() if sig(x) == x]
+    if len(fix) != p**e:
+        raise InternalError(f"the Frobenius power fixes {len(fix)} elements")
+    g0 = next(x for x in fix if x and F.element_order(x) == p**e - 1)
+    poly = [1]
+    root = g0
+    for _ in range(e):
+        neg = F.neg(root)
+        new = [0] * (len(poly) + 1)
+        for k, c in enumerate(poly):
+            new[k] = F.add(new[k], F.mul(neg, c))
+            new[k + 1] = F.add(new[k + 1], c)
+        poly = new
+        root = F.frobenius(root)
+    if any(c >= p for c in poly):
+        raise InternalError("a minimal polynomial coefficient is outside GF(p)")
+
+    def at(x: int) -> int:
+        acc = 0
+        for c in reversed(poly):
+            acc = sub.add(sub.mul(acc, x), c)
+        return acc
+
+    r = next(x for x in sub.elements() if at(x) == 0)
+    table = {0: 0}
+    x, y = 1, 1
+    for _ in range(p**e - 1):
+        table[x] = y
+        x = F.mul(x, g0)
+        y = sub.mul(y, r)
+    if not all(table[F.add(u, v)] == sub.add(table[u], table[v])
+               for u in fix for v in fix):
+        raise InternalError("the subfield isomorphism is not additive")
+    return sub, table.__getitem__
+
+
+def monomial_parameter(T: Sequence[Transvection], lines: Sequence[tuple]) -> int:
+    """Order of the root-of-unity group: change basis to the invariant
+    lines and take the lcm of the orders of the nonzero entries."""
+    F = T[0].F
+    P = Mat(F, lines).transpose()
+    Pi = P.inv()
+    a = 1
+    for t in T:
+        for row in t.conjugate(Pi, P).matrix().rows:
+            nz = [x for x in row if x]
+            if len(nz) != 1:
+                raise InternalError("a generator is not monomial on the lines")
+            a = math.lcm(a, F.element_order(nz[0]))
+    return a
 
 
 # -- invariant forms -----------------------------------------------------------

@@ -3,6 +3,7 @@ constructors and detectors, classification, and certificates."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import importlib
 import itertools
@@ -71,10 +72,12 @@ from transvect.transvections import Transvection, standard_full_field_set, tv_fr
 from oracles import (
     enumerate_group,
     monomial_lines,
+    monomial_parameter,
     projective_points,
     row_matrices,
     section_oracle,
     spanning_vector_orbits,
+    subfield_iso,
     transvection_class,
     tuple_point_orbits,
 )
@@ -588,7 +591,9 @@ def test_a_singular_strong_generator_raises_internal_error():
 
 
 def test_classify_invariant_failure_raises_internal_error(monkeypatch):
-    monkeypatch.setattr(classify_mod, "_monomial_parameter", lambda T, mono: 2)
+    real = classify_mod.detect_monomial_structure
+    monkeypatch.setattr(classify_mod, "detect_monomial_structure",
+                        lambda G: dataclasses.replace(real(G), a=2))
     with pytest.raises(InternalError, match="monomial parameter 2"):
         classify(build_monomial_group(3, 3, F4))
 
@@ -1043,13 +1048,16 @@ def detector_sections(monkeypatch):
 
 def detectors_match_oracles(T):
     """Both detectors against the scan oracles of `oracles` on an
-    irreducible set: the line set by the point scan, and, in
-    characteristic 2 where q^n <= 2^12, the spanning set by the vector
+    irreducible set: the line set by the point scan and its parameter by
+    the change of basis to the lines, and, in characteristic 2 where
+    q^n <= 2^12, the spanning set by the vector
     scan, compared as yes/no over fields larger than GF(2).  Returns which
     of the two structures exist."""
     F, n = T[0].F, T[0].n
     st = detect_monomial_structure(T)
     assert (None if st is None else st.lines) == monomial_lines(T)
+    if st is not None:
+        assert st.a == monomial_parameter(T, st.lines)
     found = None
     if F.p == 2 and F.q**n <= 2**12:
         want = next(spanning_vector_orbits(T), None)
@@ -1067,6 +1075,8 @@ def test_detectors_match_the_scan_oracles(monkeypatch):
     cases += [build_symmetric_rep(m) for m in range(5, 14)]
     cases += [build_monomial_group(n, a, F)
               for n, a, F in ((5, 3, F4), (5, 7, F8), (2, 15, F16), (3, 15, F16))]
+    cases += [random_conjugate(build_monomial_group(n, a, F), rng)
+              for n, a, F in ((3, 3, F4), (3, 5, F16), (4, 7, F8), (3, 15, F16))]
     cases += detector_sections(monkeypatch)
     answers = set()
     for T in cases:
@@ -1508,8 +1518,7 @@ def descent_inputs():
     for F0, F in ((F2, F4), (F2, F8), (F2, F16), (F4, F16), (F3, F9),
                   (F3, F27), (F5, F25), (F7, F49)):
         _, iso = classify_mod._subfield_iso(F, F0.f)
-        sig = classify_mod._frobenius_power(F, F0.f)
-        emb = {iso(x): x for x in F.elements() if sig(x) == x}
+        emb = {y: x for x, y in iso.items()}
         rng = random.Random(F.q)
         for i in range(15):
             n = 3 if i % 2 and F.q <= 16 else 2
@@ -1533,12 +1542,50 @@ def test_classify_descent_matches_the_subfield_classification():
                     rep0.order_enumerated))
         P = rep.witnesses["descent_basis"]
         Pi = P.inv()
-        sig = classify_mod._frobenius_power(P.F, rep.field_degree)
+        _, iso = classify_mod._subfield_iso(P.F, rep.field_degree)
         for t in T:
-            assert all(sig(x) == x for row in Pi.mul(t.matrix()).mul(P).rows
+            assert all(x in iso for row in Pi.mul(t.matrix()).mul(P).rows
                        for x in row)
         checked += 1
     assert checked >= 100
+
+
+def test_classify_descends_past_the_vector_budget():
+    # SL2 over the prime field, written over GF(17^4), GF(3^12) and
+    # GF(257^2), plain and conjugated: the subfield is read off the powers
+    # of a primitive element, so no step scans the field; over GF(257),
+    # q^2 is past the vector budget and the order goes unchecked
+    rng = random.Random(35)
+    for F, order in ((field_create(17, 4), 4896), (field_create(3, 12), 24),
+                     (field_create(257, 2), None)):
+        T = standard_full_field_set("SL", F, 2, 1)
+        for S in (T, random_conjugate(T, rng)):
+            rep = classify(S)
+            assert (rep.tag, rep.field_degree, rep.order_enumerated) == (LINEAR, 1, order)
+            assert "descent_basis" in rep.witnesses
+            if order is None:
+                assert rep.order_predicted == 257 * (257**2 - 1) == 16974336
+                assert "order cross-check skipped" in rep.notes
+
+
+def test_subfield_iso_matches_the_frobenius_scan():
+    # the map read off the powers of a primitive element is the one the
+    # scan for Frobenius fixed points builds, on all 38 proper subfields
+    # of the fields with q <= 2^10
+    checked = 0
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        f = 2
+        while p**f <= 2**10:
+            F = field_create(p, f)
+            for e in range(1, f):
+                if f % e == 0:
+                    sub, iso = classify_mod._subfield_iso(F, e)
+                    want_sub, want = subfield_iso(F, e)
+                    assert sub == want_sub and len(iso) == p**e
+                    assert all(iso[x] == want(x) for x in iso)
+                    checked += 1
+            f += 1
+    assert checked == 38
 
 
 def test_descend_to_subfield_rejects_a_degree_below_the_cycle_weights():
@@ -1584,7 +1631,7 @@ def field_witnesses_hold(T, tmp_path):
         sub, iso = classify_mod._subfield_iso(F, e)
         inner = w["defining_field_cycles"]
         inner_weights = walk_weights(G, [r.verts for r in inner])
-        assert [r.weight for r in inner] == [iso(x) for x in inner_weights]
+        assert [r.weight for r in inner] == [iso[x] for x in inner_weights]
         assert sub.subfield_generated([r.weight for r in inner]) == e
     path = tmp_path / "gens.json"
     path.write_text(json.dumps(serialize_generators(F, T)))
